@@ -23,7 +23,6 @@ from .config import ConfigError, PipelineConfig, default_config, load_config
 from .control import run_closed_loop
 from .device import DeviceState, sweep_current
 from .extractor import (
-    ExtractorConfig,
     InsufficientEntropyError,
     choose_block_params,
     derive_seed,
@@ -177,8 +176,8 @@ def cmd_sweep(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     stream = read_bits(args.input)
-    n = cfg.extractor_n
-    k = cfg.extractor_epsilon_exponent
+    n = cfg.extractor.n
+    k = cfg.extractor.epsilon_exponent
     h_min = None
     if cfg.extractor_mode == "auto":
         h_min = min_entropy_estimate(stream)
@@ -188,7 +187,7 @@ def cmd_extract(args) -> int:
             print(f"extract: {exc}", file=sys.stderr)
             return 1
     else:
-        l = cfg.extractor_l
+        l = cfg.extractor.l
     seed_len = n + l - 1
     if cfg.extractor_seed_hex is not None:
         raw = bytes.fromhex(cfg.extractor_seed_hex)
@@ -201,7 +200,7 @@ def cmd_extract(args) -> int:
     else:
         seed = derive_seed(stream, n, l)
         seed_derived = True
-    ext_cfg = ExtractorConfig(n=n, l=l, seed=seed, epsilon_exponent=k)
+    ext_cfg = dataclasses.replace(cfg.extractor, l=l, seed=seed)
     out_stream = extract(stream, ext_cfg)
     out = _out_path(args, cfg, "extracted.bits")
     write_bits(out, out_stream)

@@ -8,11 +8,13 @@ the standard suite geometry.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .control import ControllerState
+from .control import ControllerState, default_controller
 from .device import DeviceParams
+from .extractor import ExtractorConfig
 from .nist.statistical_tests import TestParams
 from .pulses import PulseConfig
 
@@ -26,7 +28,10 @@ def _to_int(text: str) -> int:
 
 
 def _to_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
 
 def _to_bool(text: str) -> bool:
@@ -111,9 +116,8 @@ class PipelineConfig:
     pulse: PulseConfig
     controller: ControllerState | None
     extractor_mode: str
-    extractor_n: int
-    extractor_l: int
-    extractor_epsilon_exponent: int
+    # block sizes and security exponent; the hash seed is set per run
+    extractor: ExtractorConfig
     extractor_seed_hex: str | None
     suite: TestParams
     sequences: int
@@ -143,56 +147,48 @@ def _parse_sections(path) -> dict[str, dict]:
     return values
 
 
+def _construct(section: str, factory, /, *args, **kwargs):
+    # stage objects validate themselves; name the INI section in their errors
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
+
+
 def _build(values: dict[str, dict]) -> PipelineConfig:
-    try:
-        device = DeviceParams(**values.get("device", {}))
-    except ValueError as exc:
-        raise ConfigError(f"[device]: {exc}") from exc
-    try:
-        pulse = PulseConfig(**{**_DEFAULT_PULSE, **values.get("pulse", {})})
-    except ValueError as exc:
-        raise ConfigError(f"[pulse]: {exc}") from exc
+    device = _construct("device", DeviceParams, **values.get("device", {}))
+    pulse = _construct("pulse", PulseConfig, **{**_DEFAULT_PULSE, **values.get("pulse", {})})
 
     # a [controller] section turns feedback on unless it says enabled = false
     controller = None
     if "controller" in values:
         ctrl_values = dict(values["controller"])
         if ctrl_values.pop("enabled", True):
-            ctrl_values.setdefault("amplitude", pulse.amplitude)
-            ctrl_values.setdefault("gain", 0.25 * (device.i_peak - device.i_valley))
-            ctrl_values.setdefault("amp_min", device.i_valley)
-            ctrl_values.setdefault("amp_max", device.i_peak)
-            try:
-                controller = ControllerState(**ctrl_values)
-            except ValueError as exc:
-                raise ConfigError(f"[controller]: {exc}") from exc
+            amplitude = ctrl_values.pop("amplitude", pulse.amplitude)
+            controller = _construct(
+                "controller", default_controller, device, amplitude, **ctrl_values
+            )
 
-    ext = values.get("extractor", {})
-    extractor_n = ext.get("n", 1000)
-    extractor_l = ext.get("l", 330)
-    if not 0 < extractor_l < extractor_n:
-        raise ConfigError("[extractor]: require 0 < l < n")
+    ext = dict(values.get("extractor", {}))
+    mode = ext.pop("mode", "fixed")
+    seed_hex = ext.pop("seed_hex", None)
+    extractor = _construct("extractor", ExtractorConfig, **ext)
 
     suite_values = dict(values.get("suite", {}))
     sequences = suite_values.pop("sequences", 30)
     if sequences < 1:
         raise ConfigError("[suite]: sequences must be at least 1")
     sequence_length = suite_values.pop("sequence_length", 1_000_000)
-    try:
-        suite = TestParams(n=sequence_length, **suite_values)
-    except ValueError as exc:
-        raise ConfigError(f"[suite]: {exc}") from exc
+    suite = _construct("suite", TestParams, n=sequence_length, **suite_values)
 
     run_values = values.get("run", {})
     return PipelineConfig(
         device=device,
         pulse=pulse,
         controller=controller,
-        extractor_mode=ext.get("mode", "fixed"),
-        extractor_n=extractor_n,
-        extractor_l=extractor_l,
-        extractor_epsilon_exponent=ext.get("epsilon_exponent", 32),
-        extractor_seed_hex=ext.get("seed_hex"),
+        extractor_mode=mode,
+        extractor=extractor,
+        extractor_seed_hex=seed_hex,
         suite=suite,
         sequences=sequences,
         seed=run_values.get("seed", 0),

@@ -8,7 +8,7 @@ memoryless, a single clamped accumulating term is sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -22,15 +22,17 @@ class ControllerState:
     """Setpoint tracking state: target ratio, window, gain and command.
 
     gain is the amplitude correction (mA) per unit ratio error; amplitude is
-    the current command, clamped to [amp_min, amp_max].
+    the current command, clamped to [amp_min, amp_max].  default_controller
+    derives gain and the clamp from the device geometry.
     """
 
     amplitude: float
+    _: KW_ONLY
     setpoint: float = 0.5
     window: int = 500
-    gain: float = 0.2875
-    amp_min: float = 0.40
-    amp_max: float = 1.55
+    gain: float
+    amp_min: float
+    amp_max: float
 
     def __post_init__(self):
         if not 0.0 < self.setpoint < 1.0:
@@ -45,18 +47,16 @@ class ControllerState:
             raise ValueError("amplitude must lie within [amp_min, amp_max]")
 
 
-def default_controller(
-    params: DeviceParams, amplitude: float, setpoint: float = 0.5, window: int = 500
-) -> ControllerState:
-    """Controller with gain a quarter of the bistable current range."""
-    return ControllerState(
-        amplitude=amplitude,
-        setpoint=setpoint,
-        window=window,
-        gain=0.25 * (params.i_peak - params.i_valley),
-        amp_min=params.i_valley,
-        amp_max=params.i_peak,
-    )
+def default_controller(params: DeviceParams, amplitude: float, **overrides) -> ControllerState:
+    """Controller with gain a quarter of the bistable current range.
+
+    The command is clamped to the bistable window; `overrides` set any
+    ControllerState field, these derived ones included.
+    """
+    overrides.setdefault("gain", 0.25 * (params.i_peak - params.i_valley))
+    overrides.setdefault("amp_min", params.i_valley)
+    overrides.setdefault("amp_max", params.i_peak)
+    return ControllerState(amplitude, **overrides)
 
 
 def controller_update(ctrl: ControllerState, observed_ratio: float) -> ControllerState:

@@ -112,11 +112,6 @@ class DeviceState:
     drift: float = 0.0
     clock: float = 0.0
 
-    def copy_from(self, other: "DeviceState") -> None:
-        self.branch = other.branch
-        self.drift = other.drift
-        self.clock = other.clock
-
 
 @dataclass(frozen=True)
 class SweepTrace:
@@ -192,6 +187,37 @@ def _hazard(params: DeviceParams, i: float, drift: float) -> float:
     return params.lambda0 * math.exp((i - (params.i_peak + drift)) / params.i_scale)
 
 
+def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
+    """P(L->H within `exposure` ms at constant current), elementwise.
+
+    The array form of _hazard: exactly 0 at or below the drift-shifted valley
+    and 1 above the drift-shifted peak; numpy scalar and array calls share one
+    code path so batched and scalar acquisition agree bitwise.
+    """
+    peak = params.i_peak + drift
+    valley = params.i_valley + drift
+    with np.errstate(over="ignore"):
+        rate = params.lambda0 * np.exp((amplitude - peak) / params.i_scale)
+        p = -np.expm1(-rate * exposure)
+    return np.where(amplitude <= valley, 0.0, np.where(amplitude > peak, 1.0, p))
+
+
+def _next_branch(
+    params: DeviceParams, branch: Branch, drift: float, i: float, dt: float, rng
+) -> Branch:
+    # The L/H transition rule over dt at constant current i; draws one
+    # uniform only when the L branch sits strictly inside the bistable window.
+    if branch is Branch.H:
+        return Branch.L if i < params.i_valley + drift else Branch.H
+    if i > params.i_peak + drift:
+        return Branch.H
+    if i > params.i_valley + drift:
+        rate = _hazard(params, i, drift)
+        if rng.random() < -math.expm1(-rate * dt):
+            return Branch.H
+    return Branch.L
+
+
 def step_device(
     state: DeviceState, params: DeviceParams, i: float, dt: float, rng: np.random.Generator
 ) -> DeviceState:
@@ -204,17 +230,7 @@ def step_device(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    branch = state.branch
-    if branch is Branch.H:
-        if i < params.i_valley + state.drift:
-            branch = Branch.L
-    else:
-        if i > params.i_peak + state.drift:
-            branch = Branch.H
-        elif i > params.i_valley + state.drift:
-            rate = _hazard(params, i, state.drift)
-            if rng.random() < -math.expm1(-rate * dt):
-                branch = Branch.H
+    branch = _next_branch(params, state.branch, state.drift, i, dt, rng)
     return DeviceState(branch=branch, drift=state.drift, clock=state.clock + dt)
 
 
@@ -226,10 +242,11 @@ def _ou_coefficients(params: DeviceParams, dt: float) -> tuple[float, float]:
     return decay, scatter
 
 
-def _draw_normal(rng: np.random.Generator) -> float:
-    # Inverse-CDF sampling: one uniform per normal keeps scalar and batched
-    # generation on identical rng streams.
-    return float(ndtri(max(rng.random(), _MIN_UNIFORM)))
+def _next_drift(drift: float, decay: float, scatter: float, rng) -> float:
+    # One exact OU step with coefficients from _ou_coefficients.  Inverse-CDF
+    # sampling: one uniform per normal keeps scalar and batched generation on
+    # identical rng streams.
+    return drift * decay + scatter * float(ndtri(max(rng.random(), _MIN_UNIFORM)))
 
 
 def drift_step(
@@ -243,11 +260,8 @@ def drift_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    decay, scatter = _ou_coefficients(params, dt)
-    z = _draw_normal(rng)
-    return DeviceState(
-        branch=state.branch, drift=state.drift * decay + scatter * z, clock=state.clock
-    )
+    drift = _next_drift(state.drift, *_ou_coefficients(params, dt), rng)
+    return DeviceState(branch=state.branch, drift=drift, clock=state.clock)
 
 
 def sweep_current(
@@ -270,33 +284,34 @@ def sweep_current(
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    work = DeviceState()
-    if state is not None:
-        work.copy_from(state)
+    if dt_per_step <= 0.0:
+        raise ValueError("dt must be positive")
+    state = state if state is not None else DeviceState()
+    branch, drift, clock = state.branch, state.drift, state.clock
     # pre-position for the starting bias point: settling there is part of the
     # sweep setup, not a recorded switch
-    if work.branch is Branch.L and start > params.i_peak + work.drift:
-        work.branch = Branch.H
-    elif work.branch is Branch.H and start < params.i_valley + work.drift:
-        work.branch = Branch.L
+    if branch is Branch.L and start > params.i_peak + drift:
+        branch = Branch.H
+    elif branch is Branch.H and start < params.i_valley + drift:
+        branch = Branch.L
+    decay, scatter = _ou_coefficients(params, dt_per_step)
     currents = np.linspace(start, stop, steps)
     voltages = np.empty(steps, dtype=np.float64)
     switch_current: float | None = None
     for k in range(steps):
         i = float(currents[k])
-        drift_before = work.drift
-        prev = work.branch
-        work = step_device(work, params, i, dt_per_step, rng)
-        if work.branch is not prev and switch_current is None:
-            if work.branch is Branch.H:
-                switch_current = min(i, params.i_peak + drift_before)
+        prev = branch
+        branch = _next_branch(params, branch, drift, i, dt_per_step, rng)
+        clock += dt_per_step
+        if branch is not prev and switch_current is None:
+            if branch is Branch.H:
+                switch_current = min(i, params.i_peak + drift)
             else:
-                switch_current = params.i_valley + drift_before
-        voltages[k] = _branch_voltage_unchecked(params, work.branch, i)
+                switch_current = params.i_valley + drift
+        voltages[k] = _branch_voltage_unchecked(params, branch, i)
         if params.drift_sigma != 0.0:
-            work = drift_step(work, params, dt_per_step, rng)
-    if state is not None:
-        state.copy_from(work)
+            drift = _next_drift(drift, decay, scatter, rng)
+    state.branch, state.drift, state.clock = branch, drift, clock
     return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
 
 
@@ -310,16 +325,9 @@ def sweep_switch_probabilities(
     above the effective peak collapse onto the threshold crossing itself
     (deterministic switch), reported on the first such point.
     """
-    currents = np.asarray(currents, dtype=np.float64)
-    rates = np.array([_hazard(params, float(i), drift) for i in currents])
-    finite = np.isfinite(rates)
-    p_switch = np.where(finite, -np.expm1(-np.where(finite, rates, 0.0) * dt_per_step), 1.0)
-    survive = np.cumprod(1.0 - p_switch)
-    prob = p_switch * np.concatenate(([1.0], survive[:-1]))
-    # zero out everything past the deterministic switch
-    first_inf = np.argmax(~finite) if (~finite).any() else prob.size
-    prob[first_inf + 1 :] = 0.0
-    return prob
+    p = _switch_probability(params, np.asarray(currents, dtype=np.float64), drift, dt_per_step)
+    # p = 1 past the peak zeroes every later survival term
+    return p * np.concatenate(([1.0], np.cumprod(1.0 - p)[:-1]))
 
 
 __all__ = [

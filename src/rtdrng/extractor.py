@@ -40,6 +40,9 @@ class ExtractorConfig:
     def __post_init__(self):
         if not 0 < self.l < self.n:
             raise ValueError("require 0 < l < n")
+        # extract's float32 GEMM sums reach n; float32 is exact only to 2^24
+        if self.n > 2**24:
+            raise ValueError(f"n must be at most 2^24 = {2**24}")
         if self.epsilon_exponent < 1:
             raise ValueError("epsilon_exponent must be at least 1")
         if self.seed is not None:
@@ -97,7 +100,7 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
 
     Output length is floor(len/n) * l; a trailing partial block is dropped.
     The GF(2) matrix product runs through float32 BLAS in chunks; block sums
-    stay below 2^24 so the arithmetic is exact.
+    stay at or below n <= 2^24 so the arithmetic is exact.
     """
     if cfg.seed is None:
         raise ValueError("extraction requires a seed; see derive_seed")

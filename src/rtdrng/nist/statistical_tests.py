@@ -68,6 +68,10 @@ class SequenceTooShortError(ValueError):
     """Sequence below the test's practical minimum length."""
 
 
+class PValueRangeError(ValueError):
+    """A test produced a P-value outside [0, 1]: a defect in that test."""
+
+
 class TestId(Enum):
     Frequency = "Frequency"
     BlockFrequency = "BlockFrequency"
@@ -109,10 +113,17 @@ class TestParams:
             raise ValueError("n must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.serial_m < 3:
-            raise ValueError("serial_m must be at least 3")
-        if self.approx_entropy_m < 1:
-            raise ValueError("approx_entropy_m must be at least 1")
+        for name, least in (
+            ("block_frequency_m", 1),
+            ("nonoverlapping_blocks", 1),
+            ("overlapping_m", 1),
+            ("overlapping_block_len", 1),
+            ("approx_entropy_m", 1),
+            ("serial_m", 3),
+            ("linear_complexity_block", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
     def resolved_longest_run(self, n: int) -> tuple[int, int]:
         """(M, N) for the longest-run test at sequence length n."""
@@ -584,7 +595,7 @@ def run_test(test: TestId, params: TestParams, bits) -> TestResult:
     result = _DISPATCH[test](bits, params)
     for p in result.pvalues:
         if not math.isnan(p) and not 0.0 <= p <= 1.0:
-            raise AssertionError(f"{test.value} produced P-value {p} outside [0, 1]")
+            raise PValueRangeError(f"{test.value} produced P-value {p} outside [0, 1]")
     return result
 
 

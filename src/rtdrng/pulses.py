@@ -25,13 +25,14 @@ from .bits import BitStream
 from .device import (
     _MIN_UNIFORM,
     _branch_voltage_unchecked,
+    _next_branch,
+    _next_drift,
     _ou_coefficients,
+    _switch_probability,
     Branch,
     DeviceParams,
     DeviceState,
     ModelRangeError,
-    drift_step,
-    step_device,
 )
 
 _CHUNK_PULSES = 1 << 20
@@ -89,21 +90,6 @@ class PulseTrace:
         return np.column_stack((self.times, self.voltages))
 
 
-def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
-    """P(L->H within `exposure` ms at constant amplitude), elementwise.
-
-    Exactly zero at or below the drift-shifted valley and exactly one above
-    the drift-shifted peak; np scalar and array calls share one code path so
-    batched and scalar acquisition agree bitwise.
-    """
-    peak = params.i_peak + drift
-    valley = params.i_valley + drift
-    with np.errstate(over="ignore"):
-        rate = params.lambda0 * np.exp((amplitude - peak) / params.i_scale)
-        p = -np.expm1(-rate * exposure)
-    return np.where(amplitude <= valley, 0.0, np.where(amplitude > peak, 1.0, p))
-
-
 def _require_reset(params: DeviceParams, drift) -> None:
     if np.any(params.i_valley + drift <= 0.0):
         raise ModelRangeError(
@@ -125,12 +111,8 @@ def run_pulse(
     _require_reset(params, drift)
     p = _switch_probability(params, cfg.amplitude, drift, cfg.width * cfg.sample_offset)
     bit = 1 if rng.random() < p else 0
-    after = DeviceState(
-        branch=Branch.H if bit else Branch.L,
-        drift=drift,
-        clock=state.clock + cfg.period,
-    )
-    return drift_step(after, params, cfg.period, rng), bit
+    drift = _next_drift(drift, *_ou_coefficients(params, cfg.period), rng)
+    return DeviceState(Branch.H if bit else Branch.L, drift, state.clock + cfg.period), bit
 
 
 def acquire_bits(
@@ -190,29 +172,28 @@ def trace_pulses(
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    work = DeviceState()
-    work.copy_from(state)
+    branch, drift = state.branch, state.drift
+    decay, scatter = _ou_coefficients(params, cfg.period)
     n_off = max(1, round(cfg.off_time / cfg.substep))
     dt_off = cfg.off_time / n_off
     n_on = max(1, round(cfg.width / cfg.substep))
     dt_on = cfg.width / n_on
     times = []
     volts = []
-    t = work.clock
+    t = state.clock
     for _ in range(n_pulses):
         for _ in range(n_off):
-            work = step_device(work, params, 0.0, dt_off, rng)
+            branch = _next_branch(params, branch, drift, 0.0, dt_off, rng)
             t += dt_off
             times.append(t)
             volts.append(0.0)
         for _ in range(n_on):
-            work = step_device(work, params, cfg.amplitude, dt_on, rng)
+            branch = _next_branch(params, branch, drift, cfg.amplitude, dt_on, rng)
             t += dt_on
             times.append(t)
-            volts.append(_branch_voltage_unchecked(params, work.branch, cfg.amplitude))
-        work = drift_step(work, params, cfg.period, rng)
-    work.clock = t
-    state.copy_from(work)
+            volts.append(_branch_voltage_unchecked(params, branch, cfg.amplitude))
+        drift = _next_drift(drift, decay, scatter, rng)
+    state.branch, state.drift, state.clock = branch, drift, t
     return PulseTrace(times=np.asarray(times), voltages=np.asarray(volts))
 
 

@@ -1,12 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately literal (plain loops, dict counting, direct
-summation) and shares no code with the package's vectorized paths.
+summation) and shares no code with the package's vectorized paths.  The
+stepping references are built on the public per-step functions step_device
+and drift_step, one DeviceState per step.
 """
 
 import math
 
 import numpy as np
+
+from rtdrng.device import Branch, DeviceState, drift_step, step_device
 
 
 # ---------------------------------------------------------------- GF(2)
@@ -298,3 +302,82 @@ def oracle_variant_pvalues(bits):
         xi = visits.get(x, 0)
         pvalues.append(math.erfc(abs(xi - j) / math.sqrt(2.0 * j * (4.0 * abs(x) - 2.0))))
     return j, pvalues
+
+
+# ---------------------------------------------------------------- device stepping
+
+
+def _copy_state(dst, src) -> None:
+    dst.branch, dst.drift, dst.clock = src.branch, src.drift, src.clock
+
+
+def _branch_voltage(params, branch, i: float) -> float:
+    # the branch lines with no range check: under drift L runs past i_peak
+    if branch is Branch.L:
+        return i * params.v_peak / params.i_peak
+    return params.v_valley + (i - params.i_valley) / params.g_high
+
+
+def sweep_current_oracle(params, start, stop, steps, dt_per_step, rng, state=None):
+    """Staircase sweep stepped by step_device/drift_step.
+
+    Returns (currents, voltages, switch_current); `state`, if given, seeds
+    the sweep and is advanced in place.
+    """
+    work = DeviceState()
+    if state is not None:
+        _copy_state(work, state)
+    if work.branch is Branch.L and start > params.i_peak + work.drift:
+        work.branch = Branch.H
+    elif work.branch is Branch.H and start < params.i_valley + work.drift:
+        work.branch = Branch.L
+    currents = np.linspace(start, stop, steps)
+    voltages = np.empty(steps, dtype=np.float64)
+    switch_current = None
+    for k in range(steps):
+        i = float(currents[k])
+        drift_before = work.drift
+        prev = work.branch
+        work = step_device(work, params, i, dt_per_step, rng)
+        if work.branch is not prev and switch_current is None:
+            if work.branch is Branch.H:
+                switch_current = min(i, params.i_peak + drift_before)
+            else:
+                switch_current = params.i_valley + drift_before
+        voltages[k] = _branch_voltage(params, work.branch, i)
+        if params.drift_sigma != 0.0:
+            work = drift_step(work, params, dt_per_step, rng)
+    if state is not None:
+        _copy_state(state, work)
+    return currents, voltages, switch_current
+
+
+def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
+    """Pulse-train voltage trace stepped by step_device/drift_step.
+
+    Returns (times, voltages) and advances `state` in place.
+    """
+    work = DeviceState()
+    _copy_state(work, state)
+    n_off = max(1, round(cfg.off_time / cfg.substep))
+    dt_off = cfg.off_time / n_off
+    n_on = max(1, round(cfg.width / cfg.substep))
+    dt_on = cfg.width / n_on
+    times = []
+    volts = []
+    t = work.clock
+    for _ in range(n_pulses):
+        for _ in range(n_off):
+            work = step_device(work, params, 0.0, dt_off, rng)
+            t += dt_off
+            times.append(t)
+            volts.append(0.0)
+        for _ in range(n_on):
+            work = step_device(work, params, cfg.amplitude, dt_on, rng)
+            t += dt_on
+            times.append(t)
+            volts.append(_branch_voltage(params, work.branch, cfg.amplitude))
+        work = drift_step(work, params, cfg.period, rng)
+    work.clock = t
+    _copy_state(state, work)
+    return np.asarray(times), np.asarray(volts)

@@ -19,7 +19,7 @@ class TestConfig:
         assert cfg.device.i_peak == 1.55
         assert cfg.pulse.amplitude == 1.50
         assert cfg.controller is None
-        assert cfg.extractor_n == 1000 and cfg.extractor_l == 330
+        assert cfg.extractor.n == 1000 and cfg.extractor.l == 330
         assert cfg.suite.n == 1_000_000
         assert cfg.sequences == 30
         assert cfg.seed == 0
@@ -282,3 +282,72 @@ class TestUsageErrors:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[device]\nbogus = 1\n")
         assert run_cli("generate", "--config", cfg, "--count", 8, "--out", tmp_path / "x.bits") == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("pulse", "amplitude", "nan"),
+            ("device", "lambda0", "nan"),
+            ("controller", "gain", "nan"),
+            ("device", "i_scale", "inf"),
+            ("pulse", "width", "-inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        code = run_cli("generate", "--config", cfg, "--count", 20_000, "--out", tmp_path / "x.bits")
+        assert code == 2
+        assert not list(tmp_path.glob("*.bits"))
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ini", ["[extractor]\nn = 16777217\nl = 330\n", "[extractor]\nepsilon_exponent = 0\n"]
+    )
+    @pytest.mark.parametrize("command", ["generate", "sweep", "extract", "test"])
+    def test_extractor_settings_checked_at_load(self, tmp_path, capsys, ini, command):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini + f"[run]\nout_dir = {tmp_path}\n")
+        extra = {
+            "generate": ["--count", 8],
+            "sweep": ["--repeats", 1],
+            "extract": ["--in", tmp_path / "missing.bits"],
+            "test": ["--in", tmp_path / "missing.bits"],
+        }[command]
+        assert run_cli(command, "--config", cfg, *extra) == 2
+        assert "[extractor]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.bits"))
+
+    def test_out_of_range_pvalue_is_an_error(self, tmp_path, capsys, monkeypatch):
+        from rtdrng.nist import statistical_tests as st
+
+        monkeypatch.setitem(
+            st._DISPATCH,
+            st.TestId.Frequency,
+            lambda bits, params: st.TestResult(st.TestId.Frequency, (1.5,), ("",)),
+        )
+        raw = tmp_path / "raw.bits"
+        write_bits(raw, BitStream.from_array(np.random.default_rng(3).integers(0, 2, 1000)))
+        code = run_cli(
+            "test", "--in", raw, "--sequences", 1, "--sequence-length", 1000,
+            "--out-dir", tmp_path,
+        )
+        assert code == 2
+        assert "Frequency produced P-value 1.5 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "block_frequency_m",
+            "nonoverlapping_blocks",
+            "overlapping_m",
+            "overlapping_block_len",
+            "linear_complexity_block",
+        ],
+    )
+    def test_zero_suite_block_size_rejected(self, tmp_path, field):
+        # zero sizes used to reach the battery, which divides by them
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[suite]\n{field} = 0\n")
+        with pytest.raises(ConfigError, match=rf"\[suite\]: {field} must be at least 1"):
+            load_config(cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,18 @@ class TestConfig:
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             ExtractorConfig(n=100, l=100)
+
+    def test_block_length_within_float32_exactness(self):
+        # the GEMM's partial sums reach n; float32 holds every integer to 2^24
+        tracemalloc.start()
+        try:
+            assert ExtractorConfig(n=2**24, l=1).n == 2**24
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # validation allocates nothing of size n
+        with pytest.raises(ValueError, match="2\\^24"):
+            ExtractorConfig(n=2**24 + 1, l=1)
 
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):

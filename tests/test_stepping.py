@@ -1,0 +1,105 @@
+"""The sweep and trace loops and the array switching kernel against references.
+
+sweep_current and trace_pulses step on plain floats; the oracles step the
+same model through step_device/drift_step with a DeviceState per step, so
+every voltage, time and final state must agree bit for bit.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from oracles import sweep_current_oracle, trace_pulses_oracle
+from rtdrng.device import (
+    DeviceParams,
+    DeviceState,
+    _switch_probability,
+    sweep_current,
+    switching_hazard,
+)
+from rtdrng.pulses import PulseConfig, trace_pulses
+
+SIGMAS = (0.0, 0.03)
+TOP = 1.2 * 1.55
+
+# each case cycles through its legs, one sweep per leg, threading one state
+LEGS = {
+    "forward": [(0.0, TOP)],
+    "reverse": [(TOP, 0.0)],
+    "mid-window": [(1.0, 1.7), (1.2, 0.2), (0.8, 1.45)],
+}
+
+
+def _state_tuple(state):
+    return state.branch, state.drift, state.clock
+
+
+# a 0.01 ms dwell rarely switches stochastically, so the L->H jump lands on
+# the drift-shifted peak itself
+@pytest.mark.parametrize("dt", [1.0, 0.01])
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("legs", LEGS.values(), ids=LEGS.keys())
+def test_sweep_matches_step_device_oracle(sigma, legs, dt):
+    params = DeviceParams(drift_sigma=sigma)
+    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    state, ref_state = DeviceState(), DeviceState()
+    switches = 0
+    for start, stop in itertools.islice(itertools.cycle(legs), 24):
+        got = sweep_current(params, start, stop, 150, dt, rng, state=state)
+        currents, voltages, switch = sweep_current_oracle(
+            params, start, stop, 150, dt, ref_rng, state=ref_state
+        )
+        assert np.array_equal(got.currents, currents)
+        assert np.array_equal(got.voltages, voltages)
+        assert got.switch_current == switch
+        switches += switch is not None
+    assert _state_tuple(state) == _state_tuple(ref_state)
+    assert switches > 0
+
+
+def test_sweep_without_state_matches_oracle():
+    params = DeviceParams(drift_sigma=0.03)
+    got = sweep_current(params, 0.0, TOP, 300, 1.0, np.random.default_rng(4))
+    currents, voltages, switch = sweep_current_oracle(
+        params, 0.0, TOP, 300, 1.0, np.random.default_rng(4)
+    )
+    assert np.array_equal(got.voltages, voltages) and got.switch_current == switch
+
+
+def test_sweep_rejects_nonpositive_dwell():
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sweep_current(DeviceParams(), 0.0, 1.0, 10, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_trace_matches_step_device_oracle(sigma):
+    params = DeviceParams(drift_sigma=sigma)
+    cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.05)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    state, ref_state = DeviceState(), DeviceState()
+    for _ in range(5):
+        got = trace_pulses(state, params, cfg, 20, rng)
+        times, voltages = trace_pulses_oracle(ref_state, params, cfg, 20, ref_rng)
+        assert np.array_equal(got.times, times)
+        assert np.array_equal(got.voltages, voltages)
+    assert _state_tuple(state) == _state_tuple(ref_state)
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.03, -0.05])
+@pytest.mark.parametrize("dt", [0.1, 1.0])
+def test_array_kernel_matches_scalar_hazard(drift, dt):
+    params = DeviceParams()
+    state = DeviceState(drift=drift)
+
+    def scalar(points):
+        return np.array([-math.expm1(-switching_hazard(params, state, i) * dt) for i in points])
+
+    valley = params.i_valley + drift
+    peak = params.i_peak + drift
+    ends = np.array([valley, np.nextafter(peak, np.inf)])
+    assert scalar(ends).tolist() == _switch_probability(params, ends, drift, dt).tolist() == [0, 1]
+    inside = np.concatenate(([peak], np.linspace(valley, peak, 401)[1:-1]))
+    array = _switch_probability(params, inside, drift, dt)
+    np.testing.assert_array_max_ulp(array, scalar(inside), maxulp=4)
