@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import berlekamp_massey, gf2_rank
+from .gf2 import gf2_ranks, linear_complexities
 from .special import erfc, igamc, normal_cdf
 from .templates import aperiodic_template_values, template_label
 
@@ -62,6 +62,8 @@ _LINEAR_COMPLEXITY_PI = (1 / 96, 1 / 32, 1 / 8, 1 / 2, 1 / 4, 1 / 16, 1 / 48)
 _LINEAR_COMPLEXITY_BOUNDS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
 
 _EXCURSION_MIN_CYCLES = 500
+
+_MAX_WINDOW_BITS = 62  # widest window _pattern_values packs into an int64
 
 
 class SequenceTooShortError(ValueError):
@@ -115,6 +117,7 @@ class TestParams:
             raise ValueError("alpha must be in (0, 1)")
         for name, least in (
             ("block_frequency_m", 1),
+            ("nonoverlapping_m", 1),
             ("nonoverlapping_blocks", 1),
             ("overlapping_m", 1),
             ("overlapping_block_len", 1),
@@ -124,6 +127,10 @@ class TestParams:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if self.overlapping_m > min(self.overlapping_block_len, _MAX_WINDOW_BITS):
+            raise ValueError(
+                f"overlapping_m must be at most overlapping_block_len and {_MAX_WINDOW_BITS}"
+            )
 
     def resolved_longest_run(self, n: int) -> tuple[int, int]:
         """(M, N) for the longest-run test at sequence length n."""
@@ -190,7 +197,8 @@ def _pattern_values(bits: np.ndarray, m: int, wrap: bool = False) -> np.ndarray:
         count = bits.size - m + 1
     values = np.zeros(count, dtype=np.int64)
     for k in range(m):
-        values = (values << 1) | ext[k : k + count]
+        values <<= 1
+        values |= ext[k : k + count]
     return values
 
 
@@ -257,16 +265,21 @@ def runs_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Runs, (p,), ("",))
 
 
-def _longest_ones_run(block: np.ndarray) -> int:
-    padded = np.empty(block.size + 2, dtype=np.int8)
-    padded[0] = padded[-1] = 0
-    padded[1:-1] = block
-    d = np.diff(padded)
+def _longest_runs(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in every row of an (N, M) 0/1 block matrix.
+
+    Each row is zero-padded on both sides, so no run in the flattened
+    array crosses a row boundary.
+    """
+    n_blocks, m = blocks.shape
+    padded = np.zeros((n_blocks, m + 2), dtype=np.int8)
+    padded[:, 1:-1] = blocks
+    d = np.diff(padded.ravel())
     starts = np.flatnonzero(d == 1)
-    if starts.size == 0:
-        return 0
     ends = np.flatnonzero(d == -1)
-    return int((ends - starts).max())
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(longest, starts // (m + 2), ends - starts)
+    return longest
 
 
 def longest_run_test(bits, params: TestParams) -> TestResult:
@@ -275,11 +288,8 @@ def longest_run_test(bits, params: TestParams) -> TestResult:
     _require(n, 128, "longest-run test")
     m, n_blocks = params.resolved_longest_run(n)
     (lo, hi), pi = _LONGEST_RUN_TABLES[m]
-    blocks = arr[: n_blocks * m].reshape(n_blocks, m)
-    counts = np.zeros(len(pi), dtype=np.int64)
-    for block in blocks:
-        run = _longest_ones_run(block)
-        counts[min(max(run, lo), hi) - lo] += 1
+    runs = _longest_runs(arr[: n_blocks * m].reshape(n_blocks, m))
+    counts = np.bincount(np.clip(runs, lo, hi) - lo, minlength=len(pi))
     expected = n_blocks * np.asarray(pi)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     p = igamc((len(pi) - 1) / 2.0, chi2 / 2.0)
@@ -301,15 +311,9 @@ def rank_test(bits, params: TestParams) -> TestResult:
     _require(n, 38 * 1024, "rank test")
     size = 32
     n_matrices = n // (size * size)
-    matrices = arr[: n_matrices * size * size].reshape(n_matrices, size, size)
-    full = 0
-    minus_one = 0
-    for matrix in matrices:
-        r = gf2_rank(matrix)
-        if r == size:
-            full += 1
-        elif r == size - 1:
-            minus_one += 1
+    ranks = gf2_ranks(arr[: n_matrices * size * size].reshape(n_matrices, size, size))
+    full = int(np.count_nonzero(ranks == size))
+    minus_one = int(np.count_nonzero(ranks == size - 1))
     p_full = _rank_probability(size, size)
     p_minus = _rank_probability(size, size - 1)
     p_rest = 1.0 - p_full - p_minus
@@ -329,7 +333,7 @@ def fft_test(bits, params: TestParams) -> TestResult:
     n = arr.size
     _require(n, 1000, "spectral test")
     x = 2.0 * arr - 1.0
-    moduli = np.abs(np.fft.fft(x)[: n // 2])
+    moduli = np.abs(np.fft.rfft(x)[: n // 2])
     threshold = math.sqrt(_LOG_ALPHA_SPECTRAL * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(moduli < threshold))
@@ -440,12 +444,22 @@ def universal_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Universal, (p,), ("",))
 
 
-def _phi(arr: np.ndarray, m: int) -> float:
-    if m == 0:
-        return 0.0
-    counts = np.bincount(_pattern_values(arr, m, wrap=True), minlength=2**m)
-    counts = counts[counts > 0] / arr.size
-    return float(np.sum(counts * np.log(counts)))
+def _cyclic_counts(arr: np.ndarray, m: int, depth: int) -> list[np.ndarray]:
+    """Counts of every cyclic window of m, m - 1, ..., m - depth + 1 bits.
+
+    Only the m-bit windows are counted: each cyclic (k - 1)-bit window is
+    the prefix of exactly one cyclic k-bit window, so summing the counts of
+    each adjacent value pair (2v, 2v + 1) is exact.
+    """
+    counts = [np.bincount(_pattern_values(arr, m, wrap=True), minlength=2**m)]
+    for _ in range(depth - 1):
+        counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
+    return counts
+
+
+def _phi(counts: np.ndarray, n: int) -> float:
+    freq = counts[counts > 0] / n
+    return float(np.sum(freq * np.log(freq)))
 
 
 def approximate_entropy_test(bits, params: TestParams) -> TestResult:
@@ -453,17 +467,16 @@ def approximate_entropy_test(bits, params: TestParams) -> TestResult:
     n = arr.size
     m = params.approx_entropy_m
     _require(n, 2 ** (m + 5), "approximate entropy test")
-    apen = _phi(arr, m) - _phi(arr, m + 1)
+    wide, narrow = _cyclic_counts(arr, m + 1, 2)  # (m + 1)- and m-bit windows
+    apen = _phi(narrow, n) - _phi(wide, n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2.0 ** (m - 1), chi2 / 2.0)
     return TestResult(TestId.ApproximateEntropy, (p,), ("",))
 
 
-def _psi_squared(arr: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = np.bincount(_pattern_values(arr, m, wrap=True), minlength=2**m).astype(np.float64)
-    return float(2.0**m / arr.size * np.sum(counts**2) - arr.size)
+def _psi_squared(counts: np.ndarray, n: int) -> float:
+    """psi^2 of the m-bit window counts (2^m of them) of an n-bit sequence."""
+    return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
 def serial_test(bits, params: TestParams) -> TestResult:
@@ -471,9 +484,7 @@ def serial_test(bits, params: TestParams) -> TestResult:
     n = arr.size
     m = params.serial_m
     _require(n, 2 ** (m + 2), "serial test")
-    psi_m = _psi_squared(arr, m)
-    psi_m1 = _psi_squared(arr, m - 1)
-    psi_m2 = _psi_squared(arr, m - 2)
+    psi_m, psi_m1, psi_m2 = (_psi_squared(c, n) for c in _cyclic_counts(arr, m, 3))
     del1 = psi_m - psi_m1
     del2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = igamc(2.0 ** (m - 2), del1 / 2.0)
@@ -555,11 +566,8 @@ def linear_complexity_test(bits, params: TestParams) -> TestResult:
     n_blocks = n // m
     sign = -1.0 if m % 2 else 1.0
     mean = m / 2.0 + (9.0 + (-1.0) ** (m + 1)) / 36.0 - (m / 3.0 + 2.0 / 9.0) / 2.0**m
-    stats = np.empty(n_blocks)
-    blocks = arr[: n_blocks * m].reshape(n_blocks, m)
-    for j in range(n_blocks):
-        complexity = berlekamp_massey(blocks[j])
-        stats[j] = sign * (complexity - mean) + 2.0 / 9.0
+    complexities = linear_complexities(arr[: n_blocks * m].reshape(n_blocks, m))
+    stats = sign * (complexities - mean) + 2.0 / 9.0
     freq = np.bincount(
         np.searchsorted(_LINEAR_COMPLEXITY_BOUNDS, stats, side="left"), minlength=7
     )
@@ -591,10 +599,13 @@ TEST_ORDER = tuple(_DISPATCH)
 
 
 def run_test(test: TestId, params: TestParams, bits) -> TestResult:
-    """Run one named test; P-values are guaranteed to lie in [0, 1]."""
+    """Run one named test; P-values of an applicable result lie in [0, 1].
+
+    Only an inapplicable result may carry NaN P-values.
+    """
     result = _DISPATCH[test](bits, params)
     for p in result.pvalues:
-        if not math.isnan(p) and not 0.0 <= p <= 1.0:
+        if not 0.0 <= p <= 1.0 and (result.applicable or not math.isnan(p)):
             raise PValueRangeError(f"{test.value} produced P-value {p} outside [0, 1]")
     return result
 

@@ -61,6 +61,29 @@ def textbook_berlekamp_massey(seq) -> int:
     return length
 
 
+def int_berlekamp_massey(seq) -> int:
+    """Synthesis on Python-int polynomials (bit i = coefficient of x^i).
+
+    The discrepancy at step t is the parity of poly AND window, where the
+    window holds the sequence reversed so bit i is s[t - i].
+    """
+    poly = 1
+    prev = 1
+    length = 0
+    last_change = -1
+    window = 0
+    for t, s in enumerate(int(b) for b in seq):
+        window = (window << 1) | s
+        if (poly & window).bit_count() & 1:
+            backup = poly
+            poly ^= prev << (t - last_change)
+            if 2 * length <= t:
+                length = t + 1 - length
+                prev = backup
+                last_change = t
+    return length
+
+
 def gf2_rank_oracle(matrix) -> int:
     m = np.array(matrix, dtype=np.uint8) % 2
     rows, cols = m.shape
@@ -181,15 +204,19 @@ def oracle_cusum_p(z: int, n: int) -> float:
     return total
 
 
-def oracle_dft_moduli(bits):
-    """Direct O(n^2) DFT moduli of the +/-1 signal, first half."""
-    x = [2 * int(b) - 1 for b in bits]
-    n = len(x)
+def oracle_dft_moduli(bits, freqs=None):
+    """Direct DFT moduli of the +/-1 signal, one O(n) sum per frequency.
+
+    freqs defaults to the first half, k < n/2.  Each angle is reduced
+    exactly, as (j*k mod n), before it is scaled to radians.
+    """
+    x = 2.0 * np.asarray(bits, dtype=np.float64) - 1.0
+    n = x.size
+    j = np.arange(n, dtype=np.int64)
     out = []
-    for k in range(n // 2):
-        re = sum(x[j] * math.cos(2 * math.pi * j * k / n) for j in range(n))
-        im = -sum(x[j] * math.sin(2 * math.pi * j * k / n) for j in range(n))
-        out.append(math.hypot(re, im))
+    for k in range(n // 2) if freqs is None else freqs:
+        angle = (2.0 * math.pi / n) * ((j * int(k)) % n)
+        out.append(math.hypot(float(x @ np.cos(angle)), float(x @ np.sin(angle))))
     return out
 
 
@@ -229,6 +256,19 @@ def oracle_universal_fn(bits, length: int, q: int, k: int) -> float:
             total += math.log2(position - table.get(value, 0))
         table[value] = position
     return total / k
+
+
+def oracle_cyclic_counts(bits, m: int) -> dict:
+    """Occurrences of every cyclic m-bit window, keyed by its MSB-first value."""
+    bits = [int(b) for b in bits]
+    ext = bits + bits[: m - 1]
+    counts: dict[int, int] = {}
+    for i in range(len(bits)):
+        value = 0
+        for b in ext[i : i + m]:
+            value = (value << 1) | b
+        counts[value] = counts.get(value, 0) + 1
+    return counts
 
 
 def oracle_phi(bits, m: int) -> float:

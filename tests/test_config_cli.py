@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -336,9 +337,45 @@ class TestUsageErrors:
         assert "Frequency produced P-value 1.5 outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "ini",
+        [
+            "nonoverlapping_m = 0\n",
+            "overlapping_m = 63\n",
+            "overlapping_m = 70\n",  # used to give P = nan
+            "overlapping_m = 2000\n",  # used to raise OverflowError
+            "overlapping_m = 20\noverlapping_block_len = 19\n",
+        ],
+    )
+    def test_template_window_checked_at_load(self, tmp_path, capsys, ini):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[suite]\n" + ini)
+        # a load-time error wins over the missing input (exit 3)
+        assert run_cli("test", "--config", cfg, "--in", tmp_path / "missing.bits") == 2
+        assert "config error: [suite]: " in capsys.readouterr().err
+
+    def test_nan_pvalue_is_an_error(self, tmp_path, capsys, monkeypatch):
+        from rtdrng.nist import statistical_tests as st
+
+        monkeypatch.setitem(
+            st._DISPATCH,
+            st.TestId.Frequency,
+            lambda bits, params: st.TestResult(st.TestId.Frequency, (math.nan,), ("",)),
+        )
+        raw = tmp_path / "raw.bits"
+        write_bits(raw, BitStream.from_array(np.random.default_rng(3).integers(0, 2, 1000)))
+        code = run_cli(
+            "test", "--in", raw, "--sequences", 1, "--sequence-length", 1000,
+            "--out-dir", tmp_path,
+        )
+        assert code == 2
+        assert "Frequency produced P-value nan outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "field",
         [
             "block_frequency_m",
+            "nonoverlapping_m",
             "nonoverlapping_blocks",
             "overlapping_m",
             "overlapping_block_len",

@@ -4,10 +4,15 @@ import pytest
 from oracles import (
     brute_force_lfsr_length,
     gf2_rank_oracle,
+    int_berlekamp_massey,
     rank_class_probability,
     textbook_berlekamp_massey,
 )
-from rtdrng.nist.gf2 import berlekamp_massey, gf2_rank
+from rtdrng.nist.gf2 import berlekamp_massey, gf2_rank, gf2_ranks, linear_complexities
+
+
+def random_blocks(shape, seed):
+    return (np.random.default_rng(seed).random(shape) < 0.5).astype(np.uint8)
 
 
 class TestBerlekampMassey:
@@ -41,6 +46,68 @@ class TestBerlekampMassey:
         rng = np.random.default_rng(2)
         values = [berlekamp_massey((rng.random(500) < 0.5).astype(np.uint8)) for _ in range(50)]
         assert all(246 <= v <= 254 for v in values)
+
+
+class TestLinearComplexities:
+    def test_suite_geometry_against_scalar_references(self):
+        # the 1M-bit geometry: 2000 blocks of 500 bits, in one lockstep call
+        blocks = random_blocks((2000, 500), 6)
+        got = linear_complexities(blocks).tolist()
+        assert got == [int_berlekamp_massey(b) for b in blocks]
+        # the array formulation is slow in pure Python: a sample of the rows
+        assert got[::20] == [textbook_berlekamp_massey(b) for b in blocks[::20]]
+
+    def test_lengths_across_word_edges(self):
+        # state words hold 64 bits: lengths 1..130 cross the 64- and 128-bit edges
+        for length in range(1, 131):
+            blocks = random_blocks((6, length), 100 + length)
+            assert linear_complexities(blocks).tolist() == [
+                textbook_berlekamp_massey(b) for b in blocks
+            ], length
+
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 500])
+    def test_degenerate_blocks(self, length):
+        zeros = np.zeros(length, dtype=np.uint8)
+        ones = np.ones(length, dtype=np.uint8)
+        impulse = zeros.copy()
+        impulse[-1] = 1  # only an LFSR of full length produces a late first 1
+        got = linear_complexities(np.stack([zeros, ones, impulse]))
+        assert got.tolist() == [0, 1, length]
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            linear_complexities(np.zeros(10, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            linear_complexities(np.zeros((3, 0), dtype=np.uint8))
+
+
+class TestRanks:
+    def test_every_rank_against_oracle(self):
+        # random 32x32 matrices almost never fall below rank 30: build
+        # products of random 32xk and kx32 factors for every k
+        rng = np.random.default_rng(8)
+        stacks = []
+        for k in range(33):
+            left = rng.integers(0, 2, (3, 32, k))
+            right = rng.integers(0, 2, (3, k, 32))
+            stacks.append((left @ right) % 2)
+        stacks.append(np.zeros((1, 32, 32), dtype=np.int64))
+        stacks.append(np.eye(32, dtype=np.int64)[None])
+        matrices = np.concatenate(stacks).astype(np.uint8)
+        got = gf2_ranks(matrices).tolist()
+        assert got == [gf2_rank_oracle(m) for m in matrices]
+        assert set(got) == set(range(33))
+
+    def test_random_stack_against_oracle(self):
+        matrices = random_blocks((300, 32, 32), 9)
+        assert gf2_ranks(matrices).tolist() == [gf2_rank_oracle(m) for m in matrices]
+
+    def test_wide_and_tall_rows_span_words(self):
+        rng = np.random.default_rng(10)
+        for shape in ((3, 130), (130, 3), (70, 70), (64, 65)):
+            for rank in (1, min(shape) // 2, min(shape)):
+                m = (rng.integers(0, 2, (shape[0], rank)) @ rng.integers(0, 2, (rank, shape[1]))) % 2
+                assert gf2_rank(m) == gf2_rank_oracle(m), (shape, rank)
 
 
 class TestRank:

@@ -142,11 +142,25 @@ class TestRuns:
 class TestLongestRun:
     def test_block_scanner_matches_oracle(self):
         bits = random_bits(12_800, 11)
-        from rtdrng.nist.statistical_tests import _longest_ones_run
+        from rtdrng.nist.statistical_tests import _longest_runs
 
         expected = oracles.oracle_longest_runs(bits, 128)
-        got = [_longest_ones_run(bits[j * 128 : (j + 1) * 128]) for j in range(100)]
-        assert got == expected
+        assert _longest_runs(bits.reshape(100, 128)).tolist() == expected
+
+    @pytest.mark.parametrize("m", [8, 128, 10_000])
+    def test_batched_runs_match_oracle(self, m):
+        from rtdrng.nist.statistical_tests import _longest_runs
+
+        n_blocks = 30
+        bits = random_bits(n_blocks * m, m, p=0.8)  # long runs, many touching block edges
+        blocks = bits.reshape(n_blocks, m)
+        blocks[0] = 0
+        blocks[1] = 1
+        blocks[2, : m // 2] = 1  # a run that starts a block ...
+        blocks[3, m // 2 :] = 1  # ... and one that ends it
+        got = _longest_runs(blocks).tolist()
+        assert got == oracles.oracle_longest_runs(blocks.ravel(), m)
+        assert got[:2] == [0, m]
 
     def test_statistic_assembly(self):
         bits = random_bits(12_800, 12)
@@ -214,6 +228,26 @@ class TestFFT:
     def test_periodic_signal_fails(self):
         bits = np.tile([1, 1, 0, 0], 2048).astype(np.uint8)
         assert fft_test(bits, PARAMS).pvalues[0] < 1e-6
+
+    @pytest.mark.parametrize("n", [550_000, 1_000_000])
+    def test_peak_count_matches_direct_dft_at_suite_lengths(self, n):
+        # Only moduli within rounding error of the threshold could be
+        # miscounted.  The direct DFT decides the frequencies nearest it; every
+        # other modulus must lie far beyond FFT rounding (~1e-9 here).
+        threshold = math.sqrt(math.log(20.0) * n)
+        for seed in (40, 41, 42):
+            bits = random_bits(n, seed)
+            fast = np.abs(np.fft.rfft(2.0 * bits - 1.0)[: n // 2])
+            order = np.argsort(np.abs(fast - threshold))
+            near, rest_gap = order[:4], abs(fast[order[4]] - threshold)
+            assert rest_gap > 1e-6
+            direct = np.asarray(oracles.oracle_dft_moduli(bits, near))
+            assert np.allclose(direct, fast[near], atol=1e-8)
+            n1 = int(np.count_nonzero(fast[order[4:]] < threshold))
+            n1 += int(np.count_nonzero(direct < threshold))
+            d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+            want = erfc(abs(d) / math.sqrt(2.0))
+            assert fft_test(bits, PARAMS).pvalues[0] == want
 
 
 class TestNonOverlappingTemplate:
@@ -316,11 +350,13 @@ class TestUniversal:
 
 class TestApproximateEntropy:
     def test_phi_matches_oracle(self):
-        from rtdrng.nist.statistical_tests import _phi
+        from rtdrng.nist.statistical_tests import _cyclic_counts, _phi
 
+        # counted once at m = 5, marginalised down to m = 1
         bits = random_bits(5000, 25)
-        for m in (2, 3, 5):
-            assert _phi(bits, m) == pytest.approx(oracles.oracle_phi(bits, m), abs=1e-10)
+        for m, counts in zip(range(5, 0, -1), _cyclic_counts(bits, 5, 5)):
+            want = oracles.oracle_phi(bits, m)
+            assert _phi(counts, bits.size) == pytest.approx(want, abs=1e-10)
 
     def test_statistic_assembly(self):
         bits = random_bits(40_000, 26)
@@ -339,13 +375,26 @@ class TestApproximateEntropy:
 
 class TestSerial:
     def test_psi_matches_oracle(self):
-        from rtdrng.nist.statistical_tests import _psi_squared
+        from rtdrng.nist.statistical_tests import _cyclic_counts, _psi_squared
 
+        # counted once at m = 4, marginalised down to m = 1
         bits = random_bits(3000, 27)
-        for m in (1, 2, 4):
-            assert _psi_squared(bits, m) == pytest.approx(
+        for m, counts in zip(range(4, 0, -1), _cyclic_counts(bits, 4, 4)):
+            assert _psi_squared(counts, bits.size) == pytest.approx(
                 oracles.oracle_psi_sq(bits, m), abs=1e-8
             )
+
+    def test_marginalised_counts_are_exact(self):
+        # each cyclic (k-1)-bit window is the prefix of one cyclic k-bit window
+        from rtdrng.nist.statistical_tests import _cyclic_counts
+
+        bits = random_bits(4000, 35)
+        bits[-7:] = 1  # windows that wrap round the end see the start
+        for m, counts in zip(range(8, 0, -1), _cyclic_counts(bits, 8, 8)):
+            want = np.zeros(2**m, dtype=np.int64)
+            for value, count in oracles.oracle_cyclic_counts(bits, m).items():
+                want[value] = count
+            assert np.array_equal(counts, want), m
 
     def test_statistic_assembly(self):
         bits = random_bits(300_000, 28)
@@ -434,6 +483,26 @@ class TestDispatch:
         assert names[0] == "Frequency"
         assert names[-1] == "LinearComplexity"
         assert len(names) == 15
+
+    def test_nan_pvalue_rejected_only_when_applicable(self, monkeypatch):
+        from rtdrng.nist import statistical_tests as st
+
+        def nan_result(applicable):
+            return lambda bits, params: st.TestResult(
+                TestId.Frequency, (math.nan,), ("",), applicable=applicable
+            )
+
+        bits = random_bits(1000, 36)
+        monkeypatch.setitem(st._DISPATCH, TestId.Frequency, nan_result(False))
+        assert math.isnan(run_test(TestId.Frequency, PARAMS, bits).pvalues[0])
+        monkeypatch.setitem(st._DISPATCH, TestId.Frequency, nan_result(True))
+        with pytest.raises(st.PValueRangeError, match="P-value nan"):
+            run_test(TestId.Frequency, PARAMS, bits)
+
+    def test_widest_overlapping_window_allowed(self):
+        # one bit wider is rejected at load (test_config_cli)
+        TestParams(overlapping_m=62)
+        TestParams(overlapping_m=20, overlapping_block_len=20)
 
     def test_too_short_raises(self):
         bits = random_bits(64, 34)
