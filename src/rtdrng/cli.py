@@ -31,7 +31,7 @@ from .extractor import (
 )
 from .nist.battery import analyze_suite, render_table, report_records, run_battery
 from .pulses import acquire_bits, window_fractions
-from .sidecar import read_sidecar, write_sidecar
+from .sidecar import SidecarError, read_sidecar, write_sidecar
 
 
 def _sha256(path) -> str:
@@ -114,6 +114,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.repeats < 1:
         raise ConfigError("--repeats must be at least 1")
+    if args.steps < 2:
+        raise ConfigError("--steps must be at least 2")
+    if not args.dt > 0.0:
+        raise ConfigError("--dt must be positive")
+    if args.bins < 1:
+        raise ConfigError("--bins must be at least 1")
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     top = 1.2 * cfg.device.i_peak
@@ -271,26 +277,15 @@ def cmd_test(args) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _histogram_lines(fractions: np.ndarray) -> list[str]:
-    counts, edges = np.histogram(fractions, bins=10, range=(0.0, 1.0))
-    lines = []
-    for i in range(10):
-        lines.append(f"    [{edges[i]:.2f}, {edges[i + 1]:.2f}): {int(counts[i])}")
-    return lines
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
-    metas = sorted(run_dir.glob("*.meta"))
     stages = {}
-    for meta_path in metas:
+    for meta_path in sorted(run_dir.glob("*.meta")):
         entries = read_sidecar(meta_path)
         stages.setdefault(entries.get("stage", "?"), []).append((meta_path, entries))
-    missing = [
-        stage for stage in ("generate", "extract", "test") if stage not in stages
-    ]
+    missing = [stage for stage in ("generate", "extract", "test") if stage not in stages]
     if "generate" not in stages:
         raise FileNotFoundError(
             f"{run_dir}: no pipeline artifacts found; missing stages: {', '.join(missing)}"
@@ -305,6 +300,8 @@ def cmd_report(args) -> int:
         lines.append(f"  drift_sigma_ma: {entries.get('device.drift_sigma')}")
         if bits_path.exists():
             stream = read_bits(bits_path)
+            if len(stream) == 0:
+                raise BitFileError(f"{bits_path}: generated stream holds no bits")
             window = 500
             if len(stream) >= window:
                 fractions = window_fractions(stream, window)
@@ -312,35 +309,43 @@ def cmd_report(args) -> int:
                     f"  H fraction over {fractions.size} windows of {window}: "
                     f"mean {fractions.mean():.4f}, std {fractions.std():.4f}"
                 )
-                lines.extend(_histogram_lines(fractions))
+                counts, edges = np.histogram(fractions, bins=10, range=(0.0, 1.0))
+                for i in range(10):
+                    lines.append(f"    [{edges[i]:.2f}, {edges[i + 1]:.2f}): {int(counts[i])}")
             else:
                 lines.append(f"  ones fraction: {stream.ones_fraction():.4f}")
-    for _, entries in stages.get("sweep", []):
-        lines.append("sweep:")
-        lines.append(f"  direction: {entries.get('direction')}")
-        lines.append(f"  repeats: {entries.get('repeats')}")
-        if "switch_mean_ma" in entries:
+    # on failure meta_path is the sidecar whose entries were being read
+    try:
+        for meta_path, entries in stages.get("sweep", []):
+            lines.append("sweep:")
+            lines.append(f"  direction: {entries.get('direction')}")
+            lines.append(f"  repeats: {entries.get('repeats')}")
+            if "switch_mean_ma" in entries:
+                lines.append(
+                    f"  switch current mean {float(entries['switch_mean_ma']):.4f} mA, "
+                    f"std {float(entries['switch_std_ma']):.4f} mA"
+                )
+        for meta_path, entries in stages.get("extract", []):
+            in_bits = int(entries["input_bits"])
+            out_bits = int(entries["output_bits"])
+            lines.append("extraction:")
+            lines.append(f"  {in_bits} -> {out_bits} bits (ratio {out_bits / in_bits:.4f})")
             lines.append(
-                f"  switch current mean {float(entries['switch_mean_ma']):.4f} mA, "
-                f"std {float(entries['switch_std_ma']):.4f} mA"
+                f"  n={entries['n']} l={entries['l']} k={entries['epsilon_exponent']} "
+                f"seed={entries['seed_fingerprint']} derived={entries['seed_derived']}"
             )
-    for _, entries in stages.get("extract", []):
-        in_bits = int(entries["input_bits"])
-        out_bits = int(entries["output_bits"])
-        lines.append("extraction:")
-        lines.append(f"  {in_bits} -> {out_bits} bits (ratio {out_bits / in_bits:.4f})")
-        lines.append(
-            f"  n={entries['n']} l={entries['l']} k={entries['epsilon_exponent']} "
-            f"seed={entries['seed_fingerprint']} derived={entries['seed_derived']}"
-        )
-    for _, entries in stages.get("test", []):
-        verdict = "PASS" if entries.get("overall_pass") == "1" else "FAIL"
-        lines.append("suite:")
-        lines.append(
-            f"  {verdict}: {int(entries['rows']) - int(entries['rows_failing'])}"
-            f"/{entries['rows']} rows meet threshold "
-            f"({entries['sequences']} sequences of {entries['sequence_length']} bits)"
-        )
+        for meta_path, entries in stages.get("test", []):
+            verdict = "PASS" if entries.get("overall_pass") == "1" else "FAIL"
+            lines.append("suite:")
+            lines.append(
+                f"  {verdict}: {int(entries['rows']) - int(entries['rows_failing'])}"
+                f"/{entries['rows']} rows meet threshold "
+                f"({entries['sequences']} sequences of {entries['sequence_length']} bits)"
+            )
+    except KeyError as exc:
+        raise SidecarError(f"{meta_path}: sidecar lacks {exc}") from None
+    except (ValueError, ArithmeticError) as exc:
+        raise SidecarError(f"{meta_path}: bad sidecar value: {exc}") from None
     if missing:
         lines.append(f"stages not present: {', '.join(missing)}")
     text = "\n".join(lines) + "\n"
@@ -410,7 +415,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BitFileError as exc:
+    except (BitFileError, SidecarError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,16 +1,20 @@
 """Pipeline configuration: a strict INI document with one section per stage.
 
-Unknown sections or keys are rejected so typos in the ~25 numeric knobs fail
-fast.  Every key is optional; defaults reproduce the calibrated device and
-the standard suite geometry.
+Unknown sections or keys are rejected so typos in the 42 keys fail fast.
+Each stage section's keys are the fields of its dataclass (DeviceParams,
+PulseConfig, ControllerState, ExtractorConfig, TestParams), parsed by their
+annotations; a few extra keys configure the run around them.  Every key is
+optional; defaults reproduce the calibrated device and the standard suite
+geometry.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .control import ControllerState, default_controller
 from .device import DeviceParams
@@ -50,64 +54,40 @@ def _to_mode(text: str) -> str:
     return mode
 
 
+_PARSERS = {float: _to_float, float | None: _to_float, int: _to_int, int | None: _to_int}
+
+
+def _stage_keys(cls, skip=()) -> dict:
+    """INI key -> parser for each field of a stage dataclass, by annotation."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        if hints[f.name] not in _PARSERS:
+            raise TypeError(f"no INI parser for {cls.__name__}.{f.name}: {hints[f.name]}")
+        keys[f.name] = _PARSERS[hints[f.name]]
+    return keys
+
+
+# each section holds its stage's fields; the other keys configure the run
+# (sequence_length is TestParams.n, and the hash seed comes from seed_hex)
 _SCHEMA = {
-    "device": {
-        "i_peak": _to_float,
-        "i_valley": _to_float,
-        "v_peak": _to_float,
-        "v_valley": _to_float,
-        "g_high": _to_float,
-        "lambda0": _to_float,
-        "i_scale": _to_float,
-        "drift_sigma": _to_float,
-        "drift_tau": _to_float,
-    },
-    "pulse": {
-        "amplitude": _to_float,
-        "width": _to_float,
-        "duty_cycle": _to_float,
-        "sample_offset": _to_float,
-        "substep": _to_float,
-    },
-    "controller": {
-        "enabled": _to_bool,
-        "setpoint": _to_float,
-        "window": _to_int,
-        "gain": _to_float,
-        "amplitude": _to_float,
-        "amp_min": _to_float,
-        "amp_max": _to_float,
-    },
+    "device": _stage_keys(DeviceParams),
+    "pulse": _stage_keys(PulseConfig),
+    "controller": {"enabled": _to_bool, **_stage_keys(ControllerState)},
     "extractor": {
         "mode": _to_mode,
-        "n": _to_int,
-        "l": _to_int,
-        "epsilon_exponent": _to_int,
+        **_stage_keys(ExtractorConfig, skip={"seed"}),
         "seed_hex": str,
     },
     "suite": {
         "sequences": _to_int,
         "sequence_length": _to_int,
-        "alpha": _to_float,
-        "block_frequency_m": _to_int,
-        "longest_run_m": _to_int,
-        "nonoverlapping_m": _to_int,
-        "nonoverlapping_blocks": _to_int,
-        "overlapping_m": _to_int,
-        "overlapping_block_len": _to_int,
-        "universal_l": _to_int,
-        "universal_q": _to_int,
-        "approx_entropy_m": _to_int,
-        "serial_m": _to_int,
-        "linear_complexity_block": _to_int,
+        **_stage_keys(TestParams, skip={"n"}),
     },
-    "run": {
-        "seed": _to_int,
-        "out_dir": str,
-    },
+    "run": {"seed": _to_int, "out_dir": str},
 }
-
-_DEFAULT_PULSE = {"amplitude": 1.50, "width": 1.0}
 
 
 @dataclass(frozen=True)
@@ -157,9 +137,10 @@ def _construct(section: str, factory, /, *args, **kwargs):
 
 def _build(values: dict[str, dict]) -> PipelineConfig:
     device = _construct("device", DeviceParams, **values.get("device", {}))
-    pulse = _construct("pulse", PulseConfig, **{**_DEFAULT_PULSE, **values.get("pulse", {})})
+    pulse = _construct("pulse", PulseConfig, **values.get("pulse", {}))
 
-    # a [controller] section turns feedback on unless it says enabled = false
+    # a [controller] section turns feedback on unless it says enabled = false;
+    # the command starts from the pulse amplitude unless the section sets one
     controller = None
     if "controller" in values:
         ctrl_values = dict(values["controller"])
@@ -178,8 +159,9 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
     sequences = suite_values.pop("sequences", 30)
     if sequences < 1:
         raise ConfigError("[suite]: sequences must be at least 1")
-    sequence_length = suite_values.pop("sequence_length", 1_000_000)
-    suite = _construct("suite", TestParams, n=sequence_length, **suite_values)
+    if "sequence_length" in suite_values:
+        suite_values["n"] = suite_values.pop("sequence_length")
+    suite = _construct("suite", TestParams, **suite_values)
 
     run_values = values.get("run", {})
     return PipelineConfig(

@@ -242,9 +242,11 @@ def cumulative_sums_test(bits, params: TestParams) -> TestResult:
     arr = _as_bits(bits)
     n = arr.size
     _require(n, 2, "cumulative sums test")
-    x = 2 * arr.astype(np.int64) - 1
-    z_fwd = float(np.max(np.abs(np.cumsum(x))))
-    z_bwd = float(np.max(np.abs(np.cumsum(x[::-1]))))
+    walk, _ = _walk(arr)
+    lo, hi, total = int(walk.min()), int(walk.max()), int(walk[-1])
+    z_fwd = float(max(hi, -lo))
+    # the backward sums are total - S_k for k = 0..n-1, with S_0 = 0
+    z_bwd = float(max(abs(total), total - lo, hi - total))
     return TestResult(
         TestId.CumulativeSums,
         (_cusum_pvalue(z_fwd, n), _cusum_pvalue(z_bwd, n)),
@@ -492,13 +494,11 @@ def serial_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Serial, (p1, p2), ("first", "second"))
 
 
-def _walk(arr: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Cumulative +/-1 walk, its cycle count J and per-step cycle index."""
+def _walk(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cumulative +/-1 walk and its cycle count J."""
     walk = np.cumsum(2 * arr.astype(np.int64) - 1)
-    zeros = walk == 0
-    cycle_idx = np.concatenate(([0], np.cumsum(zeros)))[:-1]
-    j = int(zeros.sum()) + (0 if walk[-1] == 0 else 1)
-    return walk, j, cycle_idx
+    j = int(np.count_nonzero(walk == 0)) + (0 if walk[-1] == 0 else 1)
+    return walk, j
 
 
 _EXCURSION_STATES = (-4, -3, -2, -1, 1, 2, 3, 4)
@@ -509,7 +509,7 @@ def random_excursions_test(bits, params: TestParams) -> TestResult:
     arr = _as_bits(bits)
     n = arr.size
     _require(n, 10_000, "random excursions test")
-    walk, j, cycle_idx = _walk(arr)
+    walk, j = _walk(arr)
     labels = tuple(f"x={x:+d}" for x in _EXCURSION_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(
@@ -518,6 +518,7 @@ def random_excursions_test(bits, params: TestParams) -> TestResult:
     mask = (walk >= -4) & (walk <= 4) & (walk != 0)
     states = walk[mask]
     state_idx = np.where(states < 0, states + 4, states + 3)
+    cycle_idx = np.concatenate(([0], np.cumsum(walk == 0)))[:-1]
     flat = cycle_idx[mask] * 8 + state_idx
     visits = np.bincount(flat, minlength=j * 8).reshape(-1, 8)[:j]
     pvalues = []
@@ -541,7 +542,7 @@ def random_excursions_variant_test(bits, params: TestParams) -> TestResult:
     arr = _as_bits(bits)
     n = arr.size
     _require(n, 10_000, "random excursions variant test")
-    walk, j, _ = _walk(arr)
+    walk, j = _walk(arr)
     labels = tuple(f"x={x:+d}" for x in _VARIANT_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(

@@ -47,8 +47,8 @@ class PulseConfig:
     step used for time-resolved traces, defaulting to width/100.
     """
 
-    amplitude: float
-    width: float
+    amplitude: float = 1.50
+    width: float = 1.0
     duty_cycle: float = 0.5
     sample_offset: float = 1.0
     substep: float | None = None
@@ -182,6 +182,7 @@ def trace_pulses(
     volts = []
     t = state.clock
     for _ in range(n_pulses):
+        _require_reset(params, drift)
         for _ in range(n_off):
             branch = _next_branch(params, branch, drift, 0.0, dt_off, rng)
             t += dt_off

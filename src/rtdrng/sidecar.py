@@ -5,6 +5,10 @@ from __future__ import annotations
 from pathlib import Path
 
 
+class SidecarError(ValueError):
+    """Malformed or incomplete sidecar file; the message names the file."""
+
+
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -26,14 +30,18 @@ def write_sidecar(path, entries: dict) -> None:
 
 def read_sidecar(path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SidecarError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
+            raise SidecarError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         entries[key] = value
     return entries
 
 
-__all__ = ["format_value", "write_sidecar", "read_sidecar"]
+__all__ = ["SidecarError", "format_value", "write_sidecar", "read_sidecar"]

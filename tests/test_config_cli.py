@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.cli import main
-from rtdrng.config import ConfigError, default_config, load_config
+from rtdrng.config import _SCHEMA, ConfigError, _stage_keys, default_config, load_config
 from rtdrng.sidecar import read_sidecar, write_sidecar
 
 
@@ -80,6 +81,96 @@ class TestConfig:
             load_config("/nonexistent/pipeline.ini")
 
 
+_SCHEMA_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+# a valid value other than the default for every INI key
+_NON_DEFAULTS = {
+    ("device", "i_peak"): "1.6",
+    ("device", "i_valley"): "0.45",
+    ("device", "v_peak"): "0.45",
+    ("device", "v_valley"): "0.75",
+    ("device", "g_high"): "2.0",
+    ("device", "lambda0"): "0.5",
+    ("device", "i_scale"): "0.07",
+    ("device", "drift_sigma"): "0.02",
+    ("device", "drift_tau"): "30",
+    ("pulse", "amplitude"): "1.53",
+    ("pulse", "width"): "0.5",
+    ("pulse", "duty_cycle"): "0.25",
+    ("pulse", "sample_offset"): "0.5",
+    ("pulse", "substep"): "0.002",
+    ("controller", "enabled"): "false",
+    ("controller", "amplitude"): "1.45",
+    ("controller", "setpoint"): "0.45",
+    ("controller", "window"): "100",
+    ("controller", "gain"): "0.1",
+    ("controller", "amp_min"): "0.5",
+    ("controller", "amp_max"): "1.5",
+    ("extractor", "mode"): "auto",
+    ("extractor", "n"): "2000",
+    ("extractor", "l"): "600",
+    ("extractor", "epsilon_exponent"): "16",
+    ("extractor", "seed_hex"): "ab",
+    ("suite", "sequences"): "4",
+    ("suite", "sequence_length"): "550000",
+    ("suite", "alpha"): "0.01",
+    ("suite", "block_frequency_m"): "64",
+    ("suite", "longest_run_m"): "128",
+    ("suite", "nonoverlapping_m"): "10",
+    ("suite", "nonoverlapping_blocks"): "4",
+    ("suite", "overlapping_m"): "10",
+    ("suite", "overlapping_block_len"): "1000",
+    ("suite", "universal_l"): "6",
+    ("suite", "universal_q"): "640",
+    ("suite", "approx_entropy_m"): "8",
+    ("suite", "serial_m"): "12",
+    ("suite", "linear_complexity_block"): "1000",
+    ("run", "seed"): "7",
+    ("run", "out_dir"): "elsewhere",
+}
+# where the keys that are not stage fields land
+_EXTRA_KEYS = {
+    ("controller", "enabled"): lambda cfg: cfg.controller is not None,
+    ("extractor", "mode"): lambda cfg: cfg.extractor_mode,
+    ("extractor", "seed_hex"): lambda cfg: cfg.extractor_seed_hex,
+    ("suite", "sequences"): lambda cfg: cfg.sequences,
+    ("suite", "sequence_length"): lambda cfg: cfg.suite.n,
+    ("run", "seed"): lambda cfg: cfg.seed,
+    ("run", "out_dir"): lambda cfg: cfg.out_dir,
+}
+
+
+def _setting(cfg, section, key):
+    if (section, key) in _EXTRA_KEYS:
+        return _EXTRA_KEYS[section, key](cfg)
+    return getattr(getattr(cfg, section), key)
+
+
+@pytest.mark.parametrize("section, key", _SCHEMA_KEYS)
+def test_every_schema_key_lands_on_its_setting(tmp_path, section, key):
+    text = _NON_DEFAULTS[section, key]
+    # the empty section gives the defaults (a [controller] section enables feedback)
+    base = tmp_path / "base.ini"
+    base.write_text(f"[{section}]\n")
+    path = tmp_path / "one.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    got = _setting(load_config(path), section, key)
+    assert got != _setting(load_config(base), section, key)
+    assert got == _SCHEMA[section][key](text)
+
+
+def test_schema_covers_the_table():
+    assert set(_NON_DEFAULTS) == set(_SCHEMA_KEYS)
+
+
+def test_field_without_parser_rejected():
+    @dataclasses.dataclass
+    class Stage:
+        name: str = "x"
+
+    with pytest.raises(TypeError, match="Stage.name"):
+        _stage_keys(Stage)
+
+
 class TestSidecar:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "x.meta"
@@ -143,6 +234,13 @@ class TestSweepCommand:
         assert total == 5
         meta = read_sidecar(tmp_path / "sweep.meta")
         assert meta["switches_recorded"] == "5"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--steps", 1), ("--dt", 0), ("--dt", "nan"), ("--bins", 0)]
+    )
+    def test_bad_flag_rejected_before_sweeping(self, tmp_path, flag, value):
+        assert run_cli("sweep", "--repeats", 2, flag, value, "--out-dir", tmp_path) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_reverse_switches_at_valley(self, tmp_path):
         cfg = tmp_path / "pipeline.ini"
@@ -259,6 +357,24 @@ class TestReportCommand:
         assert "extraction:" in summary
         assert "ratio 0.3300" in summary
         assert "stages not present: test" in summary
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            b"stage=extract\noutput_bits=330\n",
+            b"stage=extract\ninput_bits\n",
+            b"stage=extract\ninput_bits=many\noutput_bits=330\n",
+            b"stage=extract\ninput_bits=0\noutput_bits=0\n",
+            b"stage=test\nrows=188\n",
+            b"stage=sweep\nswitch_mean_ma=1.2\n",
+            b"stage=extract\n\xff\xfe\n",
+        ],
+    )
+    def test_malformed_sidecar_is_file_error(self, tmp_path, capsys, sidecar):
+        run_cli("generate", "--count", 1000, "--out", tmp_path / "raw.bits")
+        (tmp_path / "ext.bits.meta").write_bytes(sidecar)
+        assert run_cli("report", "--run", tmp_path) == 3
+        assert "ext.bits.meta" in capsys.readouterr().err
 
     def test_two_amplitude_run_shows_both_histograms(self, tmp_path):
         for name, amplitude in (("lo.bits", 1.50), ("hi.bits", 1.53)):

@@ -1,8 +1,8 @@
-"""Fuzzing of the program's outside inputs: INI documents and bit files.
+"""Fuzzing of the program's outside inputs: INI documents, bit files and sidecars.
 
 Every document and file, well formed or not, must map to an exit code of
 the CLI (0, 1, 2 or 3), never to a traceback, and no non-finite float may
-survive configuration loading.
+survive configuration loading.  `report` reads only files, so it exits 0 or 3.
 """
 
 import dataclasses
@@ -59,6 +59,26 @@ def bit_files(draw):
     return data
 
 
+# the keys report reads, from every stage's sidecar
+_SIDECAR_KEYS = [
+    "count", "pulse.amplitude", "controller", "device.drift_sigma", "direction", "repeats",
+    "switch_mean_ma", "switch_std_ma", "input_bits", "output_bits", "n", "l",
+    "epsilon_exponent", "seed_fingerprint", "seed_derived", "overall_pass", "rows",
+    "rows_failing", "sequences", "sequence_length",
+]
+
+
+@st.composite
+def sidecars(draw, stage):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=512))
+    entries = draw(st.lists(st.tuples(st.sampled_from(_SIDECAR_KEYS), _values), max_size=12))
+    lines = [f"stage={stage}"] + [f"{key}={value}" for key, value in entries]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_values))
+    return "\n".join(lines).encode("utf-8")
+
+
 def _floats(obj):
     if dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
@@ -88,4 +108,27 @@ def test_outside_inputs_map_to_exit_codes(tmp_path, capsys, ini, bits):
     # --out-dir keeps report files in tmp_path whatever out_dir the document names
     argv = ["test", "--config", str(ini_path), "--in", str(bits_path), "--out-dir", str(tmp_path)]
     assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    generate=sidecars("generate"),
+    other=st.sampled_from(["sweep", "extract", "test"]).flatmap(sidecars),
+    bits=bit_files(),
+)
+# an extract sidecar without input_bits once escaped as a KeyError, and an
+# empty generated stream as a ValueError (exit 2)
+@example(
+    generate=b"stage=generate\n",
+    other=b"stage=extract\noutput_bits=330\n",
+    bits=_HEADER.pack(_MAGIC, 8) + b"\x0f",
+)
+@example(generate=b"stage=generate\n", other=b"stage=test\n", bits=_HEADER.pack(_MAGIC, 0))
+def test_sidecars_map_to_exit_codes(tmp_path, capsys, generate, other, bits):
+    # fixed names, so each example overwrites the last one's files
+    (tmp_path / "raw.bits").write_bytes(bits)
+    (tmp_path / "raw.bits.meta").write_bytes(generate)
+    (tmp_path / "other.meta").write_bytes(other)
+    assert main(["report", "--run", str(tmp_path)]) in (0, 3)
     capsys.readouterr()

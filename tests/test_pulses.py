@@ -5,7 +5,7 @@ import pytest
 
 import rtdrng.pulses as pulses
 from rtdrng.bits import BitStream
-from rtdrng.device import DeviceParams, DeviceState
+from rtdrng.device import DeviceParams, DeviceState, ModelRangeError
 from rtdrng.pulses import (
     PulseConfig,
     acquire_bits,
@@ -190,6 +190,22 @@ class TestTrace:
                 found = True
                 break
         assert found
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda state, rng: run_pulse(state, P0, CFG, rng),
+        lambda state, rng: acquire_bits(state, P0, CFG, 10, rng),
+        lambda state, rng: trace_pulses(state, P0, CFG, 10, rng),
+    ],
+    ids=["run_pulse", "acquire_bits", "trace_pulses"],
+)
+def test_drift_below_zero_valley_rejected(drive):
+    # the off phase resets to L only while the valley threshold stays above 0 mA
+    state = DeviceState(drift=-0.45)
+    with pytest.raises(ModelRangeError):
+        drive(state, np.random.default_rng(8))
 
 
 class TestWindows:
