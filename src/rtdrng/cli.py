@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -120,26 +121,38 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--dt must be positive")
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
-    out_dir = Path(args.out_dir or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     top = 1.2 * cfg.device.i_peak
     start, stop = (0.0, top) if args.direction == "forward" else (top, 0.0)
     if args.start is not None:
         start = args.start
     if args.stop is not None:
         stop = args.stop
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("--start and --stop must be finite")
+    out_dir = Path(args.out_dir or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     state = DeviceState()
-    trace_rows = []
+    blocks = []
+    current_cells = None
     switches = []
     for sweep_idx in range(args.repeats):
         trace = sweep_current(
             cfg.device, start, stop, args.steps, args.dt, rng, state=state
         )
-        for i, v in zip(trace.currents, trace.voltages):
-            trace_rows.append((sweep_idx, f"{i:.6f}", f"{v:.6f}"))
+        # every sweep runs the same current grid
+        if current_cells is None:
+            current_cells = [f"\t{i:.6f}\t" for i in trace.currents.tolist()]
+        idx = str(sweep_idx)
+        blocks.append(
+            "".join(
+                f"{idx}{cell}{v:.6f}\n" for cell, v in zip(current_cells, trace.voltages.tolist())
+            )
+        )
         switches.append(trace.switch_current)
-    _write_tsv(out_dir / "sweeps.tsv", ["sweep", "current_ma", "voltage_v"], trace_rows)
+    with open(out_dir / "sweeps.tsv", "w", encoding="utf-8") as fh:
+        fh.write("sweep\tcurrent_ma\tvoltage_v\n")
+        fh.writelines(blocks)
     _write_tsv(
         out_dir / "switch_currents.tsv",
         ["sweep", "switch_current_ma"],

@@ -8,13 +8,17 @@ memoryless, a single clamped accumulating term is sufficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
-from .bits import BitStream, concat_streams
-from .device import DeviceParams, DeviceState
-from .pulses import PulseConfig, acquire_bits
+from .bits import BitStream
+from .device import Branch, DeviceParams, DeviceState
+from .pulses import PulseConfig, _check_amplitude, _threshold_chunks
+
+# perfbench/worker.py patches control.acquire_bits to count per-window calls
+from .pulses import acquire_bits  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,8 @@ class ControllerState:
             raise ValueError("setpoint must be in (0, 1)")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.gain < 0.0:
-            raise ValueError("gain must be nonnegative")
+        if not 0.0 <= self.gain < math.inf:
+            raise ValueError("gain must be nonnegative and finite")
         if not self.amp_min < self.amp_max:
             raise ValueError("require amp_min < amp_max")
         if not self.amp_min <= self.amplitude <= self.amp_max:
@@ -59,13 +63,18 @@ def default_controller(params: DeviceParams, amplitude: float, **overrides) -> C
     return ControllerState(amplitude, **overrides)
 
 
-def controller_update(ctrl: ControllerState, observed_ratio: float) -> ControllerState:
-    """One clamped proportional-on-error step on the amplitude command."""
+def _next_amplitude(ctrl: ControllerState, amplitude: float, observed_ratio: float) -> float:
+    # controller_update's rule on a bare amplitude, for loops that skip the
+    # per-window ControllerState
     if not 0.0 <= observed_ratio <= 1.0:
         raise ValueError("observed_ratio must be in [0, 1]")
-    amplitude = ctrl.amplitude + ctrl.gain * (ctrl.setpoint - observed_ratio)
-    amplitude = min(max(amplitude, ctrl.amp_min), ctrl.amp_max)
-    return replace(ctrl, amplitude=amplitude)
+    amplitude = amplitude + ctrl.gain * (ctrl.setpoint - observed_ratio)
+    return min(max(amplitude, ctrl.amp_min), ctrl.amp_max)
+
+
+def controller_update(ctrl: ControllerState, observed_ratio: float) -> ControllerState:
+    """One clamped proportional-on-error step on the amplitude command."""
+    return replace(ctrl, amplitude=_next_amplitude(ctrl, ctrl.amplitude, observed_ratio))
 
 
 def run_closed_loop(
@@ -79,23 +88,40 @@ def run_closed_loop(
     """Alternate window acquisitions with controller updates.
 
     Returns the concatenated bits plus per-window diagnostics: the observed
-    ratio and the amplitude command in effect for each window.  The device
+    ratio and the amplitude command in effect for each window.  The pulse
+    thresholds do not depend on the amplitude, so they are drawn in bulk
+    and each window only compares its slice against the current command;
+    the bits equal a loop of acquire_bits calls, one per window.  The device
     state is advanced in place.
     """
     if n_windows < 1:
         raise ValueError("n_windows must be at least 1")
-    chunks = []
+    window = ctrl.window
+    bits = np.empty(n_windows * window, dtype=np.uint8)
     ratios = np.empty(n_windows)
     amplitudes = np.empty(n_windows)
-    for w in range(n_windows):
-        window_cfg = replace(cfg, amplitude=ctrl.amplitude)
-        chunk = acquire_bits(state, params, window_cfg, ctrl.window, rng)
-        ratio = chunk.ones_fraction()
-        ratios[w] = ratio
-        amplitudes[w] = ctrl.amplitude
-        ctrl = controller_update(ctrl, ratio)
-        chunks.append(chunk)
-    return concat_streams(chunks), ratios, amplitudes
+    amplitude = ctrl.amplitude
+    w = 0
+    start = 0  # first pulse of window w
+    end = 0  # pulses read so far; a window may straddle chunks
+    for thresholds in _threshold_chunks(state, params, cfg, bits.size, rng):
+        used = 0
+        while used < thresholds.size:
+            if end == start:
+                _check_amplitude(amplitude)
+                amplitudes[w] = amplitude
+            take = min(thresholds.size - used, start + window - end)
+            np.greater(amplitude, thresholds[used : used + take], out=bits[end : end + take])
+            used += take
+            end += take
+            if end == start + window:
+                ratio = np.count_nonzero(bits[start:end]) / window
+                ratios[w] = ratio
+                amplitude = _next_amplitude(ctrl, amplitude, ratio)
+                w += 1
+                start = end
+    state.branch = Branch.H if bits[-1] else Branch.L
+    return BitStream.from_array(bits), ratios, amplitudes
 
 
 __all__ = ["ControllerState", "default_controller", "controller_update", "run_closed_loop"]

@@ -22,7 +22,7 @@ which is in seconds (the drift is orders of magnitude slower than a pulse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -89,6 +89,9 @@ class DeviceParams:
     drift_tau: float = 60.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.i_valley < self.i_peak:
             raise ValueError("require 0 < i_valley < i_peak")
         if not 0.0 < self.v_peak < self.v_valley:
@@ -191,8 +194,8 @@ def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
     """P(L->H within `exposure` ms at constant current), elementwise.
 
     The array form of _hazard: exactly 0 at or below the drift-shifted valley
-    and 1 above the drift-shifted peak; numpy scalar and array calls share one
-    code path so batched and scalar acquisition agree bitwise.
+    and 1 above the drift-shifted peak.  sweep_switch_probabilities uses it;
+    pulse readout compares against _switch_thresholds instead.
     """
     peak = params.i_peak + drift
     valley = params.i_valley + drift
@@ -200,6 +203,31 @@ def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
         rate = params.lambda0 * np.exp((amplitude - peak) / params.i_scale)
         p = -np.expm1(-rate * exposure)
     return np.where(amplitude <= valley, 0.0, np.where(amplitude > peak, 1.0, p))
+
+
+def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
+    """Switching current of each pulse whose switch uniform is u, elementwise.
+
+    The amplitude-free inverse of _switch_probability: a pulse of any
+    amplitude reads H exactly when amplitude > threshold, in exact
+    arithmetic the same event as u < _switch_probability(params, amplitude,
+    drift, exposure).  The
+    threshold is clipped to the drift-shifted bistable window, so amplitudes
+    at or below the valley read L and above the peak read H for every u.
+    Returns a new array; u is not modified.
+    """
+    t = np.negative(u)
+    np.log1p(t, out=t)
+    t /= -(params.lambda0 * exposure)
+    with np.errstate(divide="ignore"):
+        np.log(t, out=t)  # u = 0 gives -inf, clipped to the valley
+    t *= params.i_scale
+    peak = params.i_peak + drift
+    t += peak
+    # clip to [valley, peak] with one bound array alive at a time
+    np.minimum(t, peak, out=t)
+    del peak
+    return np.maximum(t, params.i_valley + drift, out=t)
 
 
 def _next_branch(
@@ -284,8 +312,10 @@ def sweep_current(
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if dt_per_step <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt_per_step < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("start and stop must be finite")
     state = state if state is not None else DeviceState()
     branch, drift, clock = state.branch, state.drift, state.clock
     # pre-position for the starting bias point: settling there is part of the

@@ -3,18 +3,23 @@
 A pulse period is an off phase at zero current (which resets the device to
 the L branch) followed by an on phase at the configured amplitude.  The
 branch read at the sample instant maps to one bit: L -> 0, H -> 1.  Because
-the hazard is constant during a pulse, the bit is an exact Bernoulli draw
-with p = 1 - exp(-rate(amplitude) * width * sample_offset), so acquisition
-does not need sub-stepping; sub-steps only matter for time-resolved traces.
+the hazard is constant during a pulse, each pulse has a random L->H
+switching threshold, a function of its switch uniform and the drift only,
+and the bit is exactly `amplitude > threshold`: a Bernoulli draw with
+p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
+therefore needs no sub-stepping; sub-steps only matter for time-resolved
+traces.
 
 Per pulse the generator consumes exactly two uniforms, in order: the switch
 draw, then the drift-update normal (via the inverse CDF).  Uniform draws
-from numpy's Generator are stream-stable under batching, so acquire_bits
-produces bit-identical output to the equivalent loop of run_pulse calls.
+from numpy's Generator are stream-stable under batching, so the thresholds,
+and with them the bits, do not depend on how a run is split into calls or
+chunks: acquire_bits matches the equivalent loop of run_pulse calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +33,20 @@ from .device import (
     _next_branch,
     _next_drift,
     _ou_coefficients,
-    _switch_probability,
+    _switch_thresholds,
     Branch,
     DeviceParams,
     DeviceState,
     ModelRangeError,
 )
 
-_CHUNK_PULSES = 1 << 20
+# pulses per bulk draw; each holds about 40 bytes of temporaries per pulse
+_CHUNK_PULSES = 1 << 18
+
+
+def _check_amplitude(amplitude: float) -> None:
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError("amplitude must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,9 @@ class PulseConfig:
     substep: float | None = None
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if self.width <= 0.0:
-            raise ValueError("width must be positive")
+        _check_amplitude(self.amplitude)
+        if not 0.0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must be in (0, 1)")
         if not 0.0 < self.sample_offset <= 1.0:
@@ -98,6 +108,45 @@ def _require_reset(params: DeviceParams, drift) -> None:
         )
 
 
+def _threshold_chunks(
+    state: DeviceState,
+    params: DeviceParams,
+    cfg: PulseConfig,
+    count: int,
+    rng: np.random.Generator,
+):
+    """Yield the switching thresholds of `count` successive pulses in chunks.
+
+    Each chunk of up to _CHUNK_PULSES pulses draws two interleaved uniforms
+    per pulse (switch, then drift normal), runs the drift recursion through
+    an IIR filter and checks the reset condition; pulse k's threshold sees
+    the drift entering it.  Once exhausted, state.drift and state.clock are
+    advanced; the branch is left to the caller, which reads the bits.
+    """
+    exposure = cfg.width * cfg.sample_offset
+    decay, scatter = _ou_coefficients(params, cfg.period)
+    drift = state.drift
+    filter_state = np.array([decay * drift])
+    done = 0
+    while done < count:
+        m = min(_CHUNK_PULSES, count - done)
+        u = rng.random(2 * m)
+        z = np.maximum(u[1::2], _MIN_UNIFORM)
+        ndtri(z, out=z)
+        path, filter_state = lfilter([scatter], [1.0, -decay], z, zi=filter_state)
+        drifts = np.concatenate(([drift], path[:-1]))
+        drift = float(path[-1])
+        del z, path
+        _require_reset(params, drifts)
+        thresholds = _switch_thresholds(params, drifts, u[0::2], exposure)
+        # only the thresholds stay alive while the caller holds them
+        del u, drifts
+        done += m
+        yield thresholds
+    state.drift = drift
+    state.clock = state.clock + count * cfg.period
+
+
 def run_pulse(
     state: DeviceState, params: DeviceParams, cfg: PulseConfig, rng: np.random.Generator
 ) -> tuple[DeviceState, int]:
@@ -105,14 +154,14 @@ def run_pulse(
 
     Off phase resets to L, the on phase runs at cfg.amplitude, the branch at
     width*sample_offset gives the bit, and the drift advances once per
-    period.  Returns the post-pulse state and the bit.
+    period.  Returns the post-pulse state and the bit; `state` is unchanged.
     """
-    drift = state.drift
-    _require_reset(params, drift)
-    p = _switch_probability(params, cfg.amplitude, drift, cfg.width * cfg.sample_offset)
-    bit = 1 if rng.random() < p else 0
-    drift = _next_drift(drift, *_ou_coefficients(params, cfg.period), rng)
-    return DeviceState(Branch.H if bit else Branch.L, drift, state.clock + cfg.period), bit
+    after = DeviceState(state.branch, state.drift, state.clock)
+    # unpacking exhausts the draw, which then advances `after`
+    [threshold] = _threshold_chunks(after, params, cfg, 1, rng)
+    bit = int(cfg.amplitude > threshold[0])
+    after.branch = Branch.H if bit else Branch.L
+    return after, bit
 
 
 def acquire_bits(
@@ -124,35 +173,18 @@ def acquire_bits(
 ) -> BitStream:
     """Collect `count` bits from successive pulses; `state` threads through.
 
-    Batched implementation of the run_pulse loop: drift follows the same
-    recursion via an IIR filter and the switch draws use the same uniform
-    stream, so the output is bit-identical to calling run_pulse `count`
-    times.  The passed state is advanced in place.
+    Batched run_pulse loop: the bits are cfg.amplitude > each pulse's
+    switching threshold, bit-identical to calling run_pulse `count` times.
+    The passed state is advanced in place.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    exposure = cfg.width * cfg.sample_offset
-    period = cfg.period
-    decay, scatter = _ou_coefficients(params, period)
     out = np.empty(count, dtype=np.uint8)
-    drift = state.drift
-    filter_state = np.array([decay * drift])
     done = 0
-    while done < count:
-        m = min(_CHUNK_PULSES, count - done)
-        u = rng.random(2 * m)
-        z = ndtri(np.maximum(u[1::2], _MIN_UNIFORM))
-        path, filter_state = lfilter([scatter], [1.0, -decay], z, zi=filter_state)
-        # bit k sees the drift value entering its pulse
-        drifts = np.concatenate(([drift], path[:-1]))
-        _require_reset(params, drifts)
-        p = _switch_probability(params, cfg.amplitude, drifts, exposure)
-        out[done : done + m] = u[0::2] < p
-        drift = float(path[-1])
-        done += m
+    for thresholds in _threshold_chunks(state, params, cfg, count, rng):
+        np.greater(cfg.amplitude, thresholds, out=out[done : done + thresholds.size])
+        done += thresholds.size
     state.branch = Branch.H if out[-1] else Branch.L
-    state.drift = drift
-    state.clock = state.clock + count * period
     return BitStream.from_array(out)
 
 

@@ -3,14 +3,18 @@
 Everything here is deliberately literal (plain loops, dict counting, direct
 summation) and shares no code with the package's vectorized paths.  The
 stepping references are built on the public per-step functions step_device
-and drift_step, one DeviceState per step.
+and drift_step, one DeviceState per step.  The closed-loop reference is the
+per-window loop over the public acquire_bits and controller_update.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from rtdrng.control import controller_update
 from rtdrng.device import Branch, DeviceState, drift_step, step_device
+from rtdrng.pulses import acquire_bits
 
 
 # ---------------------------------------------------------------- GF(2)
@@ -421,3 +425,23 @@ def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
     work.clock = t
     _copy_state(state, work)
     return np.asarray(times), np.asarray(volts)
+
+
+# ---------------------------------------------------------------- bias control
+
+
+def closed_loop_oracle(state, params, cfg, ctrl, n_windows, rng):
+    """One acquire_bits call per window at the command then in effect.
+
+    Returns (bits, ratios, amplitudes) as arrays and advances `state` in place.
+    """
+    chunks, ratios, amplitudes = [], [], []
+    for _ in range(n_windows):
+        window_cfg = replace(cfg, amplitude=ctrl.amplitude)
+        chunk = acquire_bits(state, params, window_cfg, ctrl.window, rng)
+        ratio = chunk.ones_fraction()
+        ratios.append(ratio)
+        amplitudes.append(ctrl.amplitude)
+        ctrl = controller_update(ctrl, ratio)
+        chunks.append(chunk.to_array())
+    return np.concatenate(chunks), np.array(ratios), np.array(amplitudes)

@@ -252,6 +252,13 @@ class TestSweepCommand:
         assert values == {0.40}
 
 
+@pytest.mark.parametrize("flag, value", [("--start", "nan"), ("--stop", "nan"), ("--stop", "inf")])
+def test_sweep_non_finite_bound_rejected_before_sweeping(tmp_path, flag, value):
+    out = tmp_path / "sweeps"
+    assert run_cli("sweep", "--repeats", 2, flag, value, "--out-dir", out) == 2
+    assert not out.exists()
+
+
 class TestExtractCommand:
     def test_fixed_mode_and_metadata(self, tmp_path):
         rng = np.random.default_rng(11)

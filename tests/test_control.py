@@ -160,3 +160,9 @@ class TestClosedLoop:
     def test_rejects_zero_windows(self):
         with pytest.raises(ValueError):
             run_closed_loop(DeviceState(), P_QUIET, CFG, make_ctrl(), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gain", [math.inf, math.nan])
+def test_non_finite_gain_rejected(gain):
+    with pytest.raises(ValueError, match="gain must be nonnegative and finite"):
+        make_ctrl(gain=gain)

@@ -266,3 +266,22 @@ class TestParamValidation:
             DeviceParams(lambda0=0.0)
         with pytest.raises(ValueError):
             DeviceParams(drift_sigma=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["lambda0", "i_scale", "g_high", "drift_tau", "drift_sigma", "i_peak", "v_valley"]
+)
+def test_non_finite_param_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DeviceParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "start, stop, dt",
+    [(math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (0.0, math.inf, 1.0),
+     (-math.inf, 1.0, 1.0), (0.0, 1.86, math.nan), (0.0, 1.86, math.inf)],
+)
+def test_sweep_rejects_non_finite_arguments(start, stop, dt):
+    with pytest.raises(ValueError, match="finite"):
+        sweep_current(DeviceParams(), start, stop, 10, dt, np.random.default_rng(0))

@@ -234,3 +234,10 @@ class TestWindows:
             window_fractions(stream, 500)
         with pytest.raises(ValueError):
             window_fractions(BitStream.from_array(np.empty(0, dtype=np.uint8)), 5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["amplitude", "width"])
+def test_non_finite_pulse_setting_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        PulseConfig(**{name: value})
