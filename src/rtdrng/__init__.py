@@ -15,11 +15,8 @@ from .device import (
     DeviceState,
     SweepTrace,
     branch_voltage,
-    drift_step,
     iv_current,
-    step_device,
     sweep_current,
-    switching_hazard,
 )
 from .extractor import (
     ExtractorConfig,
@@ -35,7 +32,6 @@ from .pulses import (
     PulseTrace,
     acquire_bits,
     h_fraction_histogram,
-    run_pulse,
     trace_pulses,
     window_fractions,
 )
@@ -60,11 +56,8 @@ __all__ = [
     "DeviceState",
     "SweepTrace",
     "branch_voltage",
-    "drift_step",
     "iv_current",
-    "step_device",
     "sweep_current",
-    "switching_hazard",
     "ExtractorConfig",
     "InsufficientEntropyError",
     "choose_block_params",
@@ -76,7 +69,6 @@ __all__ = [
     "PulseTrace",
     "acquire_bits",
     "h_fraction_histogram",
-    "run_pulse",
     "trace_pulses",
     "window_fractions",
     "__version__",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bits import BitStream
 from .device import Branch, DeviceParams, DeviceState
-from .pulses import PulseConfig, _check_amplitude, _threshold_chunks
+from .pulses import PulseConfig, _threshold_chunks
 
 # perfbench/worker.py patches control.acquire_bits to count per-window calls
 from .pulses import acquire_bits  # noqa: F401
@@ -45,8 +45,9 @@ class ControllerState:
             raise ValueError("window must be at least 1")
         if not 0.0 <= self.gain < math.inf:
             raise ValueError("gain must be nonnegative and finite")
-        if not self.amp_min < self.amp_max:
-            raise ValueError("require amp_min < amp_max")
+        # the clamp then keeps every command a valid pulse amplitude
+        if not 0.0 < self.amp_min < self.amp_max < math.inf:
+            raise ValueError("require 0 < amp_min < amp_max < inf")
         if not self.amp_min <= self.amplitude <= self.amp_max:
             raise ValueError("amplitude must lie within [amp_min, amp_max]")
 
@@ -108,7 +109,6 @@ def run_closed_loop(
         used = 0
         while used < thresholds.size:
             if end == start:
-                _check_amplitude(amplitude)
                 amplitudes[w] = amplitude
             take = min(thresholds.size - used, start + window - end)
             np.greater(amplitude, thresholds[used : used + take], out=bits[end : end + take])

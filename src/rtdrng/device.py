@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.special import ndtri
 
 _MS_PER_S = 1000.0
@@ -115,6 +116,11 @@ class DeviceState:
     drift: float = 0.0
     clock: float = 0.0
 
+    def __post_init__(self):
+        for name in ("drift", "clock"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
 
 @dataclass(frozen=True)
 class SweepTrace:
@@ -171,31 +177,13 @@ def branch_voltage(params: DeviceParams, branch: Branch, i: float) -> float:
     return _branch_voltage_unchecked(params, branch, i)
 
 
-def switching_hazard(params: DeviceParams, state: DeviceState, i: float) -> float:
-    """Instantaneous L->H switching rate (1/ms) at current i.
-
-    Zero at or below the drift-shifted valley, exponential in current up to
-    the drift-shifted peak, infinite above it (deterministic switch).
-    """
-    if state.branch is not Branch.L:
-        raise ValueError("switching hazard is defined on the L branch")
-    return _hazard(params, i, state.drift)
-
-
-def _hazard(params: DeviceParams, i: float, drift: float) -> float:
-    if i <= params.i_valley + drift:
-        return 0.0
-    if i > params.i_peak + drift:
-        return math.inf
-    return params.lambda0 * math.exp((i - (params.i_peak + drift)) / params.i_scale)
-
-
 def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
     """P(L->H within `exposure` ms at constant current), elementwise.
 
-    The array form of _hazard: exactly 0 at or below the drift-shifted valley
-    and 1 above the drift-shifted peak.  sweep_switch_probabilities uses it;
-    pulse readout compares against _switch_thresholds instead.
+    The module docstring's hazard over a constant exposure: exactly 0 at or
+    below the drift-shifted valley and 1 above the drift-shifted peak.
+    sweep_switch_probabilities uses it; pulse readout compares against
+    _switch_thresholds instead.
     """
     peak = params.i_peak + drift
     valley = params.i_valley + drift
@@ -230,66 +218,30 @@ def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
     return np.maximum(t, params.i_valley + drift, out=t)
 
 
-def _next_branch(
-    params: DeviceParams, branch: Branch, drift: float, i: float, dt: float, rng
-) -> Branch:
-    # The L/H transition rule over dt at constant current i; draws one
-    # uniform only when the L branch sits strictly inside the bistable window.
-    if branch is Branch.H:
-        return Branch.L if i < params.i_valley + drift else Branch.H
-    if i > params.i_peak + drift:
-        return Branch.H
-    if i > params.i_valley + drift:
-        rate = _hazard(params, i, drift)
-        if rng.random() < -math.expm1(-rate * dt):
-            return Branch.H
-    return Branch.L
+def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng):
+    """Draw `count` successive steps of dt ms, starting from `drift`.
 
-
-def step_device(
-    state: DeviceState, params: DeviceParams, i: float, dt: float, rng: np.random.Generator
-) -> DeviceState:
-    """Advance the branch dynamics by dt at constant current i.
-
-    H->L is deterministic below the valley threshold and H is absorbing
-    above it (hysteresis); L->H is deterministic above the peak threshold
-    and happens with probability 1 - exp(-rate*dt) in between.  Drift is not
-    advanced here; see drift_step.
+    The one rng layout of pulses, sweep points and trace pulses: two uniforms
+    per step, the switch uniform, then the drift uniform, which becomes the
+    step's normal through the inverse CDF.  The drift is the exact
+    discretisation of the mean-reverting walk, run as one IIR filter; with
+    drift_sigma = 0 it only decays.  Returns (drifts, u, final): the drift
+    entering each step, the switch uniforms and the drift after the last step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    branch = _next_branch(params, state.branch, state.drift, i, dt, rng)
-    return DeviceState(branch=branch, drift=state.drift, clock=state.clock + dt)
-
-
-def _ou_coefficients(params: DeviceParams, dt: float) -> tuple[float, float]:
-    # Exact discretisation of the mean-reverting drift over a step of dt ms.
     tau_ms = params.drift_tau * _MS_PER_S
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
-    return decay, scatter
+    u = rng.random(2 * count)
+    z = np.maximum(u[1::2], _MIN_UNIFORM)
+    ndtri(z, out=z)
+    path, _ = lfilter([scatter], [1.0, -decay], z, zi=[decay * drift])
+    drifts = np.concatenate(([drift], path[:-1]))
+    return drifts, u[0::2], float(path[-1])
 
 
-def _next_drift(drift: float, decay: float, scatter: float, rng) -> float:
-    # One exact OU step with coefficients from _ou_coefficients.  Inverse-CDF
-    # sampling: one uniform per normal keeps scalar and batched generation on
-    # identical rng streams.
-    return drift * decay + scatter * float(ndtri(max(rng.random(), _MIN_UNIFORM)))
-
-
-def drift_step(
-    state: DeviceState, params: DeviceParams, dt: float, rng: np.random.Generator
-) -> DeviceState:
-    """Advance the threshold drift by dt (ms) as a mean-reverting walk.
-
-    drift' = drift*exp(-dt/tau) + sigma*sqrt(1 - exp(-2dt/tau))*z with z
-    standard normal, so the stationary standard deviation is drift_sigma.
-    Always consumes one uniform draw, even for drift_sigma = 0.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    drift = _next_drift(state.drift, *_ou_coefficients(params, dt), rng)
-    return DeviceState(branch=state.branch, drift=drift, clock=state.clock)
+def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:
+    # the clock after each dwell, summed left to right as a stepping loop would
+    return np.cumsum(np.concatenate(([clock], dwells)))[1:]
 
 
 def sweep_current(
@@ -304,11 +256,15 @@ def sweep_current(
     """Ramp the bias current across `steps` points and record the response.
 
     Each point dwells dt_per_step at its current before the voltage is read,
-    mimicking an SMU staircase sweep.  The recorded switch current is the
-    grid current for a stochastic L->H jump and the crossed threshold itself
-    (peak or valley plus drift) for deterministic jumps.  If `state` is
-    given it seeds the sweep and is advanced in place; otherwise the sweep
-    starts fresh on the branch consistent with the start current.
+    mimicking an SMU staircase sweep.  Each point draws like one pulse
+    (_draw_steps) and the branch is a set/reset latch: a point sets H when
+    its current exceeds the point's switching threshold, resets to L below
+    the drift-shifted valley and otherwise keeps the branch.  The recorded
+    switch current is the grid current for a stochastic L->H jump and the
+    crossed threshold itself (peak or valley plus drift) for deterministic
+    jumps.  If `state` is given it seeds the sweep and is advanced in place;
+    otherwise the sweep starts fresh on the branch consistent with the start
+    current.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -317,31 +273,39 @@ def sweep_current(
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("start and stop must be finite")
     state = state if state is not None else DeviceState()
-    branch, drift, clock = state.branch, state.drift, state.clock
-    # pre-position for the starting bias point: settling there is part of the
-    # sweep setup, not a recorded switch
-    if branch is Branch.L and start > params.i_peak + drift:
-        branch = Branch.H
-    elif branch is Branch.H and start < params.i_valley + drift:
-        branch = Branch.L
-    decay, scatter = _ou_coefficients(params, dt_per_step)
+    drifts, u, drift = _draw_steps(params, state.drift, steps, dt_per_step, rng)
     currents = np.linspace(start, stop, steps)
-    voltages = np.empty(steps, dtype=np.float64)
+    valleys = params.i_valley + drifts
+    # entry 0 pre-positions the branch for the starting bias point: settling
+    # there is part of the sweep setup, not a recorded switch
+    if start > params.i_peak + state.drift:
+        settled = True
+    elif start < params.i_valley + state.drift:
+        settled = False
+    else:
+        settled = state.branch is Branch.H
+    thresholds = _switch_thresholds(params, drifts, u, dt_per_step)
+    sets = np.concatenate(([settled], currents > thresholds))
+    forced = sets | np.concatenate(([True], currents < valleys))
+    # the threshold never lies below the valley, so set and reset exclude
+    # each other; every point keeps the level of the last forced one
+    high = sets[np.maximum.accumulate(np.where(forced, np.arange(steps + 1), 0))]
     switch_current: float | None = None
-    for k in range(steps):
-        i = float(currents[k])
-        prev = branch
-        branch = _next_branch(params, branch, drift, i, dt_per_step, rng)
-        clock += dt_per_step
-        if branch is not prev and switch_current is None:
-            if branch is Branch.H:
-                switch_current = min(i, params.i_peak + drift)
-            else:
-                switch_current = params.i_valley + drift
-        voltages[k] = _branch_voltage_unchecked(params, branch, i)
-        if params.drift_sigma != 0.0:
-            drift = _next_drift(drift, decay, scatter, rng)
-    state.branch, state.drift, state.clock = branch, drift, clock
+    changes = np.flatnonzero(high[1:] != high[:-1])
+    if changes.size:
+        k = changes[0]
+        if high[k + 1]:
+            switch_current = min(float(currents[k]), params.i_peak + float(drifts[k]))
+        else:
+            switch_current = float(valleys[k])
+    voltages = np.where(
+        high[1:],
+        _branch_voltage_unchecked(params, Branch.H, currents),
+        _branch_voltage_unchecked(params, Branch.L, currents),
+    )
+    state.branch = Branch.H if high[-1] else Branch.L
+    state.drift = drift
+    state.clock = float(_elapsed(state.clock, np.full(steps, dt_per_step))[-1])
     return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
 
 
@@ -369,9 +333,6 @@ __all__ = [
     "SweepTrace",
     "iv_current",
     "branch_voltage",
-    "switching_hazard",
-    "step_device",
-    "drift_step",
     "sweep_current",
     "sweep_switch_probabilities",
 ]

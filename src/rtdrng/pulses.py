@@ -7,14 +7,16 @@ the hazard is constant during a pulse, each pulse has a random L->H
 switching threshold, a function of its switch uniform and the drift only,
 and the bit is exactly `amplitude > threshold`: a Bernoulli draw with
 p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
-therefore needs no sub-stepping; sub-steps only matter for time-resolved
-traces.
+therefore needs no sub-stepping, and a time-resolved trace reads the same
+threshold at each sub-step's exposure.
 
-Per pulse the generator consumes exactly two uniforms, in order: the switch
-draw, then the drift-update normal (via the inverse CDF).  Uniform draws
-from numpy's Generator are stream-stable under batching, so the thresholds,
-and with them the bits, do not depend on how a run is split into calls or
-chunks: acquire_bits matches the equivalent loop of run_pulse calls.
+Pulses, trace pulses and sweep points share one rng layout
+(device._draw_steps): two uniforms per step, in order, the switch draw, then
+the drift-update normal (via the inverse CDF).  Uniform draws from numpy's
+Generator are stream-stable under batching, so the thresholds, and with them
+the bits, do not depend on how a run is split into calls or chunks.  The
+scalar per-pulse reference that draws the same way lives in the tests
+(tests/oracles.py:run_pulse).
 """
 
 from __future__ import annotations
@@ -23,16 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtri
 
 from .bits import BitStream
 from .device import (
-    _MIN_UNIFORM,
     _branch_voltage_unchecked,
-    _next_branch,
-    _next_drift,
-    _ou_coefficients,
+    _draw_steps,
+    _elapsed,
     _switch_thresholds,
     Branch,
     DeviceParams,
@@ -101,7 +99,8 @@ class PulseTrace:
 
 
 def _require_reset(params: DeviceParams, drift) -> None:
-    if np.any(params.i_valley + drift <= 0.0):
+    # written so that a NaN drift fails too
+    if not np.all(params.i_valley + drift > 0.0):
         raise ModelRangeError(
             "drift pushed the valley threshold to or below zero current; "
             "the off phase no longer guarantees the L-branch reset"
@@ -117,51 +116,26 @@ def _threshold_chunks(
 ):
     """Yield the switching thresholds of `count` successive pulses in chunks.
 
-    Each chunk of up to _CHUNK_PULSES pulses draws two interleaved uniforms
-    per pulse (switch, then drift normal), runs the drift recursion through
-    an IIR filter and checks the reset condition; pulse k's threshold sees
-    the drift entering it.  Once exhausted, state.drift and state.clock are
-    advanced; the branch is left to the caller, which reads the bits.
+    Each chunk of up to _CHUNK_PULSES pulses takes its draws from
+    _draw_steps, starting from the drift the previous chunk ended on, and
+    checks the reset condition; pulse k's threshold sees the drift entering
+    it.  Once exhausted, state.drift and state.clock are advanced; the branch
+    is left to the caller, which reads the bits.
     """
     exposure = cfg.width * cfg.sample_offset
-    decay, scatter = _ou_coefficients(params, cfg.period)
     drift = state.drift
-    filter_state = np.array([decay * drift])
     done = 0
     while done < count:
         m = min(_CHUNK_PULSES, count - done)
-        u = rng.random(2 * m)
-        z = np.maximum(u[1::2], _MIN_UNIFORM)
-        ndtri(z, out=z)
-        path, filter_state = lfilter([scatter], [1.0, -decay], z, zi=filter_state)
-        drifts = np.concatenate(([drift], path[:-1]))
-        drift = float(path[-1])
-        del z, path
+        drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
         _require_reset(params, drifts)
-        thresholds = _switch_thresholds(params, drifts, u[0::2], exposure)
+        thresholds = _switch_thresholds(params, drifts, u, exposure)
         # only the thresholds stay alive while the caller holds them
         del u, drifts
         done += m
         yield thresholds
     state.drift = drift
     state.clock = state.clock + count * cfg.period
-
-
-def run_pulse(
-    state: DeviceState, params: DeviceParams, cfg: PulseConfig, rng: np.random.Generator
-) -> tuple[DeviceState, int]:
-    """Apply one pulse period and read one bit.
-
-    Off phase resets to L, the on phase runs at cfg.amplitude, the branch at
-    width*sample_offset gives the bit, and the drift advances once per
-    period.  Returns the post-pulse state and the bit; `state` is unchanged.
-    """
-    after = DeviceState(state.branch, state.drift, state.clock)
-    # unpacking exhausts the draw, which then advances `after`
-    [threshold] = _threshold_chunks(after, params, cfg, 1, rng)
-    bit = int(cfg.amplitude > threshold[0])
-    after.branch = Branch.H if bit else Branch.L
-    return after, bit
 
 
 def acquire_bits(
@@ -173,9 +147,8 @@ def acquire_bits(
 ) -> BitStream:
     """Collect `count` bits from successive pulses; `state` threads through.
 
-    Batched run_pulse loop: the bits are cfg.amplitude > each pulse's
-    switching threshold, bit-identical to calling run_pulse `count` times.
-    The passed state is advanced in place.
+    Each bit is cfg.amplitude > its pulse's switching threshold.  The passed
+    state is advanced in place.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -198,36 +171,36 @@ def trace_pulses(
     """Oscilloscope-style voltage trace over n_pulses periods.
 
     The voltage is sampled every substep: zero during the off phase and the
-    occupied branch's voltage during the on phase, so a mid-pulse L->H
-    switch appears as an upward step between the LOW and HIGH levels.  The
-    passed state is advanced in place.
+    occupied branch's voltage during the on phase.  Each pulse draws as in
+    acquisition, and an on-sample t ms into the pulse reads H when the
+    amplitude exceeds the pulse's switching threshold for an exposure of t,
+    so a mid-pulse L->H switch appears as one upward step between the LOW
+    and HIGH levels.  The last on-sample is read at exactly the width: at
+    sample_offset = 1 it is acquire_bits's bit.  The passed state is
+    advanced in place.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    branch, drift = state.branch, state.drift
-    decay, scatter = _ou_coefficients(params, cfg.period)
+    drifts, u, drift = _draw_steps(params, state.drift, n_pulses, cfg.period, rng)
+    _require_reset(params, drifts)
     n_off = max(1, round(cfg.off_time / cfg.substep))
-    dt_off = cfg.off_time / n_off
     n_on = max(1, round(cfg.width / cfg.substep))
     dt_on = cfg.width / n_on
-    times = []
-    volts = []
-    t = state.clock
-    for _ in range(n_pulses):
-        _require_reset(params, drift)
-        for _ in range(n_off):
-            branch = _next_branch(params, branch, drift, 0.0, dt_off, rng)
-            t += dt_off
-            times.append(t)
-            volts.append(0.0)
-        for _ in range(n_on):
-            branch = _next_branch(params, branch, drift, cfg.amplitude, dt_on, rng)
-            t += dt_on
-            times.append(t)
-            volts.append(_branch_voltage_unchecked(params, branch, cfg.amplitude))
-        drift = _next_drift(drift, decay, scatter, rng)
-    state.branch, state.drift, state.clock = branch, drift, t
-    return PulseTrace(times=np.asarray(times), voltages=np.asarray(volts))
+    exposures = np.linspace(dt_on, cfg.width, n_on)
+    high = cfg.amplitude > _switch_thresholds(
+        params, drifts[:, None], np.broadcast_to(u[:, None], (n_pulses, n_on)), exposures
+    )
+    voltages = np.zeros((n_pulses, n_off + n_on))
+    voltages[:, n_off:] = np.where(
+        high,
+        _branch_voltage_unchecked(params, Branch.H, cfg.amplitude),
+        _branch_voltage_unchecked(params, Branch.L, cfg.amplitude),
+    )
+    dwells = np.concatenate((np.full(n_off, cfg.off_time / n_off), np.full(n_on, dt_on)))
+    times = _elapsed(state.clock, np.tile(dwells, n_pulses))
+    state.branch = Branch.H if high[-1, -1] else Branch.L
+    state.drift, state.clock = drift, float(times[-1])
+    return PulseTrace(times=times, voltages=voltages.ravel())
 
 
 def window_fractions(bits: BitStream, window: int) -> np.ndarray:
@@ -257,7 +230,6 @@ def h_fraction_histogram(bits: BitStream, window: int) -> tuple[np.ndarray, np.n
 __all__ = [
     "PulseConfig",
     "PulseTrace",
-    "run_pulse",
     "acquire_bits",
     "trace_pulses",
     "window_fractions",

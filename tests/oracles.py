@@ -2,18 +2,21 @@
 
 Everything here is deliberately literal (plain loops, dict counting, direct
 summation) and shares no code with the package's vectorized paths.  The
-stepping references are built on the public per-step functions step_device
-and drift_step, one DeviceState per step.  The closed-loop reference is the
-per-window loop over the public acquire_bits and controller_update.
+device stepping references (hazard, step_device, drift_step, run_pulse) draw
+in the package's layout, two uniforms per step, one scalar rng.random() at a
+time, and build the sweep and trace references with one DeviceState per
+step.  The closed-loop reference is the per-window loop over the public
+acquire_bits and controller_update.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from rtdrng.control import controller_update
-from rtdrng.device import Branch, DeviceState, drift_step, step_device
+from rtdrng.device import Branch, DeviceState
 from rtdrng.pulses import acquire_bits
 
 
@@ -349,6 +352,80 @@ def oracle_variant_pvalues(bits):
 
 
 # ---------------------------------------------------------------- device stepping
+#
+# The package's draw layout, one step at a time: a step (a pulse, a sweep
+# point) takes two uniforms, the switch uniform, then the drift uniform.  The
+# switch uniform u takes L to H over an exposure t exactly when
+# u < 1 - exp(-hazard * t).
+
+
+def hazard(params, i: float, drift: float) -> float:
+    """L->H switching rate (1/ms) at current i under the given drift.
+
+    Zero at or below the drift-shifted valley, exponential in current up to
+    the drift-shifted peak, infinite above it (deterministic switch).
+    """
+    if i <= params.i_valley + drift:
+        return 0.0
+    if i > params.i_peak + drift:
+        return math.inf
+    return params.lambda0 * math.exp((i - (params.i_peak + drift)) / params.i_scale)
+
+
+def switching_hazard(params, state, i: float) -> float:
+    """hazard at the state's drift; defined on the L branch only."""
+    if state.branch is not Branch.L:
+        raise ValueError("switching hazard is defined on the L branch")
+    return hazard(params, i, state.drift)
+
+
+def next_branch(params, branch, drift: float, i: float, exposure: float, u: float):
+    """Branch after `exposure` ms at constant current i, given the switch uniform u.
+
+    H falls to L below the valley threshold and is absorbing above it
+    (hysteresis); L rises to H with probability 1 - exp(-rate * exposure).
+    """
+    if branch is Branch.H:
+        return Branch.L if i < params.i_valley + drift else Branch.H
+    return Branch.H if u < -math.expm1(-hazard(params, i, drift) * exposure) else Branch.L
+
+
+def drift_step(state, params, dt: float, rng):
+    """Advance the drift by dt ms as a mean-reverting walk, from one uniform.
+
+    drift' = drift*exp(-dt/tau) + sigma*sqrt(1 - exp(-2dt/tau))*z, with z the
+    inverse normal CDF of the uniform (floored at 2**-54, since 0.0 would map
+    to -inf), so the stationary standard deviation is drift_sigma.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    tau_ms = params.drift_tau * 1000.0
+    decay = math.exp(-dt / tau_ms)
+    scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
+    z = float(ndtri(max(rng.random(), 2.0**-54)))
+    return DeviceState(state.branch, state.drift * decay + scatter * z, state.clock)
+
+
+def step_device(state, params, i: float, dt: float, rng):
+    """One step of dt ms at current i: the switch uniform, then the drift step."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    branch = next_branch(params, state.branch, state.drift, i, dt, rng.random())
+    after = drift_step(state, params, dt, rng)
+    return DeviceState(branch, after.drift, state.clock + dt)
+
+
+def run_pulse(state, params, cfg, rng):
+    """One pulse period read as a bit: (post-pulse state, bit).
+
+    The off phase resets to L, the switch uniform is read against the
+    probability at width*sample_offset, and the drift steps once per period.
+    """
+    u = rng.random()
+    p = -math.expm1(-hazard(params, cfg.amplitude, state.drift) * cfg.width * cfg.sample_offset)
+    bit = int(u < p)
+    after = drift_step(state, params, cfg.period, rng)
+    return DeviceState(Branch.H if bit else Branch.L, after.drift, state.clock + cfg.period), bit
 
 
 def _copy_state(dst, src) -> None:
@@ -363,7 +440,7 @@ def _branch_voltage(params, branch, i: float) -> float:
 
 
 def sweep_current_oracle(params, start, stop, steps, dt_per_step, rng, state=None):
-    """Staircase sweep stepped by step_device/drift_step.
+    """Staircase sweep, one step_device call per point.
 
     Returns (currents, voltages, switch_current); `state`, if given, seeds
     the sweep and is advanced in place.
@@ -389,39 +466,42 @@ def sweep_current_oracle(params, start, stop, steps, dt_per_step, rng, state=Non
             else:
                 switch_current = params.i_valley + drift_before
         voltages[k] = _branch_voltage(params, work.branch, i)
-        if params.drift_sigma != 0.0:
-            work = drift_step(work, params, dt_per_step, rng)
     if state is not None:
         _copy_state(state, work)
     return currents, voltages, switch_current
 
 
 def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
-    """Pulse-train voltage trace stepped by step_device/drift_step.
+    """Pulse-train voltage trace, one pulse and one sub-step at a time.
 
-    Returns (times, voltages) and advances `state` in place.
+    Each pulse draws as run_pulse does; the off sub-steps step the branch at
+    zero current, and each on sub-step reads the branch after the on-time
+    elapsed so far.  Returns (times, voltages) and advances `state` in place.
     """
-    work = DeviceState()
-    _copy_state(work, state)
     n_off = max(1, round(cfg.off_time / cfg.substep))
     dt_off = cfg.off_time / n_off
     n_on = max(1, round(cfg.width / cfg.substep))
     dt_on = cfg.width / n_on
+    work = DeviceState()
+    _copy_state(work, state)
     times = []
     volts = []
     t = work.clock
     for _ in range(n_pulses):
+        u = rng.random()
+        branch = work.branch
         for _ in range(n_off):
-            work = step_device(work, params, 0.0, dt_off, rng)
+            branch = next_branch(params, branch, work.drift, 0.0, dt_off, u)
             t += dt_off
             times.append(t)
             volts.append(0.0)
-        for _ in range(n_on):
-            work = step_device(work, params, cfg.amplitude, dt_on, rng)
+        for j in range(1, n_on + 1):
+            branch = next_branch(params, branch, work.drift, cfg.amplitude, j * dt_on, u)
             t += dt_on
             times.append(t)
-            volts.append(_branch_voltage(params, work.branch, cfg.amplitude))
+            volts.append(_branch_voltage(params, branch, cfg.amplitude))
         work = drift_step(work, params, cfg.period, rng)
+        work.branch = branch
     work.clock = t
     _copy_state(state, work)
     return np.asarray(times), np.asarray(volts)

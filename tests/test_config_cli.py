@@ -425,6 +425,15 @@ class TestUsageErrors:
         assert not list(tmp_path.glob("*.bits"))
         assert f"[{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amp_min", ["0", "-1"])
+    def test_nonpositive_amp_min_rejected_at_load(self, tmp_path, capsys, amp_min):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[controller]\namp_min = {amp_min}\n")
+        code = run_cli("generate", "--config", cfg, "--count", 20_000, "--out", tmp_path / "x.bits")
+        assert code == 2
+        assert not list(tmp_path.glob("*.bits"))
+        assert "[controller]" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "ini", ["[extractor]\nn = 16777217\nl = 330\n", "[extractor]\nepsilon_exponent = 0\n"]
     )

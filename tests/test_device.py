@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
+from oracles import drift_step, step_device, switching_hazard
 from rtdrng.device import (
     Branch,
     BranchRangeError,
     DeviceParams,
     DeviceState,
     branch_voltage,
-    drift_step,
     iv_current,
-    step_device,
     sweep_current,
     sweep_switch_probabilities,
-    switching_hazard,
 )
 
 P = DeviceParams()
@@ -220,8 +219,8 @@ class TestSweeps:
         down = sweep_current(P0, 1.2 * P0.i_peak, 0.0, 400, 1.0, rng, state=state)
         assert up.switch_current > down.switch_current
         # enclosed area of the I-V cycle via the trapezoid rule
-        area_up = np.trapezoid(up.voltages, up.currents)
-        area_down = np.trapezoid(down.voltages, down.currents)
+        area_up = trapezoid(up.voltages, up.currents)
+        area_down = trapezoid(down.voltages, down.currents)
         assert area_up + area_down < 0  # down integral is negative and larger
         assert abs(area_up + area_down) > 1e-3
 
@@ -266,6 +265,12 @@ class TestParamValidation:
             DeviceParams(lambda0=0.0)
         with pytest.raises(ValueError):
             DeviceParams(drift_sigma=-0.1)
+
+    @pytest.mark.parametrize("name", ["drift", "clock"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DeviceState(**{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import rtdrng.pulses as pulses
+from oracles import run_pulse
 from rtdrng.bits import BitStream
-from rtdrng.device import DeviceParams, DeviceState, ModelRangeError
+from rtdrng.device import Branch, DeviceParams, DeviceState, ModelRangeError, sweep_current
 from rtdrng.pulses import (
     PulseConfig,
     acquire_bits,
     h_fraction_histogram,
-    run_pulse,
     trace_pulses,
     window_fractions,
 )
@@ -48,27 +48,25 @@ class TestHardBounds:
     def test_below_valley_always_low(self):
         cfg = PulseConfig(amplitude=P.i_valley, width=1.0)
         for seed in range(10**4):
-            _, bit = run_pulse(DeviceState(), P0, cfg, np.random.default_rng(seed))
-            assert bit == 0
+            bits = acquire_bits(DeviceState(), P0, cfg, 1, np.random.default_rng(seed))
+            assert bits.to_array()[0] == 0
 
     def test_above_peak_always_high(self):
         cfg = PulseConfig(amplitude=P.i_peak * 1.01, width=1.0)
         for seed in range(10**4):
-            _, bit = run_pulse(DeviceState(), P0, cfg, np.random.default_rng(seed))
-            assert bit == 1
+            bits = acquire_bits(DeviceState(), P0, cfg, 1, np.random.default_rng(seed))
+            assert bits.to_array()[0] == 1
 
 
 class TestReset:
     def test_off_phase_clears_previous_high_state(self):
         # the zero-current off phase restarts every pulse from L, so a device
         # left in H still reads 0 at sub-valley amplitude
-        from rtdrng.device import Branch
-
         cfg = PulseConfig(amplitude=0.5 * P.i_valley, width=1.0)
-        state = DeviceState(branch=Branch.H)
         for seed in range(100):
-            _, bit = run_pulse(state, P0, cfg, np.random.default_rng(seed))
-            assert bit == 0
+            state = DeviceState(branch=Branch.H)
+            bits = acquire_bits(state, P0, cfg, 1, np.random.default_rng(seed))
+            assert bits.to_array()[0] == 0 and state.branch is Branch.L
 
 
 class TestScalarBatchEquivalence:
@@ -195,17 +193,36 @@ class TestTrace:
 @pytest.mark.parametrize(
     "drive",
     [
-        lambda state, rng: run_pulse(state, P0, CFG, rng),
+        lambda state, rng: acquire_bits(state, P0, CFG, 1, rng),
         lambda state, rng: acquire_bits(state, P0, CFG, 10, rng),
         lambda state, rng: trace_pulses(state, P0, CFG, 10, rng),
     ],
-    ids=["run_pulse", "acquire_bits", "trace_pulses"],
+    ids=["one_pulse", "acquire_bits", "trace_pulses"],
 )
 def test_drift_below_zero_valley_rejected(drive):
     # the off phase resets to L only while the valley threshold stays above 0 mA
     state = DeviceState(drift=-0.45)
     with pytest.raises(ModelRangeError):
         drive(state, np.random.default_rng(8))
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda state, rng: acquire_bits(state, P, CFG, 1000, rng),
+        lambda state, rng: sweep_current(P, 0.0, 1.86, 300, 1.0, rng, state=state),
+        lambda state, rng: trace_pulses(state, P, CFG, 10, rng),
+    ],
+    ids=["acquire_bits", "sweep_current", "trace_pulses"],
+)
+def test_nan_drift_rejected(drive):
+    with pytest.raises(ValueError, match="drift must be finite"):
+        drive(DeviceState(drift=math.nan), np.random.default_rng(8))
+
+
+def test_reset_check_rejects_nan_drift():
+    with pytest.raises(ModelRangeError):
+        pulses._require_reset(P, np.array([0.0, math.nan, 0.0]))
 
 
 class TestWindows:

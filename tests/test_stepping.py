@@ -1,8 +1,9 @@
-"""The sweep and trace loops and the array switching kernel against references.
+"""The sweep latch, the closed-form trace and the array kernel against references.
 
-sweep_current and trace_pulses step on plain floats; the oracles step the
-same model through step_device/drift_step with a DeviceState per step, so
-every voltage, time and final state must agree bit for bit.
+sweep_current and trace_pulses draw every step in bulk and decide branches
+from switching thresholds; the oracles step the same model one DeviceState
+and one scalar uniform at a time, so every voltage, time and final state
+must agree bit for bit.
 """
 
 import itertools
@@ -11,15 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sweep_current_oracle, trace_pulses_oracle
-from rtdrng.device import (
-    DeviceParams,
-    DeviceState,
-    _switch_probability,
-    sweep_current,
-    switching_hazard,
-)
-from rtdrng.pulses import PulseConfig, trace_pulses
+from oracles import switching_hazard, sweep_current_oracle, trace_pulses_oracle
+from rtdrng.device import DeviceParams, DeviceState, _switch_probability, sweep_current
+from rtdrng.pulses import PulseConfig, acquire_bits, trace_pulses
 
 SIGMAS = (0.0, 0.03)
 TOP = 1.2 * 1.55
@@ -29,6 +24,9 @@ LEGS = {
     "forward": [(0.0, TOP)],
     "reverse": [(TOP, 0.0)],
     "mid-window": [(1.0, 1.7), (1.2, 0.2), (0.8, 1.45)],
+    # at sigma 0 the drift stays 0, so the legs start and end on the peak and
+    # the valley exactly, where neither pre-positioning nor reset may fire
+    "window-edges": [(1.55, 0.4), (0.4, 1.55)],
 }
 
 
@@ -54,8 +52,8 @@ def test_sweep_matches_step_device_oracle(sigma, legs, dt):
         assert np.array_equal(got.currents, currents)
         assert np.array_equal(got.voltages, voltages)
         assert got.switch_current == switch
+        assert _state_tuple(state) == _state_tuple(ref_state)
         switches += switch is not None
-    assert _state_tuple(state) == _state_tuple(ref_state)
     assert switches > 0
 
 
@@ -85,6 +83,20 @@ def test_trace_matches_step_device_oracle(sigma):
         assert np.array_equal(got.times, times)
         assert np.array_equal(got.voltages, voltages)
     assert _state_tuple(state) == _state_tuple(ref_state)
+
+
+def test_trace_last_on_sample_is_acquired_bit():
+    params = DeviceParams(drift_sigma=0.03)
+    cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.03)
+    n_pulses = 400
+    state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
+    trace = trace_pulses(state, params, cfg, n_pulses, np.random.default_rng(9))
+    bits = acquire_bits(ref_state, params, cfg, n_pulses, np.random.default_rng(9)).to_array()
+    high = params.v_valley + (cfg.amplitude - params.i_valley) / params.g_high
+    last_on = trace.voltages.reshape(n_pulses, -1)[:, -1]
+    assert np.array_equal(last_on == high, bits.astype(bool))
+    assert 0.2 < bits.mean() < 0.8
+    assert (state.branch, state.drift) == (ref_state.branch, ref_state.drift)
 
 
 @pytest.mark.parametrize("drift", [0.0, 0.03, -0.05])

@@ -108,9 +108,9 @@ def test_closed_loop_rejects_drift_crossing_below_zero_valley(monkeypatch):
 
 
 def test_closed_loop_rejects_nonpositive_command():
-    # amp_min below zero lets the command reach a pulse amplitude of zero
+    # an amp_min at or below zero would let the command reach a pulse
+    # amplitude of zero mid-run, so the controller is refused when built
     params = DeviceParams(drift_sigma=0.0)
-    ctrl = default_controller(params, 1.55, window=50, amp_min=-1.0, setpoint=0.01, gain=3.0)
-    for loop in (run_closed_loop, closed_loop_oracle):
-        with pytest.raises(ValueError, match="amplitude must be positive"):
-            loop(DeviceState(), params, CFG, ctrl, 5, np.random.default_rng(71))
+    for amp_min in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="0 < amp_min"):
+            default_controller(params, 1.55, window=50, amp_min=amp_min, setpoint=0.01, gain=3.0)
