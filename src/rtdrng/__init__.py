@@ -25,7 +25,6 @@ from .extractor import (
     derive_seed,
     extract,
     min_entropy_estimate,
-    seeded_hash_block,
 )
 from .pulses import (
     PulseConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "derive_seed",
     "extract",
     "min_entropy_estimate",
-    "seeded_hash_block",
     "PulseConfig",
     "PulseTrace",
     "acquire_bits",

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import BitFileError, BitStream, read_bits, write_bits
+from .bits import BitFileError, read_bits, write_bits
 from .config import ConfigError, PipelineConfig, default_config, load_config
 from .control import run_closed_loop
 from .device import DeviceState, sweep_current
@@ -36,7 +36,11 @@ from .sidecar import SidecarError, read_sidecar, write_sidecar
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _flatten(prefix: str, obj) -> dict:
@@ -83,7 +87,7 @@ def cmd_generate(args) -> int:
             state, cfg.device, cfg.pulse, cfg.controller, windows, rng
         )
         if len(stream) > args.count:
-            stream = BitStream.from_array(stream.to_array()[: args.count])
+            stream = stream._prefix(args.count)
         _write_tsv(
             out.with_name(out.name + ".ratio.tsv"),
             ["window", "ratio"],
@@ -259,9 +263,9 @@ def cmd_test(args) -> int:
     need = sequences * seq_len
     if len(stream) < need:
         raise ConfigError(f"input holds {len(stream)} bits, need {need}")
-    arr = stream.to_array()
     results = [
-        run_battery(arr[s * seq_len : (s + 1) * seq_len], params) for s in range(sequences)
+        run_battery(stream._unpack(s * seq_len, (s + 1) * seq_len), params)
+        for s in range(sequences)
     ]
     report = analyze_suite(results, params.alpha)
     out_dir = Path(args.out_dir or cfg.out_dir)

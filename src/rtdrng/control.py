@@ -13,7 +13,7 @@ from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
-from .bits import BitStream
+from .bits import BitStream, _Packer
 from .device import Branch, DeviceParams, DeviceState
 from .pulses import PulseConfig, _threshold_chunks
 
@@ -92,36 +92,42 @@ def run_closed_loop(
     ratio and the amplitude command in effect for each window.  The pulse
     thresholds do not depend on the amplitude, so they are drawn in bulk
     and each window only compares its slice against the current command;
-    the bits equal a loop of acquire_bits calls, one per window.  The device
-    state is advanced in place.
+    the bits equal a loop of acquire_bits calls, one per window.  A window's
+    ones are counted as its slices arrive, since a window may straddle
+    threshold chunks, and each chunk's bits are packed once read, so only
+    the packed bits and the per-window diagnostics grow with n_windows.
+    The device state is advanced in place.
     """
     if n_windows < 1:
         raise ValueError("n_windows must be at least 1")
     window = ctrl.window
-    bits = np.empty(n_windows * window, dtype=np.uint8)
+    out = _Packer(n_windows * window)
     ratios = np.empty(n_windows)
     amplitudes = np.empty(n_windows)
     amplitude = ctrl.amplitude
     w = 0
-    start = 0  # first pulse of window w
-    end = 0  # pulses read so far; a window may straddle chunks
-    for thresholds in _threshold_chunks(state, params, cfg, bits.size, rng):
+    filled = 0  # pulses read so far in window w
+    ones = 0  # ones among them
+    for thresholds, above in _threshold_chunks(state, params, cfg, n_windows * window, rng):
         used = 0
         while used < thresholds.size:
-            if end == start:
+            if filled == 0:
                 amplitudes[w] = amplitude
-            take = min(thresholds.size - used, start + window - end)
-            np.greater(amplitude, thresholds[used : used + take], out=bits[end : end + take])
+            take = min(thresholds.size - used, window - filled)
+            piece = above[used : used + take]
+            np.greater(amplitude, thresholds[used : used + take], out=piece)
+            ones += np.count_nonzero(piece)
             used += take
-            end += take
-            if end == start + window:
-                ratio = np.count_nonzero(bits[start:end]) / window
+            filled += take
+            if filled == window:
+                ratio = ones / window
                 ratios[w] = ratio
                 amplitude = _next_amplitude(ctrl, amplitude, ratio)
                 w += 1
-                start = end
-    state.branch = Branch.H if bits[-1] else Branch.L
-    return BitStream.from_array(bits), ratios, amplitudes
+                filled = ones = 0
+        out.append(above)
+    state.branch = Branch.H if above[-1] else Branch.L
+    return out.stream(), ratios, amplitudes
 
 
 __all__ = ["ControllerState", "default_controller", "controller_update", "run_closed_loop"]

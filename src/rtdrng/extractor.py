@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitStream
+from .bits import BitStream, _Packer
 
-_BLOCK_CHUNK = 1 << 13
+# float32 input bytes hashed per GEMM; a chunk holds at least one block
+_CHUNK_BYTES = 8 << 20
 
 
 class InsufficientEntropyError(ValueError):
@@ -84,38 +85,39 @@ def choose_block_params(h_min: float, n: int, epsilon_exponent: int) -> int:
     return l
 
 
-def seeded_hash_block(seed, block, l: int):
-    """Hash one n-bit block to l bits: out[j] = parity(seed[j:j+n] & block)."""
-    seed = np.asarray(seed, dtype=np.uint8)
-    block = np.asarray(block, dtype=np.uint8)
-    n = block.size
-    if seed.size != n + l - 1:
-        raise ValueError(f"seed must be {n + l - 1} bits for n={n}, l={l}")
-    windows = np.lib.stride_tricks.sliding_window_view(seed, n)[:l]
-    return (windows.astype(np.int64) @ block.astype(np.int64)) % 2
-
-
 def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     """Hash every full n-bit block with the shared seed and concatenate.
 
     Output length is floor(len/n) * l; a trailing partial block is dropped.
-    The GF(2) matrix product runs through float32 BLAS in chunks; block sums
-    stay at or below n <= 2^24 so the arithmetic is exact.
+    The GF(2) matrix product runs through float32 BLAS, a chunk of blocks at
+    a time: each chunk is unpacked from the packed input into one reused
+    float32 buffer of about _CHUNK_BYTES, multiplied into one reused sums
+    buffer, and its parities are packed onto the output before the next
+    chunk is read.  Block sums stay at or below n <= 2^24, so the float32
+    arithmetic and the uint32 cast are exact, and the working set does not
+    grow with the input.
     """
     if cfg.seed is None:
         raise ValueError("extraction requires a seed; see derive_seed")
-    n_blocks = len(bits) // cfg.n
+    n, l = cfg.n, cfg.l
+    n_blocks = len(bits) // n
     if n_blocks < 1:
-        raise ValueError(f"input shorter than one block of {cfg.n} bits")
-    data = bits.to_array()[: n_blocks * cfg.n].reshape(n_blocks, cfg.n)
-    windows = np.lib.stride_tricks.sliding_window_view(cfg.seed, cfg.n)[: cfg.l]
+        raise ValueError(f"input shorter than one block of {n} bits")
+    windows = np.lib.stride_tricks.sliding_window_view(cfg.seed, n)[:l]
     hash_t = windows.astype(np.float32).T
-    out = np.empty((n_blocks, cfg.l), dtype=np.uint8)
-    for lo in range(0, n_blocks, _BLOCK_CHUNK):
-        hi = min(lo + _BLOCK_CHUNK, n_blocks)
-        sums = data[lo:hi].astype(np.float32) @ hash_t
-        out[lo:hi] = sums.astype(np.int64) & 1
-    return BitStream.from_array(out.reshape(-1))
+    rows = min(n_blocks, max(1, _CHUNK_BYTES // (4 * n)))
+    blocks = np.empty((rows, n), dtype=np.float32)
+    sums = np.empty((rows, l), dtype=np.float32)
+    parity = np.empty((rows, l), dtype=np.uint32)
+    out = _Packer(n_blocks * l)
+    for lo in range(0, n_blocks, rows):
+        m = min(rows, n_blocks - lo)
+        np.copyto(blocks[:m], bits._unpack(lo * n, (lo + m) * n).reshape(m, n))
+        np.matmul(blocks[:m], hash_t, out=sums[:m])
+        np.copyto(parity[:m], sums[:m], casting="unsafe")
+        np.bitwise_and(parity[:m], 1, out=parity[:m])
+        out.append(parity[:m].reshape(-1))
+    return out.stream()
 
 
 def derive_seed(bits: BitStream, n: int, l: int) -> np.ndarray:
@@ -127,7 +129,7 @@ def derive_seed(bits: BitStream, n: int, l: int) -> np.ndarray:
     need = 10 * (n + l)
     if len(bits) < need:
         raise ValueError(f"need at least {need} bits to derive a seed")
-    material = np.packbits(bits.to_array()[:need]).tobytes()
+    material = np.packbits(bits._unpack(0, need)).tobytes()
     seed_len = n + l - 1
     chunks = []
     counter = 0
@@ -143,7 +145,6 @@ __all__ = [
     "InsufficientEntropyError",
     "min_entropy_estimate",
     "choose_block_params",
-    "seeded_hash_block",
     "extract",
     "derive_seed",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitStream
+from .bits import BitStream, _Packer
 from .device import (
     _branch_voltage_unchecked,
     _draw_steps,
@@ -38,7 +38,8 @@ from .device import (
     ModelRangeError,
 )
 
-# pulses per bulk draw; each holds about 40 bytes of temporaries per pulse
+# pulses per bulk draw, and bits per window_fractions chunk; each pulse holds
+# about 40 bytes of temporaries
 _CHUNK_PULSES = 1 << 18
 
 
@@ -114,16 +115,20 @@ def _threshold_chunks(
     count: int,
     rng: np.random.Generator,
 ):
-    """Yield the switching thresholds of `count` successive pulses in chunks.
+    """Yield (thresholds, above) for `count` successive pulses in chunks.
 
     Each chunk of up to _CHUNK_PULSES pulses takes its draws from
     _draw_steps, starting from the drift the previous chunk ended on, and
     checks the reset condition; pulse k's threshold sees the drift entering
-    it.  Once exhausted, state.drift and state.clock are advanced; the branch
-    is left to the caller, which reads the bits.
+    it.  `above` is a bool buffer of the chunk's size for the caller's
+    amplitude > threshold bits; it is one buffer reused by every chunk, so
+    the caller packs it before asking for the next.  Once exhausted,
+    state.drift and state.clock are advanced; the branch is left to the
+    caller, which reads the bits.
     """
     exposure = cfg.width * cfg.sample_offset
     drift = state.drift
+    above = np.empty(min(_CHUNK_PULSES, count), dtype=bool)
     done = 0
     while done < count:
         m = min(_CHUNK_PULSES, count - done)
@@ -133,7 +138,7 @@ def _threshold_chunks(
         # only the thresholds stay alive while the caller holds them
         del u, drifts
         done += m
-        yield thresholds
+        yield thresholds, above[:m]
     state.drift = drift
     state.clock = state.clock + count * cfg.period
 
@@ -147,18 +152,19 @@ def acquire_bits(
 ) -> BitStream:
     """Collect `count` bits from successive pulses; `state` threads through.
 
-    Each bit is cfg.amplitude > its pulse's switching threshold.  The passed
-    state is advanced in place.
+    Each bit is cfg.amplitude > its pulse's switching threshold.  Pulses
+    are drawn _CHUNK_PULSES at a time and each chunk's bits are packed as
+    they are read, so the working set is bounded by the chunk, not by
+    `count`.  The passed state is advanced in place.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    out = np.empty(count, dtype=np.uint8)
-    done = 0
-    for thresholds in _threshold_chunks(state, params, cfg, count, rng):
-        np.greater(cfg.amplitude, thresholds, out=out[done : done + thresholds.size])
-        done += thresholds.size
-    state.branch = Branch.H if out[-1] else Branch.L
-    return BitStream.from_array(out)
+    out = _Packer(count)
+    for thresholds, above in _threshold_chunks(state, params, cfg, count, rng):
+        np.greater(cfg.amplitude, thresholds, out=above)
+        out.append(above)
+    state.branch = Branch.H if above[-1] else Branch.L
+    return out.stream()
 
 
 def trace_pulses(
@@ -204,14 +210,23 @@ def trace_pulses(
 
 
 def window_fractions(bits: BitStream, window: int) -> np.ndarray:
-    """Ones-fraction of each disjoint window of `window` bits."""
+    """Ones-fraction of each disjoint window of `window` bits.
+
+    Windows are unpacked about _CHUNK_PULSES bits at a time (at least one
+    window), so only the fractions grow with the stream.
+    """
     if window < 1:
         raise ValueError("window must be at least 1")
-    arr = bits.to_array()
-    if arr.size < window:
+    if len(bits) < window:
         raise ValueError("bit stream shorter than one window")
-    n_windows = arr.size // window
-    return arr[: n_windows * window].reshape(n_windows, window).mean(axis=1)
+    n_windows = len(bits) // window
+    per_chunk = max(1, _CHUNK_PULSES // window)
+    fractions = np.empty(n_windows)
+    for lo in range(0, n_windows, per_chunk):
+        hi = min(lo + per_chunk, n_windows)
+        chunk = bits._unpack(lo * window, hi * window).reshape(hi - lo, window)
+        fractions[lo:hi] = chunk.mean(axis=1)
+    return fractions
 
 
 def h_fraction_histogram(bits: BitStream, window: int) -> tuple[np.ndarray, np.ndarray]:

@@ -137,6 +137,21 @@ def toeplitz_hash_oracle(seed, block, l):
     return out
 
 
+def seeded_hash_block(seed, block, l: int):
+    """Hash one n-bit block to l bits: out[j] = parity(seed[j:j+n] & block).
+
+    The per-block reference for the chunked extract GEMM, as an int64 product
+    over the seed's sliding windows.
+    """
+    seed = np.asarray(seed, dtype=np.uint8)
+    block = np.asarray(block, dtype=np.uint8)
+    n = block.size
+    if seed.size != n + l - 1:
+        raise ValueError(f"seed must be {n + l - 1} bits for n={n}, l={l}")
+    windows = np.lib.stride_tricks.sliding_window_view(seed, n)[:l]
+    return (windows.astype(np.int64) @ block.astype(np.int64)) % 2
+
+
 # ------------------------------------------------- statistic transliterations
 
 

@@ -19,7 +19,6 @@ from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.cli import main as cli_main
 from rtdrng.control import ControllerState, run_closed_loop
 from rtdrng.device import DeviceParams, DeviceState, sweep_current
-from rtdrng.extractor import seeded_hash_block
 from rtdrng.nist.battery import analyze_suite, pass_threshold, run_battery
 from rtdrng.nist.gf2 import berlekamp_massey, gf2_rank
 from rtdrng.nist.special import erfc, igamc
@@ -159,7 +158,13 @@ def test_c05_drift_and_feedback():
         DeviceState(), drifty, cfg, 500 * n_windows, np.random.default_rng(seed)
     )
     assert abs(ratios.mean() - ctrl.setpoint) < 0.02
-    assert abs(stream.ones_fraction() - ctrl.setpoint) > 0.05
+    # the drift's effect, per window: without feedback the window ratios stray
+    # from the setpoint at least 1.5x as far (RMS) as with it; the ratio's
+    # minimum over seeds 0-19 is 1.64, where the open-loop mean alone sits
+    # more than 0.05 from 0.5 at only 13 of them
+    open_rms = np.sqrt(np.mean((window_fractions(stream, 500) - ctrl.setpoint) ** 2))
+    closed_rms = np.sqrt(np.mean((ratios - ctrl.setpoint) ** 2))
+    assert open_rms >= 1.5 * closed_rms
     report(5, "drift correction by feedback", t0, budget=120.0)
 
 
@@ -188,9 +193,9 @@ def test_c07_two_universal_collisions():
     hy = (windows.astype(np.int64) @ y.astype(np.int64)) & 1
     collisions = float(np.mean(np.all(hx == hy, axis=1)))
     assert collisions <= 2.0**-l * 1.15
-    # spot-check the batched hashing against the public single-block routine
+    # spot-check the batched hashing against the single-block reference
     for row in (0, 1, trials - 1):
-        assert np.array_equal(hx[row], seeded_hash_block(seeds[row], x, l))
+        assert np.array_equal(hx[row], oracles.seeded_hash_block(seeds[row], x, l))
     report(7, "two-universal collision bound", t0, budget=10.0)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import toeplitz_hash_oracle
+import rtdrng.extractor as extractor
+from oracles import seeded_hash_block, toeplitz_hash_oracle
 from rtdrng.bits import BitStream
 from rtdrng.extractor import (
     ExtractorConfig,
@@ -14,7 +15,6 @@ from rtdrng.extractor import (
     derive_seed,
     extract,
     min_entropy_estimate,
-    seeded_hash_block,
 )
 
 
@@ -130,6 +130,20 @@ class TestExtract:
             block = data[b * 1000 : (b + 1) * 1000]
             expected = seeded_hash_block(cfg.seed, block, 330)
             assert np.array_equal(out[b * 330 : (b + 1) * 330], expected)
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("n, l", [(8, 3), (13, 5), (1000, 330), (1001, 913)])
+    def test_chunk_geometry_matches_per_block_hash(self, monkeypatch, n, l, rows):
+        # odd n puts block starts mid-byte, odd l puts chunk outputs mid-byte;
+        # 17 blocks leave a short last chunk, and a partial block trails
+        monkeypatch.setattr(extractor, "_CHUNK_BYTES", 4 * n * rows)
+        cfg = self.make_cfg(n, l, seed_seed=n + rows)
+        data = random_bits(17 * n + n // 2, n)
+        out = extract(stream_of(data), cfg).to_array()
+        assert out.size == 17 * l
+        for b in range(17):
+            expected = seeded_hash_block(cfg.seed, data[b * n : (b + 1) * n], l)
+            assert np.array_equal(out[b * l : (b + 1) * l], expected)
 
     def test_linearity_over_xor(self):
         cfg = self.make_cfg(128, 40)
