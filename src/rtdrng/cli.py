@@ -31,6 +31,7 @@ from .extractor import (
     min_entropy_estimate,
 )
 from .nist.battery import analyze_suite, render_table, report_records, run_battery
+from .nist.sequence import battery_sequences
 from .pulses import acquire_bits, window_fractions
 from .sidecar import SidecarError, read_sidecar, write_sidecar
 
@@ -263,10 +264,7 @@ def cmd_test(args) -> int:
     need = sequences * seq_len
     if len(stream) < need:
         raise ConfigError(f"input holds {len(stream)} bits, need {need}")
-    results = [
-        run_battery(stream._unpack(s * seq_len, (s + 1) * seq_len), params)
-        for s in range(sequences)
-    ]
+    results = [run_battery(seq, params) for seq in battery_sequences(stream, sequences, seq_len)]
     report = analyze_suite(results, params.alpha)
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,15 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequence import as_sequence
 from .special import igamc
 from .statistical_tests import TEST_ORDER, TestId, TestParams, TestResult, run_test
 
 TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASSING SEQUENCES"
 
 
+# The spectral transform is the battery's largest working set, so it runs
+# first, before the sequence's holder keeps its walk and windows.
+_RUN_ORDER = (TestId.FFT,) + tuple(test for test in TEST_ORDER if test is not TestId.FFT)
+
+
 def run_battery(bits, params: TestParams) -> list[TestResult]:
-    """All fifteen tests on one sequence, in canonical report order."""
-    return [run_test(test, params, bits) for test in TEST_ORDER]
+    """All fifteen tests on one sequence, in canonical report order.
+
+    The tests share one holder of the sequence, so the derivations several
+    of them read are built once.
+    """
+    seq = as_sequence(bits)
+    results = {test: run_test(test, params, seq) for test in _RUN_ORDER}
+    return [results[test] for test in TEST_ORDER]
 
 
 def pass_threshold(sample_size: int, alpha: float) -> int:

@@ -1,7 +1,7 @@
 """GF(2) kernels: LFSR linear complexity and binary matrix rank.
 
-Both run in lockstep over a batch (the blocks or the matrices of one
-sequence): every step is a whole-array operation over the batch.
+Both run in lockstep over a batch (the blocks of a group of sequences, or
+the matrices of one): every step is a whole-array operation over the batch.
 """
 
 from __future__ import annotations
@@ -21,21 +21,26 @@ def _times_x(words: np.ndarray) -> None:
 
 
 def linear_complexities(blocks) -> np.ndarray:
-    """Length of the shortest LFSR generating each row of a 0/1 matrix.
-
-    Berlekamp-Massey runs in lockstep over all rows.  The state is
-    word-major, (W, B) uint64 with W = ceil((m + 1) / 64) and bit i of a
-    polynomial holding the coefficient of x^i: the connection polynomial,
-    the previous one pre-multiplied by x^(t - last_change), and the window
-    (bit i = s[t - i]).  The discrepancy is the parity of poly AND window;
-    updates are selected with all-ones/all-zeros masks.  At step t no
-    polynomial has a bit above t + 2, so only the low words are touched.
-    """
+    """Length of the shortest LFSR generating each row of a 0/1 matrix."""
     bits = np.asarray(blocks, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[1] == 0:
         raise ValueError("blocks must be a two-dimensional array of nonempty rows")
-    n_blocks, m = bits.shape
-    columns = np.ascontiguousarray(bits.T)  # row t: bit t of every block
+    return column_complexities(np.ascontiguousarray(bits.T))
+
+
+def column_complexities(columns: np.ndarray) -> np.ndarray:
+    """Linear complexity of each column of an (m, B) uint8 0/1 matrix.
+
+    Row t holds bit t of every block.  Berlekamp-Massey runs in lockstep
+    over all columns.  The state is word-major, (W, B) uint64 with
+    W = ceil((m + 1) / 64) and bit i of a polynomial holding the
+    coefficient of x^i: the connection polynomial, the previous one
+    pre-multiplied by x^(t - last_change), and the window (bit i =
+    s[t - i]).  The discrepancy is the parity of poly AND window; updates
+    are selected with all-ones/all-zeros masks.  At step t no polynomial
+    has a bit above t + 2, so only the low words are touched.
+    """
+    m, n_blocks = columns.shape
     n_words = m // 64 + 1
     poly, shifted, window = np.zeros((3, n_words, n_blocks), dtype=np.uint64)
     poly[0] = 1
@@ -98,4 +103,10 @@ def gf2_rank(matrix) -> int:
     return int(gf2_ranks(m[None])[0])
 
 
-__all__ = ["berlekamp_massey", "gf2_rank", "gf2_ranks", "linear_complexities"]
+__all__ = [
+    "berlekamp_massey",
+    "column_complexities",
+    "gf2_rank",
+    "gf2_ranks",
+    "linear_complexities",
+]

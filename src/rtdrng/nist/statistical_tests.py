@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import gf2_ranks, linear_complexities
+from .gf2 import gf2_ranks
+from .sequence import as_sequence
 from .special import erfc, igamc, normal_cdf
 from .templates import aperiodic_template_values, template_label
 
@@ -63,7 +64,7 @@ _LINEAR_COMPLEXITY_BOUNDS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
 
 _EXCURSION_MIN_CYCLES = 500
 
-_MAX_WINDOW_BITS = 62  # widest window _pattern_values packs into an int64
+_MAX_WINDOW_BITS = 62  # widest overlapping-template window accepted
 
 
 class SequenceTooShortError(ValueError):
@@ -172,39 +173,30 @@ class TestResult:
     applicable: bool = True
 
 
-def _as_bits(bits) -> np.ndarray:
-    if hasattr(bits, "to_array"):
-        arr = bits.to_array()
-    else:
-        arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("bits must be a nonempty one-dimensional sequence")
-    return arr
-
-
 def _require(n: int, minimum: int, test: str) -> None:
     if n < minimum:
         raise SequenceTooShortError(f"{test} needs at least {minimum} bits, got {n}")
 
 
-def _pattern_values(bits: np.ndarray, m: int, wrap: bool = False) -> np.ndarray:
-    """Integer value of every (optionally wrapped) m-bit window."""
-    if wrap:
-        ext = np.concatenate((bits, bits[: m - 1])) if m > 1 else bits
-        count = bits.size
-    else:
-        ext = bits
-        count = bits.size - m + 1
-    values = np.zeros(count, dtype=np.int64)
-    for k in range(m):
-        values <<= 1
-        values |= ext[k : k + count]
-    return values
+def _count_width(params: TestParams) -> int:
+    """Width of the cyclic windows ApEn and Serial count; both fold down from it."""
+    return max(params.serial_m, params.approx_entropy_m + 1)
+
+
+def _windows(seq, params: TestParams, least: int = 1) -> tuple[np.ndarray, int]:
+    """Cyclic windows as wide as any test reads, and their width.
+
+    The m-bit window at a position is their top m bits; it is the plain
+    window wherever it ends inside the sequence.
+    """
+    width = max(least, params.nonoverlapping_m, params.overlapping_m, _count_width(params))
+    return seq.windows(width)
 
 
 def frequency_test(bits, params: TestParams) -> TestResult:
     """Monobit balance: P = erfc(|S_n| / sqrt(2n))."""
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 2, "frequency test")
     s = 2.0 * int(arr.sum()) - n
@@ -213,7 +205,8 @@ def frequency_test(bits, params: TestParams) -> TestResult:
 
 
 def block_frequency_test(bits, params: TestParams) -> TestResult:
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 100, "block frequency test")
     m = params.block_frequency_m
@@ -239,10 +232,10 @@ def _cusum_pvalue(z: float, n: int) -> float:
 
 
 def cumulative_sums_test(bits, params: TestParams) -> TestResult:
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     _require(n, 2, "cumulative sums test")
-    walk, _ = _walk(arr)
+    walk, _ = seq.walk()
     lo, hi, total = int(walk.min()), int(walk.max()), int(walk[-1])
     z_fwd = float(max(hi, -lo))
     # the backward sums are total - S_k for k = 0..n-1, with S_0 = 0
@@ -256,7 +249,8 @@ def cumulative_sums_test(bits, params: TestParams) -> TestResult:
 
 def runs_test(bits, params: TestParams) -> TestResult:
     """Oscillation count; degenerates to P = 0 when the monobit pre-test fails."""
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 2, "runs test")
     pi = float(arr.mean())
@@ -285,7 +279,8 @@ def _longest_runs(blocks: np.ndarray) -> np.ndarray:
 
 
 def longest_run_test(bits, params: TestParams) -> TestResult:
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 128, "longest-run test")
     m, n_blocks = params.resolved_longest_run(n)
@@ -308,7 +303,8 @@ def _rank_probability(size: int, r: int) -> float:
 
 def rank_test(bits, params: TestParams) -> TestResult:
     """Rank distribution of 32x32 submatrices over GF(2)."""
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 38 * 1024, "rank test")
     size = 32
@@ -331,7 +327,8 @@ def rank_test(bits, params: TestParams) -> TestResult:
 
 def fft_test(bits, params: TestParams) -> TestResult:
     """Spectral peak count against the 95 % threshold sqrt(n*log(1/0.05))."""
-    arr = _as_bits(bits)
+    seq = as_sequence(bits)
+    arr = seq.bits
     n = arr.size
     _require(n, 1000, "spectral test")
     x = 2.0 * arr - 1.0
@@ -350,13 +347,14 @@ def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
     Aperiodic templates cannot overlap themselves, so plain window-value
     counts equal the non-overlapping scan of the standard.
     """
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     m = params.nonoverlapping_m
     n_blocks = params.nonoverlapping_blocks
     _require(n, n_blocks * 2**m, "non-overlapping template test")
     block_len = n // n_blocks
-    values = _pattern_values(arr, m)
+    values, width = _windows(seq, params)
+    values = values >> (width - m)
     templates = np.asarray(aperiodic_template_values(m))
     counts = np.empty((n_blocks, 2**m), dtype=np.int64)
     for j in range(n_blocks):
@@ -392,20 +390,17 @@ def _overlapping_probabilities(eta: float, k: int) -> list[float]:
 
 def overlapping_template_test(bits, params: TestParams) -> TestResult:
     """Overlapping occurrences of the all-ones template in fixed blocks."""
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     m = params.overlapping_m
     block_len = params.overlapping_block_len
     _require(n, 5 * block_len, "overlapping template test")
     n_blocks = n // block_len
     k = 5
-    values = _pattern_values(arr, m)
-    target = 2**m - 1
-    freq = np.zeros(k + 1, dtype=np.int64)
-    for j in range(n_blocks):
-        start = j * block_len
-        hits = int(np.count_nonzero(values[start : start + block_len - m + 1] == target))
-        freq[min(hits, k)] += 1
+    values, width = _windows(seq, params)
+    ones = values[: n_blocks * block_len] >= (2**m - 1) << (width - m)  # top m bits all ones
+    hits = ones.reshape(n_blocks, block_len)[:, : block_len - m + 1].sum(axis=1)
+    freq = np.bincount(np.minimum(hits, k), minlength=k + 1)
     if m == 9 and block_len == 1032:
         pi = list(_OVERLAPPING_PI_STANDARD)
     else:
@@ -428,15 +423,13 @@ def _previous_occurrence(values: np.ndarray) -> np.ndarray:
 
 def universal_test(bits, params: TestParams) -> TestResult:
     """Maurer's statistic: mean log2 distance between equal L-bit blocks."""
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     length, q, k = params.resolved_universal(n)
     _require(n, (q + 1) * length, "universal test")
     n_blocks = q + k
-    blocks = arr[: n_blocks * length].reshape(n_blocks, length)
-    weights = (1 << np.arange(length - 1, -1, -1)).astype(np.int64)
-    values = blocks.astype(np.int64) @ weights
-    prev = _previous_occurrence(values)
+    values, width = _windows(seq, params, length)
+    prev = _previous_occurrence(values[: n_blocks * length : length] >> (width - length))
     positions = np.arange(q + 1, n_blocks + 1, dtype=np.int64)
     distances = positions - prev[q:]
     fn = float(np.sum(np.log2(distances))) / k
@@ -446,17 +439,17 @@ def universal_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Universal, (p,), ("",))
 
 
-def _cyclic_counts(arr: np.ndarray, m: int, depth: int) -> list[np.ndarray]:
+def _cyclic_counts(bits, m: int, depth: int, counted: int = 0) -> list[np.ndarray]:
     """Counts of every cyclic window of m, m - 1, ..., m - depth + 1 bits.
 
-    Only the m-bit windows are counted: each cyclic (k - 1)-bit window is
-    the prefix of exactly one cyclic k-bit window, so summing the counts of
-    each adjacent value pair (2v, 2v + 1) is exact.
+    Only the windows of max(m, counted) bits are counted: each cyclic
+    (k - 1)-bit window is the prefix of exactly one cyclic k-bit window, so
+    summing the counts of each adjacent value pair (2v, 2v + 1) is exact.
     """
-    counts = [np.bincount(_pattern_values(arr, m, wrap=True), minlength=2**m)]
-    for _ in range(depth - 1):
-        counts.append(counts[-1].reshape(-1, 2).sum(axis=1))
-    return counts
+    folds = [as_sequence(bits).cyclic_counts(max(m, counted))]
+    while folds[-1].size > 2 ** (m - depth + 1):
+        folds.append(folds[-1].reshape(-1, 2).sum(axis=1))
+    return folds[-depth:]
 
 
 def _phi(counts: np.ndarray, n: int) -> float:
@@ -465,11 +458,11 @@ def _phi(counts: np.ndarray, n: int) -> float:
 
 
 def approximate_entropy_test(bits, params: TestParams) -> TestResult:
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     m = params.approx_entropy_m
     _require(n, 2 ** (m + 5), "approximate entropy test")
-    wide, narrow = _cyclic_counts(arr, m + 1, 2)  # (m + 1)- and m-bit windows
+    wide, narrow = _cyclic_counts(seq, m + 1, 2, _count_width(params))  # m + 1 and m bits
     apen = _phi(narrow, n) - _phi(wide, n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2.0 ** (m - 1), chi2 / 2.0)
@@ -482,11 +475,12 @@ def _psi_squared(counts: np.ndarray, n: int) -> float:
 
 
 def serial_test(bits, params: TestParams) -> TestResult:
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     m = params.serial_m
     _require(n, 2 ** (m + 2), "serial test")
-    psi_m, psi_m1, psi_m2 = (_psi_squared(c, n) for c in _cyclic_counts(arr, m, 3))
+    counts = _cyclic_counts(seq, m, 3, _count_width(params))
+    psi_m, psi_m1, psi_m2 = (_psi_squared(c, n) for c in counts)
     del1 = psi_m - psi_m1
     del2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = igamc(2.0 ** (m - 2), del1 / 2.0)
@@ -494,32 +488,25 @@ def serial_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Serial, (p1, p2), ("first", "second"))
 
 
-def _walk(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cumulative +/-1 walk and its cycle count J."""
-    walk = np.cumsum(2 * arr.astype(np.int64) - 1)
-    j = int(np.count_nonzero(walk == 0)) + (0 if walk[-1] == 0 else 1)
-    return walk, j
-
-
 _EXCURSION_STATES = (-4, -3, -2, -1, 1, 2, 3, 4)
 
 
 def random_excursions_test(bits, params: TestParams) -> TestResult:
     """Visit-count law per cycle for walk states -4..4; needs >= 500 cycles."""
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     _require(n, 10_000, "random excursions test")
-    walk, j = _walk(arr)
+    walk, j = seq.walk()
     labels = tuple(f"x={x:+d}" for x in _EXCURSION_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(
             TestId.RandomExcursions, (math.nan,) * len(labels), labels, applicable=False
         )
-    mask = (walk >= -4) & (walk <= 4) & (walk != 0)
-    states = walk[mask]
+    where = np.flatnonzero((walk >= -4) & (walk <= 4) & (walk != 0))
+    states = walk[where]
     state_idx = np.where(states < 0, states + 4, states + 3)
-    cycle_idx = np.concatenate(([0], np.cumsum(walk == 0)))[:-1]
-    flat = cycle_idx[mask] * 8 + state_idx
+    cycle_idx = np.searchsorted(np.flatnonzero(walk == 0), where)  # zeros before each visit
+    flat = cycle_idx * 8 + state_idx
     visits = np.bincount(flat, minlength=j * 8).reshape(-1, 8)[:j]
     pvalues = []
     for col, x in enumerate(_EXCURSION_STATES):
@@ -539,10 +526,10 @@ _VARIANT_STATES = tuple(x for x in range(-9, 10) if x != 0)
 
 def random_excursions_variant_test(bits, params: TestParams) -> TestResult:
     """Total visit counts for walk states -9..9 against the cycle count."""
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     _require(n, 10_000, "random excursions variant test")
-    walk, j = _walk(arr)
+    walk, j = seq.walk()
     labels = tuple(f"x={x:+d}" for x in _VARIANT_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(
@@ -560,14 +547,14 @@ def random_excursions_variant_test(bits, params: TestParams) -> TestResult:
 
 def linear_complexity_test(bits, params: TestParams) -> TestResult:
     """Berlekamp-Massey complexity of M-bit blocks against its exact law."""
-    arr = _as_bits(bits)
-    n = arr.size
+    seq = as_sequence(bits)
+    n = len(seq)
     m = params.linear_complexity_block
     _require(n, 200 * m, "linear complexity test")
     n_blocks = n // m
     sign = -1.0 if m % 2 else 1.0
     mean = m / 2.0 + (9.0 + (-1.0) ** (m + 1)) / 36.0 - (m / 3.0 + 2.0 / 9.0) / 2.0**m
-    complexities = linear_complexities(arr[: n_blocks * m].reshape(n_blocks, m))
+    complexities = seq.linear_complexities(m)
     stats = sign * (complexities - mean) + 2.0 / 9.0
     freq = np.bincount(
         np.searchsorted(_LINEAR_COMPLEXITY_BOUNDS, stats, side="left"), minlength=7

@@ -293,6 +293,33 @@ def oracle_cyclic_counts(bits, m: int) -> dict:
     return counts
 
 
+def pattern_values(bits, m: int, wrap: bool = False) -> np.ndarray:
+    """Value of every m-bit window by shift-or, most significant bit first.
+
+    Plain windows start at 0..n-m.  Wrapped ones start at every position
+    and read indices mod n, so the sequence may be shorter than the window.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    n = bits.size
+    count = n if wrap else n - m + 1
+    ext = bits[np.arange(count + m - 1) % n]
+    values = np.zeros(count, dtype=np.int64)
+    for k in range(m):
+        values <<= 1
+        values |= ext[k : k + count]
+    return values
+
+
+def oracle_walk(bits) -> list:
+    """Partial sums of the +/-1 walk, one Python int at a time."""
+    s = 0
+    walk = []
+    for b in bits:
+        s += 2 * int(b) - 1
+        walk.append(s)
+    return walk
+
+
 def oracle_phi(bits, m: int) -> float:
     bits = [int(b) for b in bits]
     n = len(bits)
@@ -319,14 +346,9 @@ def oracle_psi_sq(bits, m: int) -> float:
 
 def oracle_walk_cycles(bits):
     """(J, cycles) where cycles is a list of lists of partial-sum values."""
-    s = 0
-    walk = []
-    for b in bits:
-        s += 2 * int(b) - 1
-        walk.append(s)
     cycles = []
     current = []
-    for value in walk:
+    for value in oracle_walk(bits):
         current.append(value)
         if value == 0:
             cycles.append(current)

@@ -4,6 +4,8 @@ Each stage holds its input and output packed and works through the stream
 in chunks of a fixed size, so quadrupling the input may raise the peak
 traced allocation by the extra output and a small slack only.  A
 byte-per-bit copy of the stream would add eight times the packed input.
+The battery works through its sequences a group at a time, so more
+sequences may not raise its peak by more than one group's bits.
 """
 
 import tracemalloc
@@ -13,11 +15,15 @@ import pytest
 
 import rtdrng.bits as bits_module
 import rtdrng.extractor as extractor
+import rtdrng.nist.sequence as sequence_module
 import rtdrng.pulses as pulses
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import DeviceParams, DeviceState
 from rtdrng.extractor import ExtractorConfig, extract
+from rtdrng.nist.battery import run_battery
+from rtdrng.nist.sequence import battery_sequences
+from rtdrng.nist.statistical_tests import TestParams
 from rtdrng.pulses import PulseConfig, acquire_bits, window_fractions
 
 P = DeviceParams()
@@ -85,6 +91,20 @@ def test_ones_fraction(monkeypatch):
     inputs = [random_stream(length, length) for length in (50_000, 200_000)]
     peaks = [traced_peak(BitStream.ones_fraction, stream) for stream in inputs]
     assert_growth_within(peaks, 0)
+
+
+def test_battery_groups(monkeypatch):
+    n = 120_000
+    params = TestParams(n=n, universal_l=4, serial_m=8)  # every test applies at 120k bits
+    monkeypatch.setattr(sequence_module, "_GROUP_BYTES", 2 * n)
+
+    def battery(stream, count):
+        for seq in battery_sequences(stream, count, n):
+            run_battery(seq, params)
+
+    peaks = [traced_peak(battery, random_stream(count * n, count), count) for count in (2, 8)]
+    # at most the byte-per-bit rows of one group
+    assert_growth_within(peaks, 2 * n)
 
 
 @pytest.mark.parametrize("length", [800_000, 3_200_000])
