@@ -5,9 +5,9 @@ acquisition -> optional bias feedback -> two-universal randomness
 extraction -> SP 800-22 statistical validation.
 """
 
-from .bits import BitStream, concat_streams, read_bits, write_bits
+from .bits import BitStream, read_bits, write_bits
 from .config import PipelineConfig, default_config, load_config
-from .control import ControllerState, controller_update, default_controller, run_closed_loop
+from .control import ControllerState, default_controller, next_amplitude, run_closed_loop
 from .device import (
     Branch,
     BranchRangeError,
@@ -30,7 +30,6 @@ from .pulses import (
     PulseConfig,
     PulseTrace,
     acquire_bits,
-    h_fraction_histogram,
     trace_pulses,
     window_fractions,
 )
@@ -39,15 +38,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitStream",
-    "concat_streams",
     "read_bits",
     "write_bits",
     "PipelineConfig",
     "default_config",
     "load_config",
     "ControllerState",
-    "controller_update",
     "default_controller",
+    "next_amplitude",
     "run_closed_loop",
     "Branch",
     "BranchRangeError",
@@ -66,7 +64,6 @@ __all__ = [
     "PulseConfig",
     "PulseTrace",
     "acquire_bits",
-    "h_fraction_histogram",
     "trace_pulses",
     "window_fractions",
     "__version__",

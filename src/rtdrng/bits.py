@@ -51,10 +51,6 @@ class BitStream:
             raise ValueError("bits must be 0 or 1")
         return cls(np.packbits(arr), arr.size)
 
-    @classmethod
-    def from_bytes(cls, payload: bytes, length: int) -> "BitStream":
-        return cls(np.frombuffer(payload, dtype=np.uint8).copy(), length)
-
     def _unpack(self, start: int, stop: int) -> np.ndarray:
         """Bits [start, stop) as uint8 0/1, unpacked from only the bytes they span."""
         if not 0 <= start <= stop <= self._length:
@@ -130,14 +126,6 @@ class _Packer:
         return BitStream(self._packed, self._length)
 
 
-def concat_streams(streams) -> BitStream:
-    """Concatenate bit streams in the given order."""
-    arrays = [s.to_array() for s in streams]
-    if not arrays:
-        return BitStream.from_array(np.empty(0, dtype=np.uint8))
-    return BitStream.from_array(np.concatenate(arrays))
-
-
 def write_bits(path, stream: BitStream) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
@@ -167,4 +155,4 @@ def read_bits(path) -> BitStream:
         raise BitFileError(f"{path}: {exc}") from exc
 
 
-__all__ = ["MAGIC", "BitFileError", "BitStream", "concat_streams", "read_bits", "write_bits"]
+__all__ = ["MAGIC", "BitFileError", "BitStream", "read_bits", "write_bits"]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitFileError, read_bits, write_bits
-from .config import ConfigError, PipelineConfig, default_config, load_config
+from .config import ConfigError, PipelineConfig, default_config, load_config, seed_bits
 from .control import run_closed_loop
 from .device import DeviceState, sweep_current
 from .extractor import (
@@ -200,26 +200,17 @@ def cmd_sweep(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     stream = read_bits(args.input)
-    n = cfg.extractor.n
-    k = cfg.extractor.epsilon_exponent
+    n, l, k = cfg.extractor.n, cfg.extractor.l, cfg.extractor.epsilon_exponent
     h_min = None
-    if cfg.extractor_mode == "auto":
+    if l is None:
         h_min = min_entropy_estimate(stream)
         try:
             l = choose_block_params(h_min, n, k)
         except InsufficientEntropyError as exc:
             print(f"extract: {exc}", file=sys.stderr)
             return 1
-    else:
-        l = cfg.extractor.l
-    seed_len = n + l - 1
     if cfg.extractor_seed_hex is not None:
-        raw = bytes.fromhex(cfg.extractor_seed_hex)
-        if len(raw) * 8 < seed_len:
-            raise ConfigError(
-                f"[extractor] seed_hex holds {len(raw) * 8} bits, need {seed_len}"
-            )
-        seed = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:seed_len]
+        seed = seed_bits(cfg.extractor_seed_hex, n, l)
         seed_derived = False
     else:
         seed = derive_seed(stream, n, l)
@@ -230,7 +221,7 @@ def cmd_extract(args) -> int:
     write_bits(out, out_stream)
     meta = {
         "stage": "extract",
-        "mode": cfg.extractor_mode,
+        "mode": "fixed" if h_min is None else "auto",
         "n": n,
         "l": l,
         "epsilon_exponent": k,
@@ -255,11 +246,9 @@ def cmd_extract(args) -> int:
 
 def cmd_test(args) -> int:
     cfg = _load_config(args)
-    sequences = args.sequences if args.sequences is not None else cfg.sequences
+    sequences = args.sequences if args.sequences is not None else cfg.suite.sequences
     seq_len = args.sequence_length if args.sequence_length is not None else cfg.suite.n
-    if sequences < 1 or seq_len < 1:
-        raise ConfigError("sequences and sequence length must be positive")
-    params = dataclasses.replace(cfg.suite, n=seq_len)
+    params = dataclasses.replace(cfg.suite, n=seq_len, sequences=sequences)
     stream = read_bits(args.input)
     need = sequences * seq_len
     if len(stream) < need:

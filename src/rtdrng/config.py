@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from .control import ControllerState, default_controller
 from .device import DeviceParams
 from .extractor import ExtractorConfig
@@ -71,7 +73,7 @@ def _stage_keys(cls, skip=()) -> dict:
 
 
 # each section holds its stage's fields; the other keys configure the run
-# (sequence_length is TestParams.n, and the hash seed comes from seed_hex)
+# (sequence_length is TestParams.n, mode = auto sets l = None, seed_hex is the hash seed)
 _SCHEMA = {
     "device": _stage_keys(DeviceParams),
     "pulse": _stage_keys(PulseConfig),
@@ -79,10 +81,9 @@ _SCHEMA = {
     "extractor": {
         "mode": _to_mode,
         **_stage_keys(ExtractorConfig, skip={"seed"}),
-        "seed_hex": str,
+        "seed_hex": bytes.fromhex,
     },
     "suite": {
-        "sequences": _to_int,
         "sequence_length": _to_int,
         **_stage_keys(TestParams, skip={"n"}),
     },
@@ -92,17 +93,28 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One stage object per INI section, plus the run's seed and output directory.
+
+    controller is None when feedback is off, extractor.l is None under
+    mode = auto, and extractor_seed_hex holds the decoded seed_hex bytes.
+    """
+
     device: DeviceParams
     pulse: PulseConfig
     controller: ControllerState | None
-    extractor_mode: str
-    # block sizes and security exponent; the hash seed is set per run
     extractor: ExtractorConfig
-    extractor_seed_hex: str | None
+    extractor_seed_hex: bytes | None
     suite: TestParams
-    sequences: int
     seed: int
     out_dir: str
+
+
+def seed_bits(seed_hex: bytes, n: int, l: int) -> np.ndarray:
+    """The hash seed for blocks of n -> l bits: the first n + l - 1 bits of seed_hex."""
+    need = n + l - 1
+    if len(seed_hex) * 8 < need:
+        raise ConfigError(f"[extractor] seed_hex holds {len(seed_hex) * 8} bits, need {need}")
+    return np.unpackbits(np.frombuffer(seed_hex, dtype=np.uint8))[:need]
 
 
 def _parse_sections(path) -> dict[str, dict]:
@@ -151,14 +163,14 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
             )
 
     ext = dict(values.get("extractor", {}))
-    mode = ext.pop("mode", "fixed")
+    if ext.pop("mode", "fixed") == "auto":
+        ext["l"] = None
     seed_hex = ext.pop("seed_hex", None)
     extractor = _construct("extractor", ExtractorConfig, **ext)
+    if seed_hex is not None and extractor.l is not None:
+        seed_bits(seed_hex, extractor.n, extractor.l)  # a fixed l fixes the seed length now
 
     suite_values = dict(values.get("suite", {}))
-    sequences = suite_values.pop("sequences", 30)
-    if sequences < 1:
-        raise ConfigError("[suite]: sequences must be at least 1")
     if "sequence_length" in suite_values:
         suite_values["n"] = suite_values.pop("sequence_length")
     suite = _construct("suite", TestParams, **suite_values)
@@ -168,11 +180,9 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
         device=device,
         pulse=pulse,
         controller=controller,
-        extractor_mode=mode,
         extractor=extractor,
         extractor_seed_hex=seed_hex,
         suite=suite,
-        sequences=sequences,
         seed=run_values.get("seed", 0),
         out_dir=run_values.get("out_dir", "."),
     )
@@ -189,4 +199,4 @@ def default_config() -> PipelineConfig:
     return _build({})
 
 
-__all__ = ["ConfigError", "PipelineConfig", "load_config", "default_config"]
+__all__ = ["ConfigError", "PipelineConfig", "load_config", "default_config", "seed_bits"]

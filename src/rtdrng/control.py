@@ -3,13 +3,13 @@
 Slow threshold drift shows up as a wandering ones-ratio.  The controller
 watches the ratio over a window of pulses and nudges the pulse amplitude
 against the error; because the amplitude-to-ratio map is monotone and
-memoryless, a single clamped accumulating term is sufficient.
+memoryless, one clamped accumulating term, next_amplitude, is sufficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -64,18 +64,12 @@ def default_controller(params: DeviceParams, amplitude: float, **overrides) -> C
     return ControllerState(amplitude, **overrides)
 
 
-def _next_amplitude(ctrl: ControllerState, amplitude: float, observed_ratio: float) -> float:
-    # controller_update's rule on a bare amplitude, for loops that skip the
-    # per-window ControllerState
+def next_amplitude(ctrl: ControllerState, amplitude: float, observed_ratio: float) -> float:
+    """One clamped proportional-on-error step of the command; ctrl gives only the settings."""
     if not 0.0 <= observed_ratio <= 1.0:
         raise ValueError("observed_ratio must be in [0, 1]")
     amplitude = amplitude + ctrl.gain * (ctrl.setpoint - observed_ratio)
     return min(max(amplitude, ctrl.amp_min), ctrl.amp_max)
-
-
-def controller_update(ctrl: ControllerState, observed_ratio: float) -> ControllerState:
-    """One clamped proportional-on-error step on the amplitude command."""
-    return replace(ctrl, amplitude=_next_amplitude(ctrl, ctrl.amplitude, observed_ratio))
 
 
 def run_closed_loop(
@@ -122,7 +116,7 @@ def run_closed_loop(
             if filled == window:
                 ratio = ones / window
                 ratios[w] = ratio
-                amplitude = _next_amplitude(ctrl, amplitude, ratio)
+                amplitude = next_amplitude(ctrl, amplitude, ratio)
                 w += 1
                 filled = ones = 0
         out.append(above)
@@ -130,4 +124,4 @@ def run_closed_loop(
     return out.stream(), ratios, amplitudes
 
 
-__all__ = ["ControllerState", "default_controller", "controller_update", "run_closed_loop"]
+__all__ = ["ControllerState", "default_controller", "next_amplitude", "run_closed_loop"]

@@ -130,11 +130,6 @@ class SweepTrace:
     voltages: np.ndarray
     switch_current: float | None
 
-    @property
-    def points(self) -> np.ndarray:
-        """(steps, 2) array of (current mA, voltage V) pairs."""
-        return np.column_stack((self.currents, self.voltages))
-
 
 def iv_current(params: DeviceParams, v: float) -> float:
     """Static single-valued current at voltage v (voltage-sweep curve).

@@ -31,15 +31,19 @@ class InsufficientEntropyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ExtractorConfig:
-    """Block sizes, hash seed and security exponent (epsilon = 2^-k)."""
+    """Block sizes, hash seed and security exponent (epsilon = 2^-k).
+
+    l = None sizes l per run (choose_block_params), as seed = None leaves the
+    seed to the run; extract needs both set.
+    """
 
     n: int = 1000
-    l: int = 330
+    l: int | None = 330
     seed: np.ndarray | None = None
     epsilon_exponent: int = 32
 
     def __post_init__(self):
-        if not 0 < self.l < self.n:
+        if self.l is not None and not 0 < self.l < self.n:
             raise ValueError("require 0 < l < n")
         # extract's float32 GEMM sums reach n; float32 is exact only to 2^24
         if self.n > 2**24:
@@ -47,6 +51,8 @@ class ExtractorConfig:
         if self.epsilon_exponent < 1:
             raise ValueError("epsilon_exponent must be at least 1")
         if self.seed is not None:
+            if self.l is None:
+                raise ValueError("a seed needs a fixed l")
             seed = np.asarray(self.seed, dtype=np.uint8)
             if seed.ndim != 1 or seed.size != self.n + self.l - 1:
                 raise ValueError(f"seed must be exactly {self.n + self.l - 1} bits")
@@ -97,6 +103,8 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     arithmetic and the uint32 cast are exact, and the working set does not
     grow with the input.
     """
+    if cfg.l is None:
+        raise ValueError("extraction requires a fixed l; see choose_block_params")
     if cfg.seed is None:
         raise ValueError("extraction requires a seed; see derive_seed")
     n, l = cfg.n, cfg.l

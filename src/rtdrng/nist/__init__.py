@@ -9,7 +9,7 @@ from .battery import (
     run_battery,
 )
 from .gf2 import berlekamp_massey, gf2_rank
-from .special import erfc, igamc, normal_cdf
+from .special import igamc, normal_cdf
 from .statistical_tests import (
     SequenceTooShortError,
     TEST_ORDER,
@@ -29,7 +29,6 @@ __all__ = [
     "run_battery",
     "berlekamp_massey",
     "gf2_rank",
-    "erfc",
     "igamc",
     "normal_cdf",
     "SequenceTooShortError",

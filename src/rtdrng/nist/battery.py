@@ -81,17 +81,6 @@ class SuiteReport:
     def overall_pass(self) -> bool:
         return all(row.meets_threshold for row in self.rows)
 
-    def pvalue_fraction_below_alpha(self) -> float:
-        """Fraction of all applicable P-values under alpha (battery-wide)."""
-        below = 0
-        total = 0
-        for row in self.rows:
-            total += row.applicable
-            below += row.applicable - row.passed
-        if total == 0:
-            raise ValueError("report holds no applicable P-values")
-        return below / total
-
 
 def analyze_suite(results_by_sequence: list[list[TestResult]], alpha: float = 0.05) -> SuiteReport:
     """Aggregate per-sequence results into the per-row suite report.

@@ -20,14 +20,6 @@ def _times_x(words: np.ndarray) -> None:
     words[1:] |= carry
 
 
-def linear_complexities(blocks) -> np.ndarray:
-    """Length of the shortest LFSR generating each row of a 0/1 matrix."""
-    bits = np.asarray(blocks, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[1] == 0:
-        raise ValueError("blocks must be a two-dimensional array of nonempty rows")
-    return column_complexities(np.ascontiguousarray(bits.T))
-
-
 def column_complexities(columns: np.ndarray) -> np.ndarray:
     """Linear complexity of each column of an (m, B) uint8 0/1 matrix.
 
@@ -67,7 +59,7 @@ def berlekamp_massey(bits) -> int:
     seq = np.asarray(bits, dtype=np.uint8)
     if seq.ndim != 1 or seq.size == 0:
         raise ValueError("sequence must be nonempty")
-    return int(linear_complexities(seq[None, :])[0])
+    return int(column_complexities(seq[:, None])[0])
 
 
 def gf2_ranks(matrices) -> np.ndarray:
@@ -108,5 +100,4 @@ __all__ = [
     "column_complexities",
     "gf2_rank",
     "gf2_ranks",
-    "linear_complexities",
 ]

@@ -7,11 +7,6 @@ import math
 from scipy.special import gammaincc
 
 
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)
-
-
 def igamc(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
     if a <= 0.0:
@@ -26,4 +21,4 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-__all__ = ["erfc", "igamc", "normal_cdf"]
+__all__ = ["igamc", "normal_cdf"]

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import erfc
 
 import numpy as np
 
 from .gf2 import gf2_ranks
 from .sequence import as_sequence
-from .special import erfc, igamc, normal_cdf
+from .special import igamc, normal_cdf
 from .templates import aperiodic_template_values, template_label
 
 _LOG_ALPHA_SPECTRAL = math.log(20.0)  # the spectral test's fixed 95 % threshold
@@ -95,9 +96,10 @@ class TestId(Enum):
 
 @dataclass(frozen=True)
 class TestParams:
-    """Per-test parameters; None selects the length-appropriate value."""
+    """Suite geometry and per-test parameters; None selects the length-appropriate value."""
 
     n: int = 1_000_000
+    sequences: int = 30
     alpha: float = 0.05
     block_frequency_m: int = 128
     longest_run_m: int | None = None
@@ -117,6 +119,7 @@ class TestParams:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         for name, least in (
+            ("sequences", 1),
             ("block_frequency_m", 1),
             ("nonoverlapping_m", 1),
             ("nonoverlapping_blocks", 1),

@@ -43,11 +43,6 @@ from .device import (
 _CHUNK_PULSES = 1 << 18
 
 
-def _check_amplitude(amplitude: float) -> None:
-    if not 0.0 < amplitude < math.inf:
-        raise ValueError("amplitude must be positive and finite")
-
-
 @dataclass(frozen=True)
 class PulseConfig:
     """Amplitude (mA), width (ms), duty cycle and sampling rule of a train.
@@ -64,7 +59,8 @@ class PulseConfig:
     substep: float | None = None
 
     def __post_init__(self):
-        _check_amplitude(self.amplitude)
+        if not 0.0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be positive and finite")
         if not 0.0 < self.width < math.inf:
             raise ValueError("width must be positive and finite")
         if not 0.0 < self.duty_cycle < 1.0:
@@ -92,11 +88,6 @@ class PulseTrace:
 
     times: np.ndarray
     voltages: np.ndarray
-
-    @property
-    def samples(self) -> np.ndarray:
-        """(count, 2) array of (time ms, voltage V) pairs."""
-        return np.column_stack((self.times, self.voltages))
 
 
 def _require_reset(params: DeviceParams, drift) -> None:
@@ -229,24 +220,10 @@ def window_fractions(bits: BitStream, window: int) -> np.ndarray:
     return fractions
 
 
-def h_fraction_histogram(bits: BitStream, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of per-window H fractions, bin width 1/window.
-
-    Bins are centred on the attainable fractions k/window so exact values
-    never sit on an edge.  Returns (counts, bin_centers).
-    """
-    fractions = window_fractions(bits, window)
-    edges = (np.arange(window + 2) - 0.5) / window
-    counts, _ = np.histogram(fractions, bins=edges)
-    centers = np.arange(window + 1) / window
-    return counts, centers
-
-
 __all__ = [
     "PulseConfig",
     "PulseTrace",
     "acquire_bits",
     "trace_pulses",
     "window_fractions",
-    "h_fraction_histogram",
 ]

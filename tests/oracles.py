@@ -6,7 +6,7 @@ device stepping references (hazard, step_device, drift_step, run_pulse) draw
 in the package's layout, two uniforms per step, one scalar rng.random() at a
 time, and build the sweep and trace references with one DeviceState per
 step.  The closed-loop reference is the per-window loop over the public
-acquire_bits and controller_update.
+acquire_bits and next_amplitude.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import ndtri
 
-from rtdrng.control import controller_update
+from rtdrng.control import next_amplitude
 from rtdrng.device import Branch, DeviceState
 from rtdrng.pulses import acquire_bits
 
@@ -553,12 +553,13 @@ def closed_loop_oracle(state, params, cfg, ctrl, n_windows, rng):
     Returns (bits, ratios, amplitudes) as arrays and advances `state` in place.
     """
     chunks, ratios, amplitudes = [], [], []
+    amplitude = ctrl.amplitude
     for _ in range(n_windows):
-        window_cfg = replace(cfg, amplitude=ctrl.amplitude)
+        window_cfg = replace(cfg, amplitude=amplitude)
         chunk = acquire_bits(state, params, window_cfg, ctrl.window, rng)
         ratio = chunk.ones_fraction()
         ratios.append(ratio)
-        amplitudes.append(ctrl.amplitude)
-        ctrl = controller_update(ctrl, ratio)
+        amplitudes.append(amplitude)
+        amplitude = next_amplitude(ctrl, amplitude, ratio)
         chunks.append(chunk.to_array())
     return np.concatenate(chunks), np.array(ratios), np.array(amplitudes)

@@ -6,7 +6,6 @@ from rtdrng.bits import (
     BitFileError,
     BitStream,
     _Packer,
-    concat_streams,
     read_bits,
     write_bits,
 )
@@ -34,7 +33,7 @@ class TestBitStream:
 
     def test_rejects_dirty_padding(self):
         with pytest.raises(ValueError):
-            BitStream.from_bytes(b"\xff", 3)
+            BitStream(np.array([0xFF], dtype=np.uint8), 3)
 
     def test_equality(self):
         a = BitStream.from_array(np.array([1, 0, 1], dtype=np.uint8))
@@ -42,12 +41,6 @@ class TestBitStream:
         c = BitStream.from_array(np.array([1, 0, 1, 0], dtype=np.uint8))
         assert a == b
         assert a != c
-
-    def test_concat_order(self):
-        a = BitStream.from_array(np.array([1, 1, 0], dtype=np.uint8))
-        b = BitStream.from_array(np.array([0, 1], dtype=np.uint8))
-        merged = concat_streams([a, b])
-        assert merged.to_array().tolist() == [1, 1, 0, 0, 1]
 
     def test_ones_fraction(self):
         stream = BitStream.from_array(np.array([1, 0, 1, 1], dtype=np.uint8))

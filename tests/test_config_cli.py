@@ -23,7 +23,7 @@ class TestConfig:
         assert cfg.controller is None
         assert cfg.extractor.n == 1000 and cfg.extractor.l == 330
         assert cfg.suite.n == 1_000_000
-        assert cfg.sequences == 30
+        assert cfg.suite.sequences == 30
         assert cfg.seed == 0
 
     def test_roundtrip_sections(self, tmp_path):
@@ -42,8 +42,8 @@ class TestConfig:
         assert cfg.controller is not None
         assert cfg.controller.setpoint == 0.45
         assert cfg.controller.amplitude == 1.53  # inherits the pulse amplitude
-        assert cfg.extractor_mode == "auto"
-        assert cfg.sequences == 4
+        assert cfg.extractor.l is None  # auto mode sizes l per run
+        assert cfg.suite.sequences == 4
         assert cfg.suite.n == 550_000
         assert cfg.seed == 99
 
@@ -109,7 +109,7 @@ _NON_DEFAULTS = {
     ("extractor", "n"): "2000",
     ("extractor", "l"): "600",
     ("extractor", "epsilon_exponent"): "16",
-    ("extractor", "seed_hex"): "ab",
+    ("extractor", "seed_hex"): "ab" * 167,  # n + l - 1 = 1329 bits at the default n, l
     ("suite", "sequences"): "4",
     ("suite", "sequence_length"): "550000",
     ("suite", "alpha"): "0.01",
@@ -130,9 +130,8 @@ _NON_DEFAULTS = {
 # where the keys that are not stage fields land
 _EXTRA_KEYS = {
     ("controller", "enabled"): lambda cfg: cfg.controller is not None,
-    ("extractor", "mode"): lambda cfg: cfg.extractor_mode,
+    ("extractor", "mode"): lambda cfg: "auto" if cfg.extractor.l is None else "fixed",
     ("extractor", "seed_hex"): lambda cfg: cfg.extractor_seed_hex,
-    ("suite", "sequences"): lambda cfg: cfg.sequences,
     ("suite", "sequence_length"): lambda cfg: cfg.suite.n,
     ("run", "seed"): lambda cfg: cfg.seed,
     ("run", "out_dir"): lambda cfg: cfg.out_dir,
@@ -347,6 +346,11 @@ class TestTestCommand:
         write_bits(raw, BitStream.from_array(np.zeros(1000, dtype=np.uint8)))
         assert run_cli("test", "--in", raw, "--sequences", 2, "--sequence-length", 550_000) == 2
 
+    @pytest.mark.parametrize("flag", ["--sequences", "--sequence-length"])
+    def test_bad_geometry_flag_checked_before_reading(self, tmp_path, flag):
+        # a usage error (2) wins over the missing input (3)
+        assert run_cli("test", "--in", tmp_path / "missing.bits", flag, 0) == 2
+
 
 class TestReportCommand:
     def test_empty_directory_errors(self, tmp_path):
@@ -401,6 +405,16 @@ class TestReportCommand:
         assert min(means) < 0.5 < max(means)
 
 
+def _command_args(tmp_path):
+    # each subcommand's required arguments, with an input that does not exist
+    return {
+        "generate": ["--count", 8],
+        "sweep": ["--repeats", 1],
+        "extract": ["--in", tmp_path / "missing.bits"],
+        "test": ["--in", tmp_path / "missing.bits"],
+    }
+
+
 class TestUsageErrors:
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -441,15 +455,34 @@ class TestUsageErrors:
     def test_extractor_settings_checked_at_load(self, tmp_path, capsys, ini, command):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(ini + f"[run]\nout_dir = {tmp_path}\n")
-        extra = {
-            "generate": ["--count", 8],
-            "sweep": ["--repeats", 1],
-            "extract": ["--in", tmp_path / "missing.bits"],
-            "test": ["--in", tmp_path / "missing.bits"],
-        }[command]
-        assert run_cli(command, "--config", cfg, *extra) == 2
+        assert run_cli(command, "--config", cfg, *_command_args(tmp_path)[command]) == 2
         assert "[extractor]" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.bits"))
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("seed_hex = zz\n", "bad value for [extractor] seed_hex"),
+            # fixed mode: n + l - 1 = 79 bits are needed, 72 given
+            ("n = 64\nl = 16\nseed_hex = " + "ab" * 9 + "\n", "seed_hex holds 72 bits, need 79"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "sweep", "extract", "test"])
+    def test_seed_hex_checked_at_load(self, tmp_path, capsys, ini, message, command):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[extractor]\n" + ini + f"[run]\nout_dir = {tmp_path}\n")
+        assert run_cli(command, "--config", cfg, *_command_args(tmp_path)[command]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.bits"))
+
+    def test_short_seed_hex_in_auto_mode_checked_once_l_is_sized(self, tmp_path, capsys):
+        raw = tmp_path / "raw.bits"
+        write_bits(raw, BitStream.from_array(np.random.default_rng(4).integers(0, 2, 20_000)))
+        cfg = tmp_path / "auto.ini"
+        cfg.write_text("[extractor]\nmode = auto\nn = 1000\nseed_hex = abcd\n")
+        assert load_config(cfg).extractor.l is None
+        assert run_cli("extract", "--config", cfg, "--in", raw, "--out", tmp_path / "e.bits") == 2
+        assert "seed_hex holds 16 bits" in capsys.readouterr().err
 
     def test_out_of_range_pvalue_is_an_error(self, tmp_path, capsys, monkeypatch):
         from rtdrng.nist import statistical_tests as st
@@ -506,6 +539,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "field",
         [
+            "sequences",
             "block_frequency_m",
             "nonoverlapping_m",
             "nonoverlapping_blocks",

@@ -5,8 +5,8 @@ import pytest
 
 from rtdrng.control import (
     ControllerState,
-    controller_update,
     default_controller,
+    next_amplitude,
     run_closed_loop,
 )
 from rtdrng.device import DeviceParams, DeviceState
@@ -27,27 +27,27 @@ def make_ctrl(**kwargs):
 class TestControllerUpdate:
     def test_zero_error_keeps_amplitude(self):
         ctrl = make_ctrl()
-        assert controller_update(ctrl, 0.5).amplitude == ctrl.amplitude
+        assert next_amplitude(ctrl, ctrl.amplitude, 0.5) == ctrl.amplitude
 
     def test_high_ratio_lowers_amplitude(self):
         ctrl = make_ctrl()
-        assert controller_update(ctrl, 0.7).amplitude < ctrl.amplitude
+        assert next_amplitude(ctrl, ctrl.amplitude, 0.7) < ctrl.amplitude
 
     def test_low_ratio_raises_amplitude(self):
         ctrl = make_ctrl()
-        assert controller_update(ctrl, 0.3).amplitude > ctrl.amplitude
+        assert next_amplitude(ctrl, ctrl.amplitude, 0.3) > ctrl.amplitude
 
     def test_clamping(self):
         at_min = make_ctrl(amplitude=1.40)
-        assert controller_update(at_min, 1.0).amplitude == 1.40
+        assert next_amplitude(at_min, at_min.amplitude, 1.0) == 1.40
         at_max = make_ctrl(amplitude=1.55)
-        assert controller_update(at_max, 0.0).amplitude == 1.55
+        assert next_amplitude(at_max, at_max.amplitude, 0.0) == 1.55
 
     def test_ratio_domain(self):
         with pytest.raises(ValueError):
-            controller_update(make_ctrl(), 1.5)
+            next_amplitude(make_ctrl(), 1.515, 1.5)
         with pytest.raises(ValueError):
-            controller_update(make_ctrl(), -0.1)
+            next_amplitude(make_ctrl(), 1.515, -0.1)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,12 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract(stream_of(random_bits(64, 9)), cfg)
 
+    def test_requires_fixed_l(self):
+        with pytest.raises(ValueError, match="fixed l"):
+            extract(stream_of(random_bits(64, 9)), ExtractorConfig(n=64, l=None))
+        with pytest.raises(ValueError, match="fixed l"):
+            ExtractorConfig(n=64, l=None, seed=np.zeros(79, dtype=np.uint8))
+
     def test_two_universal_collision_bound_quick(self):
         # fraction of random seeds with hash(x) == hash(y) stays near 2^-l
         n, l, trials = 32, 8, 20_000

@@ -4,22 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from rtdrng.nist.special import erfc, igamc, normal_cdf
+from rtdrng.nist.special import igamc, normal_cdf
 
 mpmath.mp.dps = 40
-
-
-class TestErfc:
-    def test_at_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_known_value(self):
-        assert erfc(0.5) == pytest.approx(0.4795001221869535, abs=1e-12)
-
-    def test_against_mpmath_grid(self):
-        for x in np.linspace(-4.0, 8.0, 25):
-            reference = float(mpmath.erfc(mpmath.mpf(float(x))))
-            assert erfc(float(x)) == pytest.approx(reference, rel=1e-12, abs=1e-300)
 
 
 class TestIgamc:

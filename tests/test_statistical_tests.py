@@ -1,10 +1,11 @@
 import math
+from math import erfc
 
 import numpy as np
 import pytest
 
 import oracles
-from rtdrng.nist.special import erfc, igamc
+from rtdrng.nist.special import igamc
 from rtdrng.nist.statistical_tests import (
     SequenceTooShortError,
     TEST_ORDER,
