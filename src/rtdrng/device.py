@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 _MS_PER_S = 1000.0
@@ -34,6 +33,12 @@ _MS_PER_S = 1000.0
 # Smallest uniform fed to the inverse normal CDF; rng.random() can return
 # exactly 0.0, which would map to -inf.
 _MIN_UNIFORM = 2.0**-54
+
+# The drift scan's rows span at most _SCAN_ROW steps, and fewer where
+# decay**(w - 1) would fall below _SCAN_SPAN, so a row's weights decay**-j
+# stay within 2**64.
+_SCAN_ROW = 2048
+_SCAN_SPAN = 2.0**-64
 
 # Default stochastic calibration: with a 1 ms pulse the switching
 # probability crosses 0.5 at 1.515 mA, so the two working amplitudes
@@ -213,25 +218,70 @@ def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
     return np.maximum(t, params.i_valley + drift, out=t)
 
 
+def _drift_path(v: np.ndarray, decay: float, scatter: float, drift: float) -> np.ndarray:
+    """The drift walk over the drift uniforms v: count + 1 drifts, `drift` first.
+
+    Each step is drift' = decay * drift + scatter * z, with z the inverse
+    normal CDF of the step's uniform (floored at _MIN_UNIFORM).  The walk
+    runs as a row scan, not one step at a time.  A row of w steps is
+    decay**j times a running sum of scatter * z * decay**-j whose first term
+    also carries decay times the drift entering the row; those drifts come
+    from a doubling scan over the rows' zero-start ends, which stops once
+    the carried power underflows to 0.  Powers of decay come from
+    np.multiply.accumulate, so the path takes only IEEE +, * and one
+    division per weight, whatever the numpy build.  It agrees with the
+    sequential recurrence within 1e-12 of the path's magnitude (1.0e-13
+    measured), and exactly on the first step, at decay 0 and at scatter 0
+    from zero drift.
+    """
+    count = v.size
+    # powers[j] = decay**j; below decay 2**-64, 0 included, rows are one step
+    powers = np.full(min(count, _SCAN_ROW) + 1, decay)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)
+    w = int(np.count_nonzero(powers[:-1] >= _SCAN_SPAN))
+    rows = -(-count // w)
+    # the padding past `count` holds z = 0 and is never read
+    z = np.zeros((rows, w))
+    flat = z.reshape(-1)[:count]
+    np.maximum(v, _MIN_UNIFORM, out=flat)
+    ndtri(flat, out=flat)
+    z *= scatter / powers[:w]
+    # lead[r] = decay * (the drift entering row r), scanned from the rows'
+    # zero-start ends; it joins the row's first term
+    lead = z.sum(axis=1)
+    lead[1:] = lead[:-1] * powers[w]
+    lead[0] = decay * drift
+    carry, reach = powers[w], 1
+    while reach < rows and carry > 0.0:
+        lead[reach:] += carry * lead[:-reach]
+        carry *= carry
+        reach *= 2
+    z[:, 0] += lead
+    out = np.empty(rows * w + 1)
+    out[0] = drift
+    path = out[1:].reshape(rows, w)
+    np.add.accumulate(z, axis=1, out=path)
+    path *= powers[:w]
+    return out[: count + 1]
+
+
 def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng):
     """Draw `count` successive steps of dt ms, starting from `drift`.
 
     The one rng layout of pulses, sweep points and trace pulses: two uniforms
-    per step, the switch uniform, then the drift uniform, which becomes the
-    step's normal through the inverse CDF.  The drift is the exact
-    discretisation of the mean-reverting walk, run as one IIR filter; with
-    drift_sigma = 0 it only decays.  Returns (drifts, u, final): the drift
-    entering each step, the switch uniforms and the drift after the last step.
+    per step, the switch uniform, then the drift uniform.  The drift is the
+    exact discretisation of the mean-reverting walk, run by _drift_path;
+    with drift_sigma = 0 it only decays.  Returns (drifts, u, final): the
+    drift entering each step, the switch uniforms and the drift after the
+    last step.
     """
     tau_ms = params.drift_tau * _MS_PER_S
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
     u = rng.random(2 * count)
-    z = np.maximum(u[1::2], _MIN_UNIFORM)
-    ndtri(z, out=z)
-    path, _ = lfilter([scatter], [1.0, -decay], z, zi=[decay * drift])
-    drifts = np.concatenate(([drift], path[:-1]))
-    return drifts, u[0::2], float(path[-1])
+    path = _drift_path(u[1::2], decay, scatter, drift)
+    return path[:-1], u[0::2], float(path[-1])
 
 
 def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ summation) and shares no code with the package's vectorized paths.  The
 device stepping references (hazard, step_device, drift_step, run_pulse) draw
 in the package's layout, two uniforms per step, one scalar rng.random() at a
 time, and build the sweep and trace references with one DeviceState per
-step.  The closed-loop reference is the per-window loop over the public
+step; ar1_oracle steps the drift recurrence alone, one Python float at a
+time.  The closed-loop reference is the per-window loop over the public
 acquire_bits and next_amplitude.
 """
 
@@ -441,6 +442,31 @@ def drift_step(state, params, dt: float, rng):
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
     z = float(ndtri(max(rng.random(), 2.0**-54)))
     return DeviceState(state.branch, state.drift * decay + scatter * z, state.clock)
+
+
+def ar1_oracle(z, decay: float, scatter: float, drift: float) -> list:
+    """The drift path one Python float at a time: drift' = drift*decay + scatter*z.
+
+    Returns the count + 1 drifts, the start first, as drift_step computes
+    each step.
+    """
+    path = [float(drift)]
+    for x in z:
+        path.append(path[-1] * decay + scatter * float(x))
+    return path
+
+
+# the row scan's stated bound against the sequential recurrence, relative to
+# the path's magnitude
+DRIFT_TOL = 1e-12
+
+
+def drift_close(got: float, ref: float, scale: float) -> bool:
+    """got within DRIFT_TOL of ref, relative to the larger of |ref| and scale.
+
+    scale is the magnitude of the path that led to ref, say drift_sigma.
+    """
+    return abs(got - ref) <= DRIFT_TOL * max(abs(ref), scale)
 
 
 def step_device(state, params, i: float, dt: float, rng):

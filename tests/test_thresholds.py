@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rtdrng.pulses as pulses
-from oracles import closed_loop_oracle
+from oracles import closed_loop_oracle, drift_close
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
     DeviceParams,
@@ -88,11 +88,8 @@ def test_closed_loop_matches_per_window_oracle(monkeypatch, window, sigma, chunk
     assert ratios.tolist() == ref_ratios.tolist()
     assert amplitudes.tolist() == ref_amplitudes.tolist()
     assert len(set(amplitudes.tolist())) > 1  # the controller acted
-    assert (state.drift, state.branch, state.clock) == (
-        ref_state.drift,
-        ref_state.branch,
-        ref_state.clock,
-    )
+    assert (state.branch, state.clock) == (ref_state.branch, ref_state.clock)
+    assert drift_close(state.drift, ref_state.drift, sigma)
 
 
 def test_closed_loop_rejects_drift_crossing_below_zero_valley(monkeypatch):
