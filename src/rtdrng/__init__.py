@@ -13,9 +13,11 @@ from .device import (
     BranchRangeError,
     DeviceParams,
     DeviceState,
+    Streams,
     SweepTrace,
     branch_voltage,
     iv_current,
+    streams,
     sweep_current,
 )
 from .extractor import (
@@ -51,9 +53,11 @@ __all__ = [
     "BranchRangeError",
     "DeviceParams",
     "DeviceState",
+    "Streams",
     "SweepTrace",
     "branch_voltage",
     "iv_current",
+    "streams",
     "sweep_current",
     "ExtractorConfig",
     "InsufficientEntropyError",

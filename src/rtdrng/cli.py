@@ -22,7 +22,7 @@ import numpy as np
 from .bits import BitFileError, read_bits, write_bits
 from .config import ConfigError, PipelineConfig, default_config, load_config, seed_bits
 from .control import run_closed_loop
-from .device import DeviceState, sweep_current
+from .device import DeviceState, streams, sweep_current
 from .extractor import (
     InsufficientEntropyError,
     choose_block_params,
@@ -79,7 +79,7 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
     out = _out_path(args, cfg, "raw.bits")
-    rng = np.random.default_rng(cfg.seed)
+    rng = streams(cfg.seed)
     state = DeviceState()
     control_on = cfg.controller is not None
     if control_on:
@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--start and --stop must be finite")
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
+    rng = streams(cfg.seed)
     state = DeviceState()
     blocks = []
     current_cells = None

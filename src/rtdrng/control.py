@@ -14,7 +14,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .bits import BitStream, _Packer
-from .device import Branch, DeviceParams, DeviceState
+from .device import Branch, DeviceParams, DeviceState, Streams
 from .pulses import PulseConfig, _threshold_chunks
 
 # perfbench/worker.py patches control.acquire_bits to count per-window calls
@@ -78,7 +78,7 @@ def run_closed_loop(
     cfg: PulseConfig,
     ctrl: ControllerState,
     n_windows: int,
-    rng: np.random.Generator,
+    rng: Streams,
 ) -> tuple[BitStream, np.ndarray, np.ndarray]:
     """Alternate window acquisitions with controller updates.
 

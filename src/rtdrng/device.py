@@ -24,15 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 _MS_PER_S = 1000.0
-
-# Smallest uniform fed to the inverse normal CDF; rng.random() can return
-# exactly 0.0, which would map to -inf.
-_MIN_UNIFORM = 2.0**-54
 
 # The drift scan's rows span at most _SCAN_ROW steps, and fewer where
 # decay**(w - 1) would fall below _SCAN_SPAN, so a row's weights decay**-j
@@ -127,6 +123,24 @@ class DeviceState:
                 raise ValueError(f"{name} must be finite")
 
 
+class Streams(NamedTuple):
+    """The two independent generators a run of the device draws from.
+
+    switch gives each step's switch uniform and drift each step's drift
+    normal.  Both draws are stream-stable, so a run split into any calls or
+    chunks takes the same values as one call.
+    """
+
+    switch: np.random.Generator
+    drift: np.random.Generator
+
+
+def streams(seed: int | None) -> Streams:
+    """The switch and drift streams of `seed`: children 0 and 1 of its SeedSequence."""
+    switch, drift = np.random.SeedSequence(seed).spawn(2)
+    return Streams(np.random.default_rng(switch), np.random.default_rng(drift))
+
+
 @dataclass(frozen=True)
 class SweepTrace:
     """Recorded (current, voltage) points from one current ramp."""
@@ -218,12 +232,13 @@ def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
     return np.maximum(t, params.i_valley + drift, out=t)
 
 
-def _drift_path(v: np.ndarray, decay: float, scatter: float, drift: float) -> np.ndarray:
-    """The drift walk over the drift uniforms v: count + 1 drifts, `drift` first.
+def _drift_path(fill, count: int, decay: float, scatter: float, drift: float) -> np.ndarray:
+    """The drift walk over `count` normals: count + 1 drifts, `drift` first.
 
-    Each step is drift' = decay * drift + scatter * z, with z the inverse
-    normal CDF of the step's uniform (floored at _MIN_UNIFORM).  The walk
-    runs as a row scan, not one step at a time.  A row of w steps is
+    fill(out=buf) writes the step normals z into a contiguous float64 buffer
+    of `count` entries, as Generator.standard_normal does; they go straight
+    into the scan's rows.  Each step is drift' = decay * drift + scatter * z.
+    The walk runs as a row scan, not one step at a time.  A row of w steps is
     decay**j times a running sum of scatter * z * decay**-j whose first term
     also carries decay times the drift entering the row; those drifts come
     from a doubling scan over the rows' zero-start ends, which stops once
@@ -234,7 +249,6 @@ def _drift_path(v: np.ndarray, decay: float, scatter: float, drift: float) -> np
     measured), and exactly on the first step, at decay 0 and at scatter 0
     from zero drift.
     """
-    count = v.size
     # powers[j] = decay**j; below decay 2**-64, 0 included, rows are one step
     powers = np.full(min(count, _SCAN_ROW) + 1, decay)
     powers[0] = 1.0
@@ -243,9 +257,7 @@ def _drift_path(v: np.ndarray, decay: float, scatter: float, drift: float) -> np
     rows = -(-count // w)
     # the padding past `count` holds z = 0 and is never read
     z = np.zeros((rows, w))
-    flat = z.reshape(-1)[:count]
-    np.maximum(v, _MIN_UNIFORM, out=flat)
-    ndtri(flat, out=flat)
+    fill(out=z.reshape(-1)[:count])
     z *= scatter / powers[:w]
     # lead[r] = decay * (the drift entering row r), scanned from the rows'
     # zero-start ends; it joins the row's first term
@@ -266,22 +278,22 @@ def _drift_path(v: np.ndarray, decay: float, scatter: float, drift: float) -> np
     return out[: count + 1]
 
 
-def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng):
+def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
     """Draw `count` successive steps of dt ms, starting from `drift`.
 
-    The one rng layout of pulses, sweep points and trace pulses: two uniforms
-    per step, the switch uniform, then the drift uniform.  The drift is the
-    exact discretisation of the mean-reverting walk, run by _drift_path;
-    with drift_sigma = 0 it only decays.  Returns (drifts, u, final): the
-    drift entering each step, the switch uniforms and the drift after the
-    last step.
+    The one draw of pulses, sweep points and trace pulses: each step's
+    switch uniform from rng.switch and its drift normal from rng.drift.  The
+    drift is the exact discretisation of the mean-reverting walk, run by
+    _drift_path; with drift_sigma = 0 it only decays.  Returns (drifts, u,
+    final): the drift entering each step, the switch uniforms and the drift
+    after the last step.
     """
     tau_ms = params.drift_tau * _MS_PER_S
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
-    u = rng.random(2 * count)
-    path = _drift_path(u[1::2], decay, scatter, drift)
-    return path[:-1], u[0::2], float(path[-1])
+    u = rng.switch.random(count)
+    path = _drift_path(rng.drift.standard_normal, count, decay, scatter, drift)
+    return path[:-1], u, float(path[-1])
 
 
 def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:
@@ -295,7 +307,7 @@ def sweep_current(
     stop: float,
     steps: int,
     dt_per_step: float,
-    rng: np.random.Generator,
+    rng: Streams,
     state: DeviceState | None = None,
 ) -> SweepTrace:
     """Ramp the bias current across `steps` points and record the response.
@@ -375,7 +387,9 @@ __all__ = [
     "ModelRangeError",
     "DeviceParams",
     "DeviceState",
+    "Streams",
     "SweepTrace",
+    "streams",
     "iv_current",
     "branch_voltage",
     "sweep_current",

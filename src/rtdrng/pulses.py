@@ -10,13 +10,13 @@ p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
 therefore needs no sub-stepping, and a time-resolved trace reads the same
 threshold at each sub-step's exposure.
 
-Pulses, trace pulses and sweep points share one rng layout
-(device._draw_steps): two uniforms per step, in order, the switch draw, then
-the drift-update normal (via the inverse CDF).  Uniform draws from numpy's
-Generator are stream-stable under batching, so the thresholds, and with them
-the bits, do not depend on how a run is split into calls or chunks.  The
-scalar per-pulse reference that draws the same way lives in the tests
-(tests/oracles.py:run_pulse).
+Pulses, trace pulses and sweep points draw alike (device._draw_steps): each
+step takes its switch uniform from one stream and its drift-update normal
+from another, the two spawned children of the run's seed (device.streams).
+Uniform and normal draws from numpy's Generator are stream-stable under
+batching, so the thresholds, and with them the bits, do not depend on how a
+run is split into calls or chunks.  The scalar per-pulse reference that
+draws the same way lives in the tests (tests/oracles.py:run_pulse).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .device import (
     DeviceParams,
     DeviceState,
     ModelRangeError,
+    Streams,
 )
 
 # pulses per bulk draw, and bits per window_fractions chunk; each pulse holds
@@ -104,7 +105,7 @@ def _threshold_chunks(
     params: DeviceParams,
     cfg: PulseConfig,
     count: int,
-    rng: np.random.Generator,
+    rng: Streams,
 ):
     """Yield (thresholds, above) for `count` successive pulses in chunks.
 
@@ -139,7 +140,7 @@ def acquire_bits(
     params: DeviceParams,
     cfg: PulseConfig,
     count: int,
-    rng: np.random.Generator,
+    rng: Streams,
 ) -> BitStream:
     """Collect `count` bits from successive pulses; `state` threads through.
 
@@ -163,7 +164,7 @@ def trace_pulses(
     params: DeviceParams,
     cfg: PulseConfig,
     n_pulses: int,
-    rng: np.random.Generator,
+    rng: Streams,
 ) -> PulseTrace:
     """Oscilloscope-style voltage trace over n_pulses periods.
 

@@ -3,18 +3,18 @@
 Everything here is deliberately literal (plain loops, dict counting, direct
 summation) and shares no code with the package's vectorized paths.  The
 device stepping references (hazard, step_device, drift_step, run_pulse) draw
-in the package's layout, two uniforms per step, one scalar rng.random() at a
-time, and build the sweep and trace references with one DeviceState per
-step; ar1_oracle steps the drift recurrence alone, one Python float at a
-time.  The closed-loop reference is the per-window loop over the public
-acquire_bits and next_amplitude.
+as the package does, from the stream pair of rtdrng.device.streams: a step's
+switch uniform is one scalar rng.switch.random() and its drift normal one
+scalar rng.drift.standard_normal().  The sweep and trace references are built
+on them with one DeviceState per step; ar1_oracle steps the drift
+recurrence alone, one Python float at a time.  The closed-loop reference is
+the per-window loop over the public acquire_bits and next_amplitude.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from rtdrng.control import next_amplitude
 from rtdrng.device import Branch, DeviceState
@@ -391,10 +391,10 @@ def oracle_variant_pvalues(bits):
 
 # ---------------------------------------------------------------- device stepping
 #
-# The package's draw layout, one step at a time: a step (a pulse, a sweep
-# point) takes two uniforms, the switch uniform, then the drift uniform.  The
-# switch uniform u takes L to H over an exposure t exactly when
-# u < 1 - exp(-hazard * t).
+# The package's draws, one step at a time: a step (a pulse, a sweep point)
+# takes its switch uniform from rng.switch and its drift normal from
+# rng.drift.  The switch uniform u takes L to H over an exposure t exactly
+# when u < 1 - exp(-hazard * t).
 
 
 def hazard(params, i: float, drift: float) -> float:
@@ -429,18 +429,18 @@ def next_branch(params, branch, drift: float, i: float, exposure: float, u: floa
 
 
 def drift_step(state, params, dt: float, rng):
-    """Advance the drift by dt ms as a mean-reverting walk, from one uniform.
+    """Advance the drift by dt ms as a mean-reverting walk, from one normal.
 
     drift' = drift*exp(-dt/tau) + sigma*sqrt(1 - exp(-2dt/tau))*z, with z the
-    inverse normal CDF of the uniform (floored at 2**-54, since 0.0 would map
-    to -inf), so the stationary standard deviation is drift_sigma.
+    next standard normal of rng.drift, so the stationary standard deviation
+    is drift_sigma.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     tau_ms = params.drift_tau * 1000.0
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
-    z = float(ndtri(max(rng.random(), 2.0**-54)))
+    z = float(rng.drift.standard_normal())
     return DeviceState(state.branch, state.drift * decay + scatter * z, state.clock)
 
 
@@ -473,7 +473,7 @@ def step_device(state, params, i: float, dt: float, rng):
     """One step of dt ms at current i: the switch uniform, then the drift step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    branch = next_branch(params, state.branch, state.drift, i, dt, rng.random())
+    branch = next_branch(params, state.branch, state.drift, i, dt, rng.switch.random())
     after = drift_step(state, params, dt, rng)
     return DeviceState(branch, after.drift, state.clock + dt)
 
@@ -484,7 +484,7 @@ def run_pulse(state, params, cfg, rng):
     The off phase resets to L, the switch uniform is read against the
     probability at width*sample_offset, and the drift steps once per period.
     """
-    u = rng.random()
+    u = rng.switch.random()
     p = -math.expm1(-hazard(params, cfg.amplitude, state.drift) * cfg.width * cfg.sample_offset)
     bit = int(u < p)
     after = drift_step(state, params, cfg.period, rng)
@@ -551,7 +551,7 @@ def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
     volts = []
     t = work.clock
     for _ in range(n_pulses):
-        u = rng.random()
+        u = rng.switch.random()
         branch = work.branch
         for _ in range(n_off):
             branch = next_branch(params, branch, work.drift, 0.0, dt_off, u)

@@ -18,7 +18,7 @@ import oracles
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.cli import main as cli_main
 from rtdrng.control import ControllerState, run_closed_loop
-from rtdrng.device import DeviceParams, DeviceState, sweep_current
+from rtdrng.device import DeviceParams, DeviceState, streams, sweep_current
 from rtdrng.nist.battery import analyze_suite, pass_threshold, run_battery
 from rtdrng.nist.gf2 import berlekamp_massey, gf2_rank
 from rtdrng.nist.special import igamc
@@ -49,7 +49,7 @@ def closed_form_p(params, amplitude, exposure):
 
 def test_c01_hysteresis_loop():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
+    rng = streams(101)
     top = 1.2 * QUIET.i_peak
     forward = []
     for _ in range(100):
@@ -71,7 +71,7 @@ def test_c02_switching_histogram():
     t0 = time.perf_counter()
     steps, dt, sweeps = 300, 1.0, 10**4
     top = 1.2 * QUIET.i_peak
-    rng = np.random.default_rng(2024)
+    rng = streams(2024)
     switches = np.empty(sweeps)
     for k in range(sweeps):
         switches[k] = sweep_current(QUIET, 0.0, top, steps, dt, rng).switch_current
@@ -121,7 +121,7 @@ def test_c03_ratio_tuning():
     stats = {}
     for seed, amplitude in ((31, 1.50), (32, 1.53)):
         cfg = PulseConfig(amplitude=amplitude, width=1.0)
-        stream = acquire_bits(DeviceState(), params, cfg, 10**6, np.random.default_rng(seed))
+        stream = acquire_bits(DeviceState(), params, cfg, 10**6, streams(seed))
         stats[amplitude] = window_fractions(stream, window)
     lo, hi = stats[1.50], stats[1.53]
     assert lo.mean() < 0.5 < hi.mean()
@@ -135,7 +135,7 @@ def test_c04_closed_form_bias():
     for seed, (amplitude, width) in enumerate(((1.50, 1.0), (1.53, 1.0), (1.45, 2.0))):
         cfg = PulseConfig(amplitude=amplitude, width=width)
         stream = acquire_bits(
-            DeviceState(), QUIET, cfg, 10**5, np.random.default_rng(400 + seed)
+            DeviceState(), QUIET, cfg, 10**5, streams(400 + seed)
         )
         expected = closed_form_p(QUIET, amplitude, width)
         assert abs(stream.ones_fraction() - expected) < 0.01
@@ -152,10 +152,10 @@ def test_c05_drift_and_feedback():
     n_windows = 200
     seed = 6
     _, ratios, _ = run_closed_loop(
-        DeviceState(), drifty, cfg, ctrl, n_windows, np.random.default_rng(seed)
+        DeviceState(), drifty, cfg, ctrl, n_windows, streams(seed)
     )
     stream = acquire_bits(
-        DeviceState(), drifty, cfg, 500 * n_windows, np.random.default_rng(seed)
+        DeviceState(), drifty, cfg, 500 * n_windows, streams(seed)
     )
     assert abs(ratios.mean() - ctrl.setpoint) < 0.02
     # the drift's effect, per window: without feedback the window ratios stray

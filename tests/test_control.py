@@ -9,7 +9,7 @@ from rtdrng.control import (
     next_amplitude,
     run_closed_loop,
 )
-from rtdrng.device import DeviceParams, DeviceState
+from rtdrng.device import DeviceParams, DeviceState, streams
 from rtdrng.pulses import PulseConfig, acquire_bits
 
 P_DRIFT = DeviceParams(drift_sigma=0.03)
@@ -70,14 +70,14 @@ class TestClosedLoop:
     def test_zero_gain_freezes_amplitude(self):
         ctrl = make_ctrl(gain=0.0)
         _, _, amplitudes = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, 20, np.random.default_rng(1)
+            DeviceState(), P_DRIFT, CFG, ctrl, 20, streams(1)
         )
         assert np.all(amplitudes == amplitudes[0])
 
     def test_output_sizes(self):
         ctrl = make_ctrl(window=100)
         stream, ratios, amplitudes = run_closed_loop(
-            DeviceState(), P_QUIET, CFG, ctrl, 7, np.random.default_rng(2)
+            DeviceState(), P_QUIET, CFG, ctrl, 7, streams(2)
         )
         assert len(stream) == 700
         assert ratios.shape == (7,) and amplitudes.shape == (7,)
@@ -85,7 +85,7 @@ class TestClosedLoop:
     def test_amplitude_always_within_bounds(self):
         ctrl = make_ctrl(gain=1.5)  # deliberately twitchy
         _, _, amplitudes = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, 50, np.random.default_rng(3)
+            DeviceState(), P_DRIFT, CFG, ctrl, 50, streams(3)
         )
         assert np.all(amplitudes >= ctrl.amp_min)
         assert np.all(amplitudes <= ctrl.amp_max)
@@ -95,7 +95,7 @@ class TestClosedLoop:
         ctrl = make_ctrl()
         n_windows = 100
         _, ratios, _ = run_closed_loop(
-            DeviceState(), P_QUIET, CFG, ctrl, n_windows, np.random.default_rng(4)
+            DeviceState(), P_QUIET, CFG, ctrl, n_windows, streams(4)
         )
         tol = 3.0 / (2.0 * math.sqrt(500 * n_windows))
         assert abs(ratios.mean() - 0.5) < tol
@@ -106,7 +106,7 @@ class TestClosedLoop:
         state = DeviceState(drift=0.04)
         ctrl = make_ctrl()
         _, ratios, _ = run_closed_loop(
-            state, frozen, CFG, ctrl, 60, np.random.default_rng(5)
+            state, frozen, CFG, ctrl, 60, streams(5)
         )
         band = 2.0 / math.sqrt(500)
         assert abs(ratios[0] - 0.5) > band  # disturbance visible at start
@@ -117,10 +117,10 @@ class TestClosedLoop:
         n_windows = 100
         ctrl = make_ctrl()
         _, controlled, _ = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, np.random.default_rng(seed)
+            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, streams(seed)
         )
         stream = acquire_bits(
-            DeviceState(), P_DRIFT, CFG, 500 * n_windows, np.random.default_rng(seed)
+            DeviceState(), P_DRIFT, CFG, 500 * n_windows, streams(seed)
         )
         open_loop = stream.to_array().reshape(n_windows, 500).mean(axis=1)
         assert abs(controlled.mean() - 0.5) < abs(open_loop.mean() - 0.5)
@@ -128,8 +128,11 @@ class TestClosedLoop:
     def test_no_residual_trend_with_control(self):
         # trend statistic: t-value of the least-squares slope of the window
         # ratio series.  Control must hold the drifting device below the
-        # 99th percentile of the drift-free baseline, which the paired-seed
-        # open-loop run clearly exceeds.
+        # 99th percentile of the drift-free baseline.  That the drift matters
+        # at all is judged per window, not by its trend: without control the
+        # window ratios stray from 0.5 (RMS) beyond the baseline's 99th
+        # percentile.  Over seeds 0-39 it does so by at least 1.5x, where the
+        # open-loop trend exceeds the threshold at only 29 to 31 of them.
         def trend(ratios):
             x = np.arange(ratios.size, dtype=float)
             slope, intercept = np.polyfit(x, ratios, 1)
@@ -137,29 +140,34 @@ class TestClosedLoop:
             s2 = (resid**2).sum() / (ratios.size - 2)
             return abs(slope) / math.sqrt(s2 / ((x - x.mean()) ** 2).sum())
 
+        def rms(ratios):
+            return math.sqrt(np.mean((ratios - 0.5) ** 2))
+
         n_windows = 60
         ctrl = make_ctrl()
-        baseline = []
+        baseline_trend, baseline_rms = [], []
         for seed in range(100):
             stream = acquire_bits(
-                DeviceState(), P_QUIET, CFG, 500 * n_windows, np.random.default_rng(1000 + seed)
+                DeviceState(), P_QUIET, CFG, 500 * n_windows, streams(1000 + seed)
             )
-            baseline.append(trend(stream.to_array().reshape(n_windows, 500).mean(axis=1)))
-        threshold = np.quantile(baseline, 0.99)
+            ratios = stream.to_array().reshape(n_windows, 500).mean(axis=1)
+            baseline_trend.append(trend(ratios))
+            baseline_rms.append(rms(ratios))
+        threshold = np.quantile(baseline_trend, 0.99)
         seed = 11
         _, controlled, _ = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, np.random.default_rng(seed)
+            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, streams(seed)
         )
         open_stream = acquire_bits(
-            DeviceState(), P_DRIFT, CFG, 500 * n_windows, np.random.default_rng(seed)
+            DeviceState(), P_DRIFT, CFG, 500 * n_windows, streams(seed)
         )
         open_ratios = open_stream.to_array().reshape(n_windows, 500).mean(axis=1)
         assert trend(controlled) <= threshold
-        assert trend(open_ratios) > threshold  # drift alone does trend
+        assert rms(open_ratios) > np.quantile(baseline_rms, 0.99)  # drift alone strays
 
     def test_rejects_zero_windows(self):
         with pytest.raises(ValueError):
-            run_closed_loop(DeviceState(), P_QUIET, CFG, make_ctrl(), 0, np.random.default_rng(0))
+            run_closed_loop(DeviceState(), P_QUIET, CFG, make_ctrl(), 0, streams(0))
 
 
 @pytest.mark.parametrize("gain", [math.inf, math.nan])

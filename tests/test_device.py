@@ -12,6 +12,7 @@ from rtdrng.device import (
     DeviceState,
     branch_voltage,
     iv_current,
+    streams,
     sweep_current,
     sweep_switch_probabilities,
 )
@@ -109,37 +110,37 @@ class TestHazard:
 
 class TestStepDevice:
     def test_h_to_l_at_zero_current(self):
-        rng = np.random.default_rng(0)
+        rng = streams(0)
         state = DeviceState(branch=Branch.H)
         assert step_device(state, P, 0.0, 1.0, rng).branch is Branch.L
 
     def test_l_to_h_above_peak(self):
-        rng = np.random.default_rng(0)
+        rng = streams(0)
         state = DeviceState(branch=Branch.L)
         assert step_device(state, P, P.i_peak + 0.01, 1.0, rng).branch is Branch.H
 
     def test_h_absorbing_in_bistable_window(self):
-        rng = np.random.default_rng(0)
+        rng = streams(0)
         state = DeviceState(branch=Branch.H)
         for _ in range(1000):
             state = step_device(state, P0, 1.0, 1.0, rng)
             assert state.branch is Branch.H
 
     def test_clock_advances(self):
-        rng = np.random.default_rng(0)
+        rng = streams(0)
         state = step_device(DeviceState(), P, 0.0, 0.25, rng)
         assert state.clock == pytest.approx(0.25)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            step_device(DeviceState(), P, 1.0, 0.0, np.random.default_rng(0))
+            step_device(DeviceState(), P, 1.0, 0.0, streams(0))
 
     def test_switch_frequency_matches_closed_form(self):
         # Monte Carlo vs 1 - exp(-rate*dt) at a mid-window current
         i, dt = 1.50, 1.0
         rate = switching_hazard(P0, DeviceState(), i)
         expected = -math.expm1(-rate * dt)
-        rng = np.random.default_rng(42)
+        rng = streams(42)
         trials = 10**5
         hits = 0
         for _ in range(trials):
@@ -153,20 +154,20 @@ class TestStepDevice:
 
 class TestDrift:
     def test_zero_sigma_stays_zero(self):
-        rng = np.random.default_rng(3)
+        rng = streams(3)
         state = DeviceState()
         for _ in range(100):
             state = drift_step(state, P0, 1.0, rng)
         assert state.drift == 0.0
 
     def test_mean_reversion_for_long_dt(self):
-        rng = np.random.default_rng(4)
+        rng = streams(4)
         state = DeviceState(drift=5.0)
         state = drift_step(state, P, 1e9, rng)
         assert abs(state.drift) < 1.0
 
     def test_stationary_standard_deviation(self):
-        rng = np.random.default_rng(5)
+        rng = streams(5)
         state = DeviceState()
         dt = 2.0 * P.drift_tau * 1000.0  # near-independent samples
         samples = np.empty(10**5)
@@ -177,12 +178,12 @@ class TestDrift:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            drift_step(DeviceState(), P, -1.0, np.random.default_rng(0))
+            drift_step(DeviceState(), P, -1.0, streams(0))
 
 
 class TestSweeps:
     def test_forward_sweep_single_switch_in_window(self):
-        rng = np.random.default_rng(7)
+        rng = streams(7)
         trace = sweep_current(P0, 0.0, 1.2 * P0.i_peak, 300, 1.0, rng)
         assert trace.switch_current is not None
         assert P0.i_valley < trace.switch_current <= P0.i_peak
@@ -191,17 +192,17 @@ class TestSweeps:
         assert jumps.size == 1
 
     def test_reverse_sweep_switches_at_valley(self):
-        rng = np.random.default_rng(8)
+        rng = streams(8)
         trace = sweep_current(P0, 1.2 * P0.i_peak, 0.0, 300, 1.0, rng)
         assert trace.switch_current == pytest.approx(P0.i_valley)
 
     def test_monotone_currents(self):
-        rng = np.random.default_rng(9)
+        rng = streams(9)
         trace = sweep_current(P0, 0.0, 1.0, 50, 1.0, rng)
         assert np.all(np.diff(trace.currents) > 0)
 
     def test_switch_histogram_spread_and_mode(self):
-        rng = np.random.default_rng(10)
+        rng = streams(10)
         switches = []
         for _ in range(100):
             trace = sweep_current(P0, 0.0, 1.2 * P0.i_peak, 300, 1.0, rng)
@@ -213,7 +214,7 @@ class TestSweeps:
         assert mode_center < P0.i_peak
 
     def test_hysteresis_loop_area_and_threshold_order(self):
-        rng = np.random.default_rng(11)
+        rng = streams(11)
         state = DeviceState()
         up = sweep_current(P0, 0.0, 1.2 * P0.i_peak, 400, 1.0, rng, state=state)
         down = sweep_current(P0, 1.2 * P0.i_peak, 0.0, 400, 1.0, rng, state=state)
@@ -225,14 +226,14 @@ class TestSweeps:
         assert abs(area_up + area_down) > 1e-3
 
     def test_determinism(self):
-        a = sweep_current(P, 0.0, 2.0, 100, 1.0, np.random.default_rng(12))
-        b = sweep_current(P, 0.0, 2.0, 100, 1.0, np.random.default_rng(12))
+        a = sweep_current(P, 0.0, 2.0, 100, 1.0, streams(12))
+        b = sweep_current(P, 0.0, 2.0, 100, 1.0, streams(12))
         assert np.array_equal(a.voltages, b.voltages)
         assert a.switch_current == b.switch_current
 
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
-            sweep_current(P, 0.0, 1.0, 1, 1.0, np.random.default_rng(0))
+            sweep_current(P, 0.0, 1.0, 1, 1.0, streams(0))
 
     def test_closed_form_switch_distribution_helper(self):
         currents = np.linspace(0.0, 1.2 * P0.i_peak, 300)
@@ -289,4 +290,4 @@ def test_non_finite_param_rejected(name, value):
 )
 def test_sweep_rejects_non_finite_arguments(start, stop, dt):
     with pytest.raises(ValueError, match="finite"):
-        sweep_current(DeviceParams(), start, stop, 10, dt, np.random.default_rng(0))
+        sweep_current(DeviceParams(), start, stop, 10, dt, streams(0))

@@ -11,16 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from oracles import DRIFT_TOL, ar1_oracle
 from rtdrng.device import (
-    _MIN_UNIFORM,
     _SCAN_ROW,
     _SCAN_SPAN,
     DeviceParams,
     _draw_steps,
     _drift_path,
+    streams,
 )
 
 DECAYS = [0.0, 2.0**-700, 1e-30, 0.5, 0.9, math.exp(-2 / 60000), math.exp(-1e-12), 1.0]
@@ -35,17 +34,18 @@ def _row_width(decay):
     return w
 
 
-def _normals(v):
-    return ndtri(np.maximum(v, _MIN_UNIFORM))
+def _fed(z):
+    # a fill for _drift_path that writes the given normals
+    return lambda out: np.copyto(out, z)
 
 
 @pytest.mark.parametrize("decay", DECAYS)
 def test_scan_matches_sequential_recurrence(decay):
     w = _row_width(decay)
     for count in sorted({1, 2, 3, 299, w - 1, w, w + 1, 2**18 + 3} - {0}):
-        v = np.random.default_rng(count).random(count)
-        got = _drift_path(v, decay, 0.01, 0.05)
-        ref = np.array(ar1_oracle(_normals(v), decay, 0.01, 0.05))
+        z = np.random.default_rng(count).standard_normal(count)
+        got = _drift_path(_fed(z), count, decay, 0.01, 0.05)
+        ref = np.array(ar1_oracle(z, decay, 0.01, 0.05))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= DRIFT_TOL * np.max(np.abs(ref)), (decay, count)
         # the first step is the recurrence's own expression
@@ -53,15 +53,15 @@ def test_scan_matches_sequential_recurrence(decay):
 
 
 def test_zero_decay_is_scatter_times_normal():
-    v = np.random.default_rng(3).random(5000)
-    path = _drift_path(v, 0.0, 0.03, 0.2)
+    z = np.random.default_rng(3).standard_normal(5000)
+    path = _drift_path(_fed(z), z.size, 0.0, 0.03, 0.2)
     assert path[0] == 0.2
-    assert np.array_equal(path[1:], 0.03 * _normals(v))
+    assert np.array_equal(path[1:], 0.03 * z)
 
 
 def test_zero_sigma_from_zero_drift_stays_zero():
     params = DeviceParams(drift_sigma=0.0)
-    drifts, _, final = _draw_steps(params, 0.0, 5000, 2.0, np.random.default_rng(4))
+    drifts, _, final = _draw_steps(params, 0.0, 5000, 2.0, streams(4))
     assert final == 0.0
     assert np.all(drifts == 0.0)
 

@@ -19,7 +19,7 @@ import rtdrng.nist.sequence as sequence_module
 import rtdrng.pulses as pulses
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.control import default_controller, run_closed_loop
-from rtdrng.device import DeviceParams, DeviceState
+from rtdrng.device import DeviceParams, DeviceState, streams
 from rtdrng.extractor import ExtractorConfig, extract
 from rtdrng.nist.battery import run_battery
 from rtdrng.nist.sequence import battery_sequences
@@ -62,7 +62,7 @@ def test_extract(monkeypatch):
 def test_acquire_bits(monkeypatch):
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
     peaks = [
-        traced_peak(acquire_bits, DeviceState(), P, CFG, count, np.random.default_rng(2))
+        traced_peak(acquire_bits, DeviceState(), P, CFG, count, streams(2))
         for count in (20_000, 80_000)
     ]
     assert_growth_within(peaks, 60_000 // 8)
@@ -72,7 +72,7 @@ def test_closed_loop(monkeypatch):
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
     ctrl = default_controller(P, 1.515, window=100)
     peaks = [
-        traced_peak(run_closed_loop, DeviceState(), P, CFG, ctrl, windows, np.random.default_rng(3))
+        traced_peak(run_closed_loop, DeviceState(), P, CFG, ctrl, windows, streams(3))
         for windows in (200, 800)
     ]
     # packed bits plus a float64 ratio and amplitude per window

@@ -6,7 +6,14 @@ import pytest
 import rtdrng.pulses as pulses
 from oracles import drift_close, run_pulse
 from rtdrng.bits import BitStream
-from rtdrng.device import Branch, DeviceParams, DeviceState, ModelRangeError, sweep_current
+from rtdrng.device import (
+    Branch,
+    DeviceParams,
+    DeviceState,
+    ModelRangeError,
+    streams,
+    sweep_current,
+)
 from rtdrng.pulses import (
     PulseConfig,
     acquire_bits,
@@ -47,13 +54,13 @@ class TestHardBounds:
     def test_below_valley_always_low(self):
         cfg = PulseConfig(amplitude=P.i_valley, width=1.0)
         for seed in range(10**4):
-            bits = acquire_bits(DeviceState(), P0, cfg, 1, np.random.default_rng(seed))
+            bits = acquire_bits(DeviceState(), P0, cfg, 1, streams(seed))
             assert bits.to_array()[0] == 0
 
     def test_above_peak_always_high(self):
         cfg = PulseConfig(amplitude=P.i_peak * 1.01, width=1.0)
         for seed in range(10**4):
-            bits = acquire_bits(DeviceState(), P0, cfg, 1, np.random.default_rng(seed))
+            bits = acquire_bits(DeviceState(), P0, cfg, 1, streams(seed))
             assert bits.to_array()[0] == 1
 
 
@@ -64,14 +71,14 @@ class TestReset:
         cfg = PulseConfig(amplitude=0.5 * P.i_valley, width=1.0)
         for seed in range(100):
             state = DeviceState(branch=Branch.H)
-            bits = acquire_bits(state, P0, cfg, 1, np.random.default_rng(seed))
+            bits = acquire_bits(state, P0, cfg, 1, streams(seed))
             assert bits.to_array()[0] == 0 and state.branch is Branch.L
 
 
 class TestScalarBatchEquivalence:
     def test_bit_identical_with_drift(self):
-        rng_a = np.random.default_rng(21)
-        rng_b = np.random.default_rng(21)
+        rng_a = streams(21)
+        rng_b = streams(21)
         state_a = DeviceState()
         state_b = DeviceState()
         stream = acquire_bits(state_a, P, CFG, 3000, rng_a)
@@ -85,17 +92,17 @@ class TestScalarBatchEquivalence:
         assert state_a.clock == pytest.approx(state_b.clock)
 
     def test_chunking_invisible(self, monkeypatch):
-        full = acquire_bits(DeviceState(), P, CFG, 1500, np.random.default_rng(5))
+        full = acquire_bits(DeviceState(), P, CFG, 1500, streams(5))
         monkeypatch.setattr(pulses, "_CHUNK_PULSES", 257)
-        chunked = acquire_bits(DeviceState(), P, CFG, 1500, np.random.default_rng(5))
+        chunked = acquire_bits(DeviceState(), P, CFG, 1500, streams(5))
         assert full == chunked
 
     def test_state_threads_across_calls(self):
-        rng_a = np.random.default_rng(33)
+        rng_a = streams(33)
         state = DeviceState()
         first = acquire_bits(state, P, CFG, 700, rng_a)
         second = acquire_bits(state, P, CFG, 300, rng_a)
-        rng_b = np.random.default_rng(33)
+        rng_b = streams(33)
         combined = acquire_bits(DeviceState(), P, CFG, 1000, rng_b)
         assert np.array_equal(
             np.concatenate([first.to_array(), second.to_array()]), combined.to_array()
@@ -105,25 +112,25 @@ class TestScalarBatchEquivalence:
 class TestAcquire:
     def test_count_contract(self):
         with pytest.raises(ValueError):
-            acquire_bits(DeviceState(), P, CFG, 0, np.random.default_rng(0))
-        stream = acquire_bits(DeviceState(), P, CFG, 1, np.random.default_rng(0))
+            acquire_bits(DeviceState(), P, CFG, 0, streams(0))
+        stream = acquire_bits(DeviceState(), P, CFG, 1, streams(0))
         assert len(stream) == 1
 
     def test_determinism(self):
-        a = acquire_bits(DeviceState(), P, CFG, 5000, np.random.default_rng(9))
-        b = acquire_bits(DeviceState(), P, CFG, 5000, np.random.default_rng(9))
+        a = acquire_bits(DeviceState(), P, CFG, 5000, streams(9))
+        b = acquire_bits(DeviceState(), P, CFG, 5000, streams(9))
         assert a == b
 
     def test_closed_form_bias(self):
         for amplitude, width in ((1.50, 1.0), (1.53, 1.0), (1.45, 2.0)):
             cfg = PulseConfig(amplitude=amplitude, width=width)
-            stream = acquire_bits(DeviceState(), P0, cfg, 10**5, np.random.default_rng(17))
+            stream = acquire_bits(DeviceState(), P0, cfg, 10**5, streams(17))
             expected = closed_form_p(P0, amplitude, width)
             assert abs(stream.to_array().mean() - expected) < 0.01
 
     def test_sample_offset_shortens_exposure(self):
         cfg = PulseConfig(amplitude=1.53, width=1.0, sample_offset=0.5)
-        stream = acquire_bits(DeviceState(), P0, cfg, 10**5, np.random.default_rng(18))
+        stream = acquire_bits(DeviceState(), P0, cfg, 10**5, streams(18))
         expected = closed_form_p(P0, 1.53, 0.5)
         assert abs(stream.to_array().mean() - expected) < 0.01
 
@@ -133,7 +140,7 @@ class TestAcquire:
         means = []
         for amplitude in amplitudes:
             cfg = PulseConfig(amplitude=float(amplitude), width=1.0)
-            stream = acquire_bits(DeviceState(), P0, cfg, trials, np.random.default_rng(40))
+            stream = acquire_bits(DeviceState(), P0, cfg, trials, streams(40))
             means.append(stream.to_array().mean())
         se = 3.0 * math.sqrt(0.25 / trials)
         assert all(b >= a - 2 * se for a, b in zip(means, means[1:]))
@@ -145,7 +152,7 @@ class TestAcquire:
         means = []
         for width in widths:
             cfg = PulseConfig(amplitude=1.50, width=width)
-            stream = acquire_bits(DeviceState(), P0, cfg, trials, np.random.default_rng(41))
+            stream = acquire_bits(DeviceState(), P0, cfg, trials, streams(41))
             means.append(stream.to_array().mean())
         se = 3.0 * math.sqrt(0.25 / trials)
         assert all(b >= a - 2 * se for a, b in zip(means, means[1:]))
@@ -155,24 +162,24 @@ class TestAcquire:
 class TestTrace:
     def test_low_amplitude_never_leaves_low(self):
         cfg = PulseConfig(amplitude=0.9 * P.i_valley, width=1.0)
-        trace = trace_pulses(DeviceState(), P0, cfg, 20, np.random.default_rng(2))
+        trace = trace_pulses(DeviceState(), P0, cfg, 20, streams(2))
         low = 0.9 * P.i_valley * P.v_peak / P.i_peak
         assert set(np.round(trace.voltages, 9)) <= {0.0, round(low, 9)}
 
     def test_voltages_in_branch_ranges(self):
-        trace = trace_pulses(DeviceState(), P, CFG, 50, np.random.default_rng(3))
+        trace = trace_pulses(DeviceState(), P, CFG, 50, streams(3))
         v = trace.voltages
         in_l = (v >= 0.0) & (v <= P.v_peak + 1e-9)
         in_h = v >= P.v_valley - 1e-9
         assert np.all(in_l | in_h)
 
     def test_times_strictly_increasing(self):
-        trace = trace_pulses(DeviceState(), P, CFG, 10, np.random.default_rng(4))
+        trace = trace_pulses(DeviceState(), P, CFG, 10, streams(4))
         assert np.all(np.diff(trace.times) > 0)
 
     def test_intra_pulse_transition_appears(self):
         # over 100 pulses at the working point some pulse switches mid-flight
-        trace = trace_pulses(DeviceState(), P0, CFG, 100, np.random.default_rng(6))
+        trace = trace_pulses(DeviceState(), P0, CFG, 100, streams(6))
         low = 1.50 * P.v_peak / P.i_peak
         high = P.v_valley + (1.50 - P.i_valley) / P.g_high
         samples_per_period = round(CFG.period / CFG.substep)
@@ -202,7 +209,7 @@ def test_drift_below_zero_valley_rejected(drive):
     # the off phase resets to L only while the valley threshold stays above 0 mA
     state = DeviceState(drift=-0.45)
     with pytest.raises(ModelRangeError):
-        drive(state, np.random.default_rng(8))
+        drive(state, streams(8))
 
 
 @pytest.mark.parametrize(
@@ -216,7 +223,7 @@ def test_drift_below_zero_valley_rejected(drive):
 )
 def test_nan_drift_rejected(drive):
     with pytest.raises(ValueError, match="drift must be finite"):
-        drive(DeviceState(drift=math.nan), np.random.default_rng(8))
+        drive(DeviceState(drift=math.nan), streams(8))
 
 
 def test_reset_check_rejects_nan_drift():

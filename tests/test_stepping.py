@@ -20,7 +20,13 @@ from oracles import (
     sweep_current_oracle,
     trace_pulses_oracle,
 )
-from rtdrng.device import DeviceParams, DeviceState, _switch_probability, sweep_current
+from rtdrng.device import (
+    DeviceParams,
+    DeviceState,
+    _switch_probability,
+    streams,
+    sweep_current,
+)
 from rtdrng.pulses import PulseConfig, acquire_bits, trace_pulses
 
 SIGMAS = (0.0, 0.03)
@@ -58,7 +64,7 @@ def _assert_same_switch(got, ref, currents):
 @pytest.mark.parametrize("legs", LEGS.values(), ids=LEGS.keys())
 def test_sweep_matches_step_device_oracle(sigma, legs, dt):
     params = DeviceParams(drift_sigma=sigma)
-    rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+    rng, ref_rng = streams(31), streams(31)
     state, ref_state = DeviceState(), DeviceState()
     switches = 0
     for start, stop in itertools.islice(itertools.cycle(legs), 24):
@@ -76,23 +82,23 @@ def test_sweep_matches_step_device_oracle(sigma, legs, dt):
 
 def test_sweep_without_state_matches_oracle():
     params = DeviceParams(drift_sigma=0.03)
-    got = sweep_current(params, 0.0, TOP, 300, 1.0, np.random.default_rng(4))
+    got = sweep_current(params, 0.0, TOP, 300, 1.0, streams(4))
     currents, voltages, switch = sweep_current_oracle(
-        params, 0.0, TOP, 300, 1.0, np.random.default_rng(4)
+        params, 0.0, TOP, 300, 1.0, streams(4)
     )
     assert np.array_equal(got.voltages, voltages) and got.switch_current == switch
 
 
 def test_sweep_rejects_nonpositive_dwell():
     with pytest.raises(ValueError, match="dt must be positive"):
-        sweep_current(DeviceParams(), 0.0, 1.0, 10, 0.0, np.random.default_rng(0))
+        sweep_current(DeviceParams(), 0.0, 1.0, 10, 0.0, streams(0))
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_trace_matches_step_device_oracle(sigma):
     params = DeviceParams(drift_sigma=sigma)
     cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.05)
-    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    rng, ref_rng = streams(8), streams(8)
     state, ref_state = DeviceState(), DeviceState()
     for _ in range(5):
         got = trace_pulses(state, params, cfg, 20, rng)
@@ -107,8 +113,8 @@ def test_trace_last_on_sample_is_acquired_bit():
     cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.03)
     n_pulses = 400
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
-    trace = trace_pulses(state, params, cfg, n_pulses, np.random.default_rng(9))
-    bits = acquire_bits(ref_state, params, cfg, n_pulses, np.random.default_rng(9)).to_array()
+    trace = trace_pulses(state, params, cfg, n_pulses, streams(9))
+    bits = acquire_bits(ref_state, params, cfg, n_pulses, streams(9)).to_array()
     high = params.v_valley + (cfg.amplitude - params.i_valley) / params.g_high
     last_on = trace.voltages.reshape(n_pulses, -1)[:, -1]
     assert np.array_equal(last_on == high, bits.astype(bool))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rtdrng.pulses as pulses
-from oracles import closed_loop_oracle, drift_close
+from oracles import closed_loop_oracle, drift_close, drift_step
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
     DeviceParams,
@@ -18,6 +18,7 @@ from rtdrng.device import (
     ModelRangeError,
     _switch_probability,
     _switch_thresholds,
+    streams,
 )
 from rtdrng.pulses import PulseConfig
 
@@ -79,10 +80,10 @@ def test_closed_loop_matches_per_window_oracle(monkeypatch, window, sigma, chunk
     n_windows = max(3, 4000 // window)
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
     stream, ratios, amplitudes = run_closed_loop(
-        state, params, CFG, ctrl, n_windows, np.random.default_rng(60 + window)
+        state, params, CFG, ctrl, n_windows, streams(60 + window)
     )
     ref_bits, ref_ratios, ref_amplitudes = closed_loop_oracle(
-        ref_state, params, CFG, ctrl, n_windows, np.random.default_rng(60 + window)
+        ref_state, params, CFG, ctrl, n_windows, streams(60 + window)
     )
     assert np.array_equal(stream.to_array(), ref_bits)
     assert ratios.tolist() == ref_ratios.tolist()
@@ -92,16 +93,34 @@ def test_closed_loop_matches_per_window_oracle(monkeypatch, window, sigma, chunk
     assert drift_close(state.drift, ref_state.drift, sigma)
 
 
+def _first_reset_failure(params, seed, limit):
+    """Index of the first pulse entering at a drift that puts the valley at or below 0 mA.
+
+    The drift is stepped one pulse period at a time by the scalar reference on
+    the seed's drift stream; the amplitude never moves it.
+    """
+    rng, state = streams(seed), DeviceState()
+    for k in range(limit):
+        if params.i_valley + state.drift <= 0.0:
+            return k
+        state = drift_step(state, params, CFG.period, rng)
+    raise AssertionError(f"no crossing within {limit} pulses")
+
+
 def test_closed_loop_rejects_drift_crossing_below_zero_valley(monkeypatch):
-    # a fast, wide drift reaches -i_valley within a few thousand pulses; with
-    # small chunks the crossing lies past the first chunk
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 257)
+    # a fast, wide drift reaches -i_valley within a few thousand pulses; every
+    # window before the crossing runs clean, and the window holding it fails
+    # in a chunk past the first
     params = DeviceParams(drift_sigma=0.25, drift_tau=1.0)
-    ctrl = default_controller(params, 1.515, window=100)
-    run_closed_loop(DeviceState(), params, CFG, ctrl, 3, np.random.default_rng(70))
+    crossing = _first_reset_failure(params, 70, 20_000)
+    monkeypatch.setattr(pulses, "_CHUNK_PULSES", min(257, crossing))
+    window = min(100, crossing)
+    ctrl = default_controller(params, 1.515, window=window)
+    clean = crossing // window
+    run_closed_loop(DeviceState(), params, CFG, ctrl, clean, streams(70))
     for loop in (run_closed_loop, closed_loop_oracle):
         with pytest.raises(ModelRangeError):
-            loop(DeviceState(), params, CFG, ctrl, 200, np.random.default_rng(70))
+            loop(DeviceState(), params, CFG, ctrl, clean + 1, streams(70))
 
 
 def test_closed_loop_rejects_nonpositive_command():
