@@ -9,6 +9,7 @@ memoryless, one clamped accumulating term, next_amplitude, is sufficient.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -102,24 +103,25 @@ def run_closed_loop(
     w = 0
     filled = 0  # pulses read so far in window w
     ones = 0  # ones among them
-    for thresholds, above in _threshold_chunks(state, params, cfg, n_windows * window, rng):
-        used = 0
-        while used < thresholds.size:
-            if filled == 0:
-                amplitudes[w] = amplitude
-            take = min(thresholds.size - used, window - filled)
-            piece = above[used : used + take]
-            np.greater(amplitude, thresholds[used : used + take], out=piece)
-            ones += np.count_nonzero(piece)
-            used += take
-            filled += take
-            if filled == window:
-                ratio = ones / window
-                ratios[w] = ratio
-                amplitude = next_amplitude(ctrl, amplitude, ratio)
-                w += 1
-                filled = ones = 0
-        out.append(above)
+    with closing(_threshold_chunks(state, params, cfg, n_windows * window, rng)) as chunks:
+        for thresholds, above in chunks:
+            used = 0
+            while used < thresholds.size:
+                if filled == 0:
+                    amplitudes[w] = amplitude
+                take = min(thresholds.size - used, window - filled)
+                piece = above[used : used + take]
+                np.greater(amplitude, thresholds[used : used + take], out=piece)
+                ones += np.count_nonzero(piece)
+                used += take
+                filled += take
+                if filled == window:
+                    ratio = ones / window
+                    ratios[w] = ratio
+                    amplitude = next_amplitude(ctrl, amplitude, ratio)
+                    w += 1
+                    filled = ones = 0
+            out.append(above)
     state.branch = Branch.H if above[-1] else Branch.L
     return out.stream(), ratios, amplitudes
 

@@ -21,6 +21,7 @@ which is in seconds (the drift is orders of magnitude slower than a pulse).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -232,32 +233,50 @@ def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
     return np.maximum(t, params.i_valley + drift, out=t)
 
 
-def _drift_path(fill, count: int, decay: float, scatter: float, drift: float) -> np.ndarray:
-    """The drift walk over `count` normals: count + 1 drifts, `drift` first.
+@functools.lru_cache(maxsize=64)
+def _scan_geometry(decay: float) -> tuple[np.ndarray, int]:
+    """Powers decay**j for j = 0.._SCAN_ROW and the widest row for `decay`.
 
-    fill(out=buf) writes the step normals z into a contiguous float64 buffer
-    of `count` entries, as Generator.standard_normal does; they go straight
-    into the scan's rows.  Each step is drift' = decay * drift + scatter * z.
-    The walk runs as a row scan, not one step at a time.  A row of w steps is
-    decay**j times a running sum of scatter * z * decay**-j whose first term
-    also carries decay times the drift entering the row; those drifts come
-    from a doubling scan over the rows' zero-start ends, which stops once
-    the carried power underflows to 0.  Powers of decay come from
-    np.multiply.accumulate, so the path takes only IEEE +, * and one
-    division per weight, whatever the numpy build.  It agrees with the
+    The powers come from np.multiply.accumulate and never increase, so a
+    walk of `count` steps takes rows of min(w, count) steps.  Below decay
+    2**-64, 0 included, rows are one step.  The table is cached and
+    read-only.
+    """
+    powers = np.full(_SCAN_ROW + 1, decay)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)
+    powers.flags.writeable = False
+    return powers, int(np.count_nonzero(powers[:-1] >= _SCAN_SPAN))
+
+
+def _scan_size(count: int, decay: float) -> int:
+    """Entries of the buffer _drift_scan runs `count` steps in: whole rows."""
+    w = min(_scan_geometry(decay)[1], count)
+    return -(-count // w) * w
+
+
+def _drift_scan(buf: np.ndarray, count: int, decay: float, scatter: float, drift: float):
+    """The drift walk over the normals z in buf[:count]: count + 1 drifts, `drift` first.
+
+    buf is a contiguous float64 buffer of at least _scan_size(count, decay)
+    entries; the scan overwrites it.  Each step is drift' = decay * drift +
+    scatter * z.  The walk runs as a row scan, not one step at a time.  A
+    row of w steps is decay**j times a running sum of scatter * z * decay**-j
+    whose first term also carries decay times the drift entering the row;
+    those drifts come from a doubling scan over the rows' zero-start ends,
+    which stops once the carried power underflows to 0.  Powers of decay
+    come from np.multiply.accumulate, so the path takes only IEEE +, * and
+    one division per weight, whatever the numpy build.  It agrees with the
     sequential recurrence within 1e-12 of the path's magnitude (1.0e-13
     measured), and exactly on the first step, at decay 0 and at scatter 0
     from zero drift.
     """
-    # powers[j] = decay**j; below decay 2**-64, 0 included, rows are one step
-    powers = np.full(min(count, _SCAN_ROW) + 1, decay)
-    powers[0] = 1.0
-    np.multiply.accumulate(powers, out=powers)
-    w = int(np.count_nonzero(powers[:-1] >= _SCAN_SPAN))
+    powers, w = _scan_geometry(decay)
+    w = min(w, count)
     rows = -(-count // w)
+    z = buf[: rows * w].reshape(rows, w)
     # the padding past `count` holds z = 0 and is never read
-    z = np.zeros((rows, w))
-    fill(out=z.reshape(-1)[:count])
+    buf[count : rows * w] = 0.0
     z *= scatter / powers[:w]
     # lead[r] = decay * (the drift entering row r), scanned from the rows'
     # zero-start ends; it joins the row's first term
@@ -278,19 +297,37 @@ def _drift_path(fill, count: int, decay: float, scatter: float, drift: float) ->
     return out[: count + 1]
 
 
-def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
-    """Draw `count` successive steps of dt ms, starting from `drift`.
+def _drift_path(fill, count: int, decay: float, scatter: float, drift: float) -> np.ndarray:
+    """_drift_scan over `count` normals that fill(out=buf) writes into a fresh buffer.
 
-    The one draw of pulses, sweep points and trace pulses: each step's
-    switch uniform from rng.switch and its drift normal from rng.drift.  The
-    drift is the exact discretisation of the mean-reverting walk, run by
-    _drift_path; with drift_sigma = 0 it only decays.  Returns (drifts, u,
-    final): the drift entering each step, the switch uniforms and the drift
-    after the last step.
+    fill writes a contiguous float64 buffer of `count` entries, as
+    Generator.standard_normal does; they go straight into the scan's rows.
     """
+    buf = np.empty(_scan_size(count, decay))
+    fill(out=buf[:count])
+    return _drift_scan(buf, count, decay, scatter, drift)
+
+
+def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
+    """(decay, scatter) of one dt ms step of the mean-reverting drift walk."""
     tau_ms = params.drift_tau * _MS_PER_S
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
+    return decay, scatter
+
+
+def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
+    """Draw `count` successive steps of dt ms, starting from `drift`.
+
+    The draw of sweep points and trace pulses, which acquisition's chunks
+    repeat with the draws on a helper thread (pulses._threshold_chunks):
+    each step's switch uniform from rng.switch and its drift normal from
+    rng.drift.  The drift is the exact discretisation of the mean-reverting
+    walk, run by _drift_path; with drift_sigma = 0 it only decays.  Returns
+    (drifts, u, final): the drift entering each step, the switch uniforms and
+    the drift after the last step.
+    """
+    decay, scatter = _walk_terms(params, dt)
     u = rng.switch.random(count)
     path = _drift_path(rng.drift.standard_normal, count, decay, scatter, drift)
     return path[:-1], u, float(path[-1])

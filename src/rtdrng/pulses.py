@@ -17,11 +17,23 @@ Uniform and normal draws from numpy's Generator are stream-stable under
 batching, so the thresholds, and with them the bits, do not depend on how a
 run is split into calls or chunks.  The scalar per-pulse reference that
 draws the same way lives in the tests (tests/oracles.py:run_pulse).
+
+Acquisition runs in chunks of _CHUNK_PULSES pulses, and one helper thread
+per call draws chunk k + 1's uniforms and normals into the other of two
+reused buffer pairs while the calling thread scans chunk k's drift, checks
+the reset condition and reads its bits.  Both numpy fills release the GIL,
+so on two cores the draws and the scan overlap.  The helper is the only
+thread that touches the streams while it runs, draws nothing past the last
+chunk and is joined before the call returns or raises, so the bits and the
+streams' positions equal those of drawing each chunk in line
+(tests/oracles.py:serial_threshold_chunks).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +42,11 @@ from .bits import BitStream, _Packer
 from .device import (
     _branch_voltage_unchecked,
     _draw_steps,
+    _drift_scan,
     _elapsed,
+    _scan_size,
     _switch_thresholds,
+    _walk_terms,
     Branch,
     DeviceParams,
     DeviceState,
@@ -92,12 +107,67 @@ class PulseTrace:
 
 
 def _require_reset(params: DeviceParams, drift) -> None:
-    # written so that a NaN drift fails too
-    if not np.all(params.i_valley + drift > 0.0):
+    # i_valley + min(drift) is the least of i_valley + drift, as rounding is
+    # monotone; a NaN drift makes the minimum NaN and fails too
+    if not params.i_valley + np.min(drift) > 0.0:
         raise ModelRangeError(
             "drift pushed the valley threshold to or below zero current; "
             "the off phase no longer guarantees the L-branch reset"
         )
+
+
+class _Draws:
+    """A helper thread drawing each chunk's switch uniforms and drift normals.
+
+    Chunk k's uniforms and normals go into buffer pair k % 2; the helper
+    fills chunk k + 1 while the caller scans chunk k, and fills a pair again
+    only once the caller has handed it back.  Both numpy fills release the
+    GIL.  Until close() has joined the helper, only it draws from the
+    streams, and it draws exactly the chunks listed and no further.
+    """
+
+    def __init__(self, rng: Streams, sizes: list[int], width: int):
+        pairs = min(2, len(sizes))
+        self._u = [np.empty(sizes[0]) for _ in range(pairs)]
+        self._z = [np.empty(width) for _ in range(pairs)]
+        self._free = threading.Semaphore(pairs)
+        self._filled = threading.Semaphore(0)
+        self._taken = 0
+        self._stop = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._fill, args=(rng, sizes), name="rtdrng-draws")
+        self._thread.start()
+
+    def _fill(self, rng: Streams, sizes: list[int]) -> None:
+        try:
+            for k, m in enumerate(sizes):
+                self._free.acquire()
+                if self._stop:
+                    return
+                rng.switch.random(out=self._u[k % 2][:m])
+                rng.drift.standard_normal(out=self._z[k % 2][:m])
+                self._filled.release()
+        except BaseException as exc:  # handed to the caller by take()
+            self._error = exc
+            self._filled.release()
+
+    def take(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next chunk's m uniforms and its normals' scan buffer, once drawn."""
+        self._filled.acquire()
+        if self._error is not None:
+            raise self._error
+        pair = self._taken % 2
+        self._taken += 1
+        return self._u[pair][:m], self._z[pair]
+
+    def give_back(self) -> None:
+        """Let the helper refill the pair take() returned last."""
+        self._free.release()
+
+    def close(self) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
 
 
 def _threshold_chunks(
@@ -109,28 +179,36 @@ def _threshold_chunks(
 ):
     """Yield (thresholds, above) for `count` successive pulses in chunks.
 
-    Each chunk of up to _CHUNK_PULSES pulses takes its draws from
-    _draw_steps, starting from the drift the previous chunk ended on, and
-    checks the reset condition; pulse k's threshold sees the drift entering
-    it.  `above` is a bool buffer of the chunk's size for the caller's
-    amplitude > threshold bits; it is one buffer reused by every chunk, so
-    the caller packs it before asking for the next.  Once exhausted,
-    state.drift and state.clock are advanced; the branch is left to the
-    caller, which reads the bits.
+    Chunks of up to _CHUNK_PULSES pulses draw as one _draw_steps call would,
+    but a helper thread (_Draws) draws chunk k + 1 while this thread scans
+    chunk k's drift from the drift the previous chunk ended on, checks the
+    reset condition and the caller reads the bits; pulse k's threshold sees
+    the drift entering it.  `above` is a bool buffer of the chunk's size for
+    the caller's amplitude > threshold bits; it is one buffer reused by every
+    chunk, so the caller packs it before asking for the next.  Once
+    exhausted, state.drift and state.clock are advanced; the branch is left
+    to the caller, which reads the bits.  Callers close the generator, which
+    joins the helper, also when they stop early.
     """
     exposure = cfg.width * cfg.sample_offset
+    decay, scatter = _walk_terms(params, cfg.period)
+    sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
     drift = state.drift
-    above = np.empty(min(_CHUNK_PULSES, count), dtype=bool)
-    done = 0
-    while done < count:
-        m = min(_CHUNK_PULSES, count - done)
-        drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
-        _require_reset(params, drifts)
-        thresholds = _switch_thresholds(params, drifts, u, exposure)
-        # only the thresholds stay alive while the caller holds them
-        del u, drifts
-        done += m
-        yield thresholds, above[:m]
+    above = np.empty(sizes[0], dtype=bool)
+    draws = _Draws(rng, sizes, _scan_size(sizes[0], decay))
+    try:
+        for m in sizes:
+            u, z = draws.take(m)
+            path = _drift_scan(z, m, decay, scatter, drift)
+            drifts, drift = path[:-1], float(path[-1])
+            _require_reset(params, drifts)
+            thresholds = _switch_thresholds(params, drifts, u, exposure)
+            # only the thresholds stay alive while the caller holds them
+            del u, z, path, drifts
+            draws.give_back()
+            yield thresholds, above[:m]
+    finally:
+        draws.close()
     state.drift = drift
     state.clock = state.clock + count * cfg.period
 
@@ -152,9 +230,10 @@ def acquire_bits(
     if count < 1:
         raise ValueError("count must be at least 1")
     out = _Packer(count)
-    for thresholds, above in _threshold_chunks(state, params, cfg, count, rng):
-        np.greater(cfg.amplitude, thresholds, out=above)
-        out.append(above)
+    with closing(_threshold_chunks(state, params, cfg, count, rng)) as chunks:
+        for thresholds, above in chunks:
+            np.greater(cfg.amplitude, thresholds, out=above)
+            out.append(above)
     state.branch = Branch.H if above[-1] else Branch.L
     return out.stream()
 

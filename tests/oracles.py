@@ -9,6 +9,11 @@ scalar rng.drift.standard_normal().  The sweep and trace references are built
 on them with one DeviceState per step; ar1_oracle steps the drift
 recurrence alone, one Python float at a time.  The closed-loop reference is
 the per-window loop over the public acquire_bits and next_amplitude.
+
+The serial chunk references are the exception: they are a reference for the
+scheduling of acquisition, not for its arithmetic.  They run the chunk loop
+with every draw in line, through the package's own _draw_steps and
+_switch_thresholds, so acquisition must match them bit for bit.
 """
 
 import math
@@ -16,8 +21,9 @@ from dataclasses import replace
 
 import numpy as np
 
+import rtdrng.pulses as pulses
 from rtdrng.control import next_amplitude
-from rtdrng.device import Branch, DeviceState
+from rtdrng.device import Branch, DeviceState, ModelRangeError, _draw_steps, _switch_thresholds
 from rtdrng.pulses import acquire_bits
 
 
@@ -589,3 +595,55 @@ def closed_loop_oracle(state, params, cfg, ctrl, n_windows, rng):
         amplitude = next_amplitude(ctrl, amplitude, ratio)
         chunks.append(chunk.to_array())
     return np.concatenate(chunks), np.array(ratios), np.array(amplitudes)
+
+
+# ---------------------------------------------------------------- serial chunks
+
+
+def serial_threshold_chunks(state, params, cfg, count: int, rng):
+    """Yield each chunk's thresholds, drawing every chunk in line.
+
+    Chunks of up to pulses._CHUNK_PULSES pulses, each one _draw_steps call
+    from the drift the previous chunk ended on, with the reset condition
+    checked on every pulse.  Advances state.drift and state.clock once
+    exhausted.
+    """
+    exposure = cfg.width * cfg.sample_offset
+    drift = state.drift
+    done = 0
+    while done < count:
+        m = min(pulses._CHUNK_PULSES, count - done)
+        drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
+        if not np.all(params.i_valley + drifts > 0.0):
+            raise ModelRangeError("valley at or below zero current")
+        yield _switch_thresholds(params, drifts, u, exposure)
+        done += m
+    state.drift = drift
+    state.clock = state.clock + count * cfg.period
+
+
+def serial_acquire(state, params, cfg, count: int, rng):
+    """acquire_bits's bits, as a uint8 array, from the serial chunks."""
+    chunks = serial_threshold_chunks(state, params, cfg, count, rng)
+    bits = np.concatenate([cfg.amplitude > t for t in chunks]).astype(np.uint8)
+    state.branch = Branch.H if bits[-1] else Branch.L
+    return bits
+
+
+def serial_closed_loop(state, params, cfg, ctrl, n_windows: int, rng):
+    """run_closed_loop's (bits, ratios, amplitudes) from the serial chunks."""
+    window = ctrl.window
+    chunks = serial_threshold_chunks(state, params, cfg, n_windows * window, rng)
+    thresholds = np.concatenate(list(chunks))
+    bits, ratios, amplitudes = [], [], []
+    amplitude = ctrl.amplitude
+    for k in range(n_windows):
+        piece = amplitude > thresholds[k * window : (k + 1) * window]
+        bits.append(piece)
+        amplitudes.append(amplitude)
+        ratio = np.count_nonzero(piece) / window
+        ratios.append(ratio)
+        amplitude = next_amplitude(ctrl, amplitude, ratio)
+    bits = np.concatenate(bits).astype(np.uint8)
+    state.branch = Branch.H if bits[-1] else Branch.L
+    return bits, np.array(ratios), np.array(amplitudes)

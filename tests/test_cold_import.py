@@ -67,3 +67,16 @@ def test_pipeline_runs_with_scipy_refused(tmp_path):
     # statistical outcome; any stage that needed scipy would have raised
     assert codes[:2] == [0, 0] and codes[2] in (0, 1) and codes[3] == 0, out.stdout
     assert (tmp_path / "report.json").is_file()
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # acquisition's helper thread comes from threading, which the interpreter
+    # has loaded anyway; a cold concurrent.futures would add to every stage
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rtdrng.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('concurrent.futures')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

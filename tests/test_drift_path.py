@@ -19,6 +19,7 @@ from rtdrng.device import (
     DeviceParams,
     _draw_steps,
     _drift_path,
+    _scan_geometry,
     streams,
 )
 
@@ -65,3 +66,12 @@ def test_zero_sigma_from_zero_drift_stays_zero():
     assert final == 0.0
     assert np.all(drifts == 0.0)
 
+
+
+def test_scan_geometry_is_shared_read_only():
+    # one cached table serves every walk with this decay, so no caller may write it
+    powers, w = _scan_geometry(0.9)
+    assert _scan_geometry(0.9)[0] is powers
+    assert w == _row_width(0.9)
+    with pytest.raises(ValueError):
+        powers[1] = 0.0
