@@ -9,14 +9,13 @@ memoryless, one clamped accumulating term, next_amplitude, is sufficient.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .bits import BitStream, _Packer
-from .device import Branch, DeviceParams, DeviceState, Streams
-from .pulses import PulseConfig, _threshold_chunks
+from .bits import BitStream
+from .device import DeviceParams, DeviceState, Streams
+from .pulses import PulseConfig, _acquire
 
 # perfbench/worker.py patches control.acquire_bits to count per-window calls
 from .pulses import acquire_bits  # noqa: F401
@@ -96,34 +95,33 @@ def run_closed_loop(
     if n_windows < 1:
         raise ValueError("n_windows must be at least 1")
     window = ctrl.window
-    out = _Packer(n_windows * window)
     ratios = np.empty(n_windows)
     amplitudes = np.empty(n_windows)
     amplitude = ctrl.amplitude
     w = 0
     filled = 0  # pulses read so far in window w
     ones = 0  # ones among them
-    with closing(_threshold_chunks(state, params, cfg, n_windows * window, rng)) as chunks:
-        for thresholds, above in chunks:
-            used = 0
-            while used < thresholds.size:
-                if filled == 0:
-                    amplitudes[w] = amplitude
-                take = min(thresholds.size - used, window - filled)
-                piece = above[used : used + take]
-                np.greater(amplitude, thresholds[used : used + take], out=piece)
-                ones += np.count_nonzero(piece)
-                used += take
-                filled += take
-                if filled == window:
-                    ratio = ones / window
-                    ratios[w] = ratio
-                    amplitude = next_amplitude(ctrl, amplitude, ratio)
-                    w += 1
-                    filled = ones = 0
-            out.append(above)
-    state.branch = Branch.H if above[-1] else Branch.L
-    return out.stream(), ratios, amplitudes
+
+    def read(thresholds, bits):
+        nonlocal amplitude, w, filled, ones
+        used = 0
+        while used < thresholds.size:
+            if filled == 0:
+                amplitudes[w] = amplitude
+            take = min(thresholds.size - used, window - filled)
+            piece = bits[used : used + take]
+            np.greater(amplitude, thresholds[used : used + take], out=piece)
+            ones += np.count_nonzero(piece)
+            used += take
+            filled += take
+            if filled == window:
+                ratio = ones / window
+                ratios[w] = ratio
+                amplitude = next_amplitude(ctrl, amplitude, ratio)
+                w += 1
+                filled = ones = 0
+
+    return _acquire(state, params, cfg, n_windows * window, rng, read), ratios, amplitudes
 
 
 __all__ = ["ControllerState", "default_controller", "next_amplitude", "run_closed_loop"]

@@ -297,17 +297,6 @@ def _drift_scan(buf: np.ndarray, count: int, decay: float, scatter: float, drift
     return out[: count + 1]
 
 
-def _drift_path(fill, count: int, decay: float, scatter: float, drift: float) -> np.ndarray:
-    """_drift_scan over `count` normals that fill(out=buf) writes into a fresh buffer.
-
-    fill writes a contiguous float64 buffer of `count` entries, as
-    Generator.standard_normal does; they go straight into the scan's rows.
-    """
-    buf = np.empty(_scan_size(count, decay))
-    fill(out=buf[:count])
-    return _drift_scan(buf, count, decay, scatter, drift)
-
-
 def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
     """(decay, scatter) of one dt ms step of the mean-reverting drift walk."""
     tau_ms = params.drift_tau * _MS_PER_S
@@ -316,20 +305,28 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
     return decay, scatter
 
 
+def _fill(rng: Streams, u: np.ndarray, z: np.ndarray) -> None:
+    """Draw u.size steps: switch uniforms into u, drift normals into z[:u.size]."""
+    rng.switch.random(out=u)
+    rng.drift.standard_normal(out=z[: u.size])
+
+
 def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
     """Draw `count` successive steps of dt ms, starting from `drift`.
 
     The draw of sweep points and trace pulses, which acquisition's chunks
-    repeat with the draws on a helper thread (pulses._threshold_chunks):
-    each step's switch uniform from rng.switch and its drift normal from
-    rng.drift.  The drift is the exact discretisation of the mean-reverting
-    walk, run by _drift_path; with drift_sigma = 0 it only decays.  Returns
-    (drifts, u, final): the drift entering each step, the switch uniforms and
-    the drift after the last step.
+    repeat with the draws on a helper thread (pulses._acquire): _fill
+    draws each step's switch uniform from rng.switch and its drift normal
+    from rng.drift.  The drift is the exact discretisation of the
+    mean-reverting walk, run by _drift_scan; with drift_sigma = 0 it only
+    decays.  Returns (drifts, u, final): the drift entering each step, the
+    switch uniforms and the drift after the last step.
     """
     decay, scatter = _walk_terms(params, dt)
-    u = rng.switch.random(count)
-    path = _drift_path(rng.drift.standard_normal, count, decay, scatter, drift)
+    u = np.empty(count)
+    z = np.empty(_scan_size(count, decay))
+    _fill(rng, u, z)
+    path = _drift_scan(z, count, decay, scatter, drift)
     return path[:-1], u, float(path[-1])
 
 

@@ -43,6 +43,8 @@ class ExtractorConfig:
     epsilon_exponent: int = 32
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         if self.l is not None and not 0 < self.l < self.n:
             raise ValueError("require 0 < l < n")
         # extract's float32 GEMM sums reach n; float32 is exact only to 2^24

@@ -10,7 +10,7 @@ p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
 therefore needs no sub-stepping, and a time-resolved trace reads the same
 threshold at each sub-step's exposure.
 
-Pulses, trace pulses and sweep points draw alike (device._draw_steps): each
+Pulses, trace pulses and sweep points draw alike (device._fill): each
 step takes its switch uniform from one stream and its drift-update normal
 from another, the two spawned children of the run's seed (device.streams).
 Uniform and normal draws from numpy's Generator are stream-stable under
@@ -18,22 +18,23 @@ batching, so the thresholds, and with them the bits, do not depend on how a
 run is split into calls or chunks.  The scalar per-pulse reference that
 draws the same way lives in the tests (tests/oracles.py:run_pulse).
 
-Acquisition runs in chunks of _CHUNK_PULSES pulses, and one helper thread
-per call draws chunk k + 1's uniforms and normals into the other of two
-reused buffer pairs while the calling thread scans chunk k's drift, checks
-the reset condition and reads its bits.  Both numpy fills release the GIL,
-so on two cores the draws and the scan overlap.  The helper is the only
-thread that touches the streams while it runs, draws nothing past the last
-chunk and is joined before the call returns or raises, so the bits and the
-streams' positions equal those of drawing each chunk in line
-(tests/oracles.py:serial_threshold_chunks).
+Acquisition runs in chunks of _CHUNK_PULSES pulses (_acquire), and one
+helper thread per call draws chunk k + 1's uniforms and normals while the
+calling thread scans chunk k's drift, checks the reset condition and reads
+its bits.  Two reused buffer pairs pass between the threads through a free
+and a filled queue.  Both numpy fills release the GIL, so on two cores the
+draws and the scan overlap.  The helper is the only thread that touches the
+streams while it runs, draws nothing past the last chunk and is joined
+before _acquire returns or raises, so callers close nothing, and the bits
+and the streams' positions equal those of drawing each chunk in line (the
+serial chunk loop in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .device import (
     _draw_steps,
     _drift_scan,
     _elapsed,
+    _fill,
     _scan_size,
     _switch_thresholds,
     _walk_terms,
@@ -119,98 +121,91 @@ def _require_reset(params: DeviceParams, drift) -> None:
 class _Draws:
     """A helper thread drawing each chunk's switch uniforms and drift normals.
 
-    Chunk k's uniforms and normals go into buffer pair k % 2; the helper
-    fills chunk k + 1 while the caller scans chunk k, and fills a pair again
-    only once the caller has handed it back.  Both numpy fills release the
-    GIL.  Until close() has joined the helper, only it draws from the
-    streams, and it draws exactly the chunks listed and no further.
+    The helper takes a free buffer pair, fills it with the next chunk's
+    draws (_fill) and queues it as filled; the caller takes it, scans it and
+    gives it back.  Until close() has joined the helper, only it draws from
+    the streams, and it draws the listed chunks and no further.
     """
 
     def __init__(self, rng: Streams, sizes: list[int], width: int):
-        pairs = min(2, len(sizes))
-        self._u = [np.empty(sizes[0]) for _ in range(pairs)]
-        self._z = [np.empty(width) for _ in range(pairs)]
-        self._free = threading.Semaphore(pairs)
-        self._filled = threading.Semaphore(0)
-        self._taken = 0
-        self._stop = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._fill, args=(rng, sizes), name="rtdrng-draws")
+        self._free = queue.SimpleQueue()  # pairs to fill; None stops the helper
+        self._filled = queue.SimpleQueue()  # filled pairs, or the helper's exception
+        for _ in range(min(2, len(sizes))):
+            self._free.put((np.empty(sizes[0]), np.empty(width)))
+        self._thread = threading.Thread(target=self._run, args=(rng, sizes), name="rtdrng-draws")
         self._thread.start()
 
-    def _fill(self, rng: Streams, sizes: list[int]) -> None:
+    def _run(self, rng: Streams, sizes: list[int]) -> None:
         try:
-            for k, m in enumerate(sizes):
-                self._free.acquire()
-                if self._stop:
+            for m in sizes:
+                pair = self._free.get()
+                if pair is None:
                     return
-                rng.switch.random(out=self._u[k % 2][:m])
-                rng.drift.standard_normal(out=self._z[k % 2][:m])
-                self._filled.release()
-        except BaseException as exc:  # handed to the caller by take()
-            self._error = exc
-            self._filled.release()
+                _fill(rng, pair[0][:m], pair[1])
+                self._filled.put(pair)
+        except BaseException as exc:  # re-raised in the caller by take()
+            self._filled.put(exc)
 
-    def take(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next chunk's m uniforms and its normals' scan buffer, once drawn."""
-        self._filled.acquire()
-        if self._error is not None:
-            raise self._error
-        pair = self._taken % 2
-        self._taken += 1
-        return self._u[pair][:m], self._z[pair]
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next chunk's (uniforms, scan buffer) pair, once drawn."""
+        pair = self._filled.get()
+        if isinstance(pair, BaseException):
+            raise pair
+        return pair
 
-    def give_back(self) -> None:
-        """Let the helper refill the pair take() returned last."""
-        self._free.release()
+    def give_back(self, pair: tuple[np.ndarray, np.ndarray]) -> None:
+        """Let the helper refill a pair that take() returned."""
+        self._free.put(pair)
 
     def close(self) -> None:
-        self._stop = True
-        self._free.release()
+        self._free.put(None)
         self._thread.join()
 
 
-def _threshold_chunks(
+def _acquire(
     state: DeviceState,
     params: DeviceParams,
     cfg: PulseConfig,
     count: int,
     rng: Streams,
-):
-    """Yield (thresholds, above) for `count` successive pulses in chunks.
+    read,
+) -> BitStream:
+    """The bits of `count` successive pulses; read(thresholds, bits) sets each chunk's.
 
     Chunks of up to _CHUNK_PULSES pulses draw as one _draw_steps call would,
     but a helper thread (_Draws) draws chunk k + 1 while this thread scans
     chunk k's drift from the drift the previous chunk ended on, checks the
-    reset condition and the caller reads the bits; pulse k's threshold sees
-    the drift entering it.  `above` is a bool buffer of the chunk's size for
-    the caller's amplitude > threshold bits; it is one buffer reused by every
-    chunk, so the caller packs it before asking for the next.  Once
-    exhausted, state.drift and state.clock are advanced; the branch is left
-    to the caller, which reads the bits.  Callers close the generator, which
-    joins the helper, also when they stop early.
+    reset condition, lets `read` write the bits into a reused bool buffer and
+    packs them; pulse k's threshold sees the drift entering it.  The helper
+    is joined before the call returns or raises.  state.drift, state.clock
+    and state.branch advance only once every chunk has been read.
     """
     exposure = cfg.width * cfg.sample_offset
     decay, scatter = _walk_terms(params, cfg.period)
     sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
     drift = state.drift
-    above = np.empty(sizes[0], dtype=bool)
+    buf = np.empty(sizes[0], dtype=bool)
+    out = _Packer(count)
     draws = _Draws(rng, sizes, _scan_size(sizes[0], decay))
     try:
         for m in sizes:
-            u, z = draws.take(m)
+            u, z = pair = draws.take()
             path = _drift_scan(z, m, decay, scatter, drift)
             drifts, drift = path[:-1], float(path[-1])
             _require_reset(params, drifts)
-            thresholds = _switch_thresholds(params, drifts, u, exposure)
-            # only the thresholds stay alive while the caller holds them
-            del u, z, path, drifts
-            draws.give_back()
-            yield thresholds, above[:m]
+            thresholds = _switch_thresholds(params, drifts, u[:m], exposure)
+            # only the thresholds stay alive while the chunk is read
+            del path, drifts
+            draws.give_back(pair)
+            bits = buf[:m]
+            read(thresholds, bits)
+            out.append(bits)
     finally:
         draws.close()
     state.drift = drift
     state.clock = state.clock + count * cfg.period
+    state.branch = Branch.H if bits[-1] else Branch.L
+    return out.stream()
 
 
 def acquire_bits(
@@ -229,13 +224,9 @@ def acquire_bits(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    out = _Packer(count)
-    with closing(_threshold_chunks(state, params, cfg, count, rng)) as chunks:
-        for thresholds, above in chunks:
-            np.greater(cfg.amplitude, thresholds, out=above)
-            out.append(above)
-    state.branch = Branch.H if above[-1] else Branch.L
-    return out.stream()
+    return _acquire(
+        state, params, cfg, count, rng, lambda t, bits: np.greater(cfg.amplitude, t, out=bits)
+    )
 
 
 def trace_pulses(

@@ -459,6 +459,14 @@ class TestUsageErrors:
         assert "[extractor]" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.bits"))
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_auto_mode_block_length_checked_at_load(self, tmp_path, capsys, n):
+        # auto mode leaves l unset, so no 0 < l < n check bounds n
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[extractor]\nmode = auto\nn = {n}\n[run]\nout_dir = {tmp_path}\n")
+        assert run_cli("extract", "--config", cfg, *_command_args(tmp_path)["extract"]) == 2
+        assert "config error: [extractor]: n must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "ini, message",
         [

@@ -1,6 +1,6 @@
 """The drift row scan against the sequential recurrence.
 
-_drift_path runs drift' = decay * drift + scatter * z as a row scan; the
+_drift_scan runs drift' = decay * drift + scatter * z as a row scan; the
 reference steps it one Python float at a time.  Decays span the whole
 [0, 1]: 0 and values below 2**-64 (one-step rows), mid-range decays whose
 rows are shortened to keep decay**-(w - 1) within 2**64, a pulse period
@@ -18,8 +18,9 @@ from rtdrng.device import (
     _SCAN_SPAN,
     DeviceParams,
     _draw_steps,
-    _drift_path,
+    _drift_scan,
     _scan_geometry,
+    _scan_size,
     streams,
 )
 
@@ -35,9 +36,11 @@ def _row_width(decay):
     return w
 
 
-def _fed(z):
-    # a fill for _drift_path that writes the given normals
-    return lambda out: np.copyto(out, z)
+def _scan(z, decay, scatter, drift):
+    # _drift_scan over the given normals, in a buffer of the size it scans
+    buf = np.empty(_scan_size(z.size, decay))
+    buf[: z.size] = z
+    return _drift_scan(buf, z.size, decay, scatter, drift)
 
 
 @pytest.mark.parametrize("decay", DECAYS)
@@ -45,7 +48,7 @@ def test_scan_matches_sequential_recurrence(decay):
     w = _row_width(decay)
     for count in sorted({1, 2, 3, 299, w - 1, w, w + 1, 2**18 + 3} - {0}):
         z = np.random.default_rng(count).standard_normal(count)
-        got = _drift_path(_fed(z), count, decay, 0.01, 0.05)
+        got = _scan(z, decay, 0.01, 0.05)
         ref = np.array(ar1_oracle(z, decay, 0.01, 0.05))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= DRIFT_TOL * np.max(np.abs(ref)), (decay, count)
@@ -55,7 +58,7 @@ def test_scan_matches_sequential_recurrence(decay):
 
 def test_zero_decay_is_scatter_times_normal():
     z = np.random.default_rng(3).standard_normal(5000)
-    path = _drift_path(_fed(z), z.size, 0.0, 0.03, 0.2)
+    path = _scan(z, 0.0, 0.03, 0.2)
     assert path[0] == 0.2
     assert np.array_equal(path[1:], 0.03 * z)
 
