@@ -8,7 +8,6 @@ from .battery import (
     report_records,
     run_battery,
 )
-from .gf2 import berlekamp_massey, gf2_rank
 from .special import igamc, normal_cdf
 from .statistical_tests import (
     SequenceTooShortError,
@@ -16,9 +15,9 @@ from .statistical_tests import (
     TestId,
     TestParams,
     TestResult,
+    aperiodic_template_values,
     run_test,
 )
-from .templates import aperiodic_template_values, aperiodic_templates
 
 __all__ = [
     "SuiteReport",
@@ -27,8 +26,6 @@ __all__ = [
     "render_table",
     "report_records",
     "run_battery",
-    "berlekamp_massey",
-    "gf2_rank",
     "igamc",
     "normal_cdf",
     "SequenceTooShortError",
@@ -38,5 +35,4 @@ __all__ = [
     "TestResult",
     "run_test",
     "aperiodic_template_values",
-    "aperiodic_templates",
 ]

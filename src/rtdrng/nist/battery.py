@@ -22,8 +22,12 @@ TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASS
 
 
 # The spectral transform is the battery's largest working set, so it runs
-# first, before the sequence's holder keeps its walk and windows.
-_RUN_ORDER = (TestId.FFT,) + tuple(test for test in TEST_ORDER if test is not TestId.FFT)
+# first, before the sequence's holder keeps its walk and windows.  Serial
+# reads the widest windows at the standard parameters, so it runs before
+# the other window tests: the holder builds those windows and their counts
+# once, and a sequence too short for Serial fails before anything is counted.
+_EARLY = (TestId.FFT,) + TEST_ORDER[: TEST_ORDER.index(TestId.NonOverlappingTemplate)]
+_RUN_ORDER = tuple(dict.fromkeys(_EARLY + (TestId.Serial,) + TEST_ORDER))
 
 
 def run_battery(bits, params: TestParams) -> list[TestResult]:

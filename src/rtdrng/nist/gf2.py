@@ -54,14 +54,6 @@ def column_complexities(columns: np.ndarray) -> np.ndarray:
     return length.astype(np.int64)
 
 
-def berlekamp_massey(bits) -> int:
-    """Length of the shortest LFSR generating the sequence over GF(2)."""
-    seq = np.asarray(bits, dtype=np.uint8)
-    if seq.ndim != 1 or seq.size == 0:
-        raise ValueError("sequence must be nonempty")
-    return int(column_complexities(seq[:, None])[0])
-
-
 def gf2_ranks(matrices) -> np.ndarray:
     """Rank over GF(2) of every matrix in a (B, R, C) stack of 0/1 values.
 
@@ -87,17 +79,4 @@ def gf2_ranks(matrices) -> np.ndarray:
     return rank
 
 
-def gf2_rank(matrix) -> int:
-    """Rank of a 0/1 matrix over GF(2)."""
-    m = np.asarray(matrix, dtype=np.uint8)
-    if m.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    return int(gf2_ranks(m[None])[0])
-
-
-__all__ = [
-    "berlekamp_massey",
-    "column_complexities",
-    "gf2_rank",
-    "gf2_ranks",
-]
+__all__ = ["column_complexities", "gf2_ranks"]

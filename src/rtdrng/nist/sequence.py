@@ -3,9 +3,13 @@
 Several tests read the same derivations of a sequence.  The cumulative
 sums and both excursion tests read the +/-1 walk.  Both template tests,
 Universal, ApEn and Serial read the value of the bit window at every
-position: each of their windows is the top bits of the widest one.  A
-``_Sequence`` computes each derivation on first request and keeps it for
-the tests that follow, so the battery builds each once per sequence.
+position, and ApEn and Serial count those values.  A ``_Sequence``
+computes each derivation on first request and keeps it for the tests that
+follow.  Each test asks only for the window width it reads; the holder
+keeps the widest windows and counts asked for so far and serves narrower
+ones from them, so the battery runs Serial (16 bits at the standard
+parameters) before the other window tests, and builds its windows and
+counts once per sequence.
 
 Berlekamp-Massey is limited by per-step overhead on the 1100 blocks of a
 single 550k-bit sequence, so a ``_Group`` of sequences runs it once over
@@ -73,7 +77,7 @@ class _Sequence:
         self._row = row
         self._walk: tuple[np.ndarray, int] | None = None
         self._windows: tuple[np.ndarray, int] | None = None
-        self._counts: tuple[int, np.ndarray] | None = None
+        self._counts: list[np.ndarray] = []  # the widest counts asked for, then their folds
 
     def __len__(self) -> int:
         return self._group.length
@@ -97,19 +101,31 @@ class _Sequence:
         return self._walk
 
     def windows(self, width: int) -> tuple[np.ndarray, int]:
-        """Cyclic windows of at least ``width`` bits at every position, and their width."""
+        """Cyclic windows of at least ``width`` bits at every position, and their width.
+
+        The widest windows asked for so far are kept; the ``width``-bit
+        window at a position is their top ``width`` bits.
+        """
         if self._windows is None or self._windows[1] < width:
             self._windows = (window_values(self.bits, width), width)
         return self._windows
 
     def cyclic_counts(self, width: int) -> np.ndarray:
-        """Occurrences of each of the 2^width cyclic ``width``-bit window values."""
-        if self._counts is None or self._counts[0] != width:
+        """Occurrences of each of the 2^width cyclic ``width``-bit window values.
+
+        The counts of the widest width asked for so far are kept.  Each
+        cyclic (k - 1)-bit window is the prefix of exactly one cyclic k-bit
+        window, so summing the counts of each value pair (2v, 2v + 1) gives
+        the next narrower counts exactly; that chain of folds is kept too.
+        """
+        if not self._counts or self._counts[0].size < 1 << width:
             values, wide = self.windows(width)
             top = values.astype(np.intp)
             top >>= wide - width
-            self._counts = (width, np.bincount(top, minlength=1 << width))
-        return self._counts[1]
+            self._counts = [np.bincount(top, minlength=1 << width)]
+        while self._counts[-1].size > 1 << width:
+            self._counts.append(self._counts[-1].reshape(-1, 2).sum(axis=1))
+        return self._counts[self._counts[0].size.bit_length() - 1 - width]
 
     def linear_complexities(self, m: int) -> np.ndarray:
         """Linear complexity of each of the n // m leading m-bit blocks."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import erfc
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .gf2 import gf2_ranks
 from .sequence import as_sequence
 from .special import igamc, normal_cdf
-from .templates import aperiodic_template_values, template_label
 
 _LOG_ALPHA_SPECTRAL = math.log(20.0)  # the spectral test's fixed 95 % threshold
 
@@ -135,6 +135,12 @@ class TestParams:
             raise ValueError(
                 f"overlapping_m must be at most overlapping_block_len and {_MAX_WINDOW_BITS}"
             )
+        if self.longest_run_m not in (None, *_LONGEST_RUN_TABLES):
+            raise ValueError(f"unsupported longest-run block size {self.longest_run_m}")
+        if self.universal_l is not None and not 1 <= self.universal_l <= 16:
+            raise ValueError("universal block length must be in [1, 16]")
+        if self.universal_q is not None and self.universal_q < 1:
+            raise ValueError("universal_q must be at least 1")
 
     def resolved_longest_run(self, n: int) -> tuple[int, int]:
         """(M, N) for the longest-run test at sequence length n."""
@@ -143,8 +149,6 @@ class TestParams:
             if n < 128:
                 raise SequenceTooShortError("longest-run test needs at least 128 bits")
             m = 8 if n < 6272 else 128 if n < 750_000 else 10_000
-        if m not in _LONGEST_RUN_TABLES:
-            raise ValueError(f"unsupported longest-run block size {m}")
         return m, n // m
 
     def resolved_universal(self, n: int) -> tuple[int, int, int]:
@@ -157,8 +161,6 @@ class TestParams:
                     break
             else:
                 raise SequenceTooShortError("universal test needs at least 387840 bits")
-        if not 1 <= length <= 16:
-            raise ValueError("universal block length must be in [1, 16]")
         q = self.universal_q if self.universal_q is not None else 10 * 2**length
         k = n // length - q
         if k < 1:
@@ -179,21 +181,6 @@ class TestResult:
 def _require(n: int, minimum: int, test: str) -> None:
     if n < minimum:
         raise SequenceTooShortError(f"{test} needs at least {minimum} bits, got {n}")
-
-
-def _count_width(params: TestParams) -> int:
-    """Width of the cyclic windows ApEn and Serial count; both fold down from it."""
-    return max(params.serial_m, params.approx_entropy_m + 1)
-
-
-def _windows(seq, params: TestParams, least: int = 1) -> tuple[np.ndarray, int]:
-    """Cyclic windows as wide as any test reads, and their width.
-
-    The m-bit window at a position is their top m bits; it is the plain
-    window wherever it ends inside the sequence.
-    """
-    width = max(least, params.nonoverlapping_m, params.overlapping_m, _count_width(params))
-    return seq.windows(width)
 
 
 def frequency_test(bits, params: TestParams) -> TestResult:
@@ -344,6 +331,24 @@ def fft_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.FFT, (p,), ("",))
 
 
+@lru_cache(maxsize=None)
+def aperiodic_template_values(m: int) -> tuple[int, ...]:
+    """All m-bit patterns that cannot overlap a shifted copy of themselves.
+
+    A pattern is kept when no proper shift aligns a suffix with a prefix,
+    which also means raw occurrence counts in a scan equal non-overlapping
+    counts.  For m = 9 there are 148 such patterns.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    values = []
+    for value in range(2**m):
+        bits = [(value >> (m - 1 - k)) & 1 for k in range(m)]
+        if all(bits[s:] != bits[: m - s] for s in range(1, m)):
+            values.append(value)
+    return tuple(values)
+
+
 def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
     """Occurrence counts of every aperiodic m-bit template, one P-value each.
 
@@ -356,7 +361,7 @@ def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
     n_blocks = params.nonoverlapping_blocks
     _require(n, n_blocks * 2**m, "non-overlapping template test")
     block_len = n // n_blocks
-    values, width = _windows(seq, params)
+    values, width = seq.windows(m)
     values = values >> (width - m)
     templates = np.asarray(aperiodic_template_values(m))
     counts = np.empty((n_blocks, 2**m), dtype=np.int64)
@@ -367,7 +372,7 @@ def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
     var = block_len * (2.0**-m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
     chi2 = ((counts[:, templates] - mean) ** 2 / var).sum(axis=0)
     pvalues = tuple(igamc(n_blocks / 2.0, c / 2.0) for c in chi2)
-    labels = tuple(template_label(v, m) for v in templates)
+    labels = tuple(format(v, f"0{m}b") for v in templates)
     return TestResult(TestId.NonOverlappingTemplate, pvalues, labels)
 
 
@@ -400,7 +405,7 @@ def overlapping_template_test(bits, params: TestParams) -> TestResult:
     _require(n, 5 * block_len, "overlapping template test")
     n_blocks = n // block_len
     k = 5
-    values, width = _windows(seq, params)
+    values, width = seq.windows(m)
     ones = values[: n_blocks * block_len] >= (2**m - 1) << (width - m)  # top m bits all ones
     hits = ones.reshape(n_blocks, block_len)[:, : block_len - m + 1].sum(axis=1)
     freq = np.bincount(np.minimum(hits, k), minlength=k + 1)
@@ -431,7 +436,7 @@ def universal_test(bits, params: TestParams) -> TestResult:
     length, q, k = params.resolved_universal(n)
     _require(n, (q + 1) * length, "universal test")
     n_blocks = q + k
-    values, width = _windows(seq, params, length)
+    values, width = seq.windows(length)
     prev = _previous_occurrence(values[: n_blocks * length : length] >> (width - length))
     positions = np.arange(q + 1, n_blocks + 1, dtype=np.int64)
     distances = positions - prev[q:]
@@ -440,19 +445,6 @@ def universal_test(bits, params: TestParams) -> TestResult:
     sigma = c * math.sqrt(_UNIVERSAL_VARIANCE[length] / k)
     p = erfc(abs(fn - _UNIVERSAL_EXPECTED[length]) / (math.sqrt(2.0) * sigma))
     return TestResult(TestId.Universal, (p,), ("",))
-
-
-def _cyclic_counts(bits, m: int, depth: int, counted: int = 0) -> list[np.ndarray]:
-    """Counts of every cyclic window of m, m - 1, ..., m - depth + 1 bits.
-
-    Only the windows of max(m, counted) bits are counted: each cyclic
-    (k - 1)-bit window is the prefix of exactly one cyclic k-bit window, so
-    summing the counts of each adjacent value pair (2v, 2v + 1) is exact.
-    """
-    folds = [as_sequence(bits).cyclic_counts(max(m, counted))]
-    while folds[-1].size > 2 ** (m - depth + 1):
-        folds.append(folds[-1].reshape(-1, 2).sum(axis=1))
-    return folds[-depth:]
 
 
 def _phi(counts: np.ndarray, n: int) -> float:
@@ -465,8 +457,8 @@ def approximate_entropy_test(bits, params: TestParams) -> TestResult:
     n = len(seq)
     m = params.approx_entropy_m
     _require(n, 2 ** (m + 5), "approximate entropy test")
-    wide, narrow = _cyclic_counts(seq, m + 1, 2, _count_width(params))  # m + 1 and m bits
-    apen = _phi(narrow, n) - _phi(wide, n)
+    wide = seq.cyclic_counts(m + 1)  # first, so that the m-bit counts fold from it
+    apen = _phi(seq.cyclic_counts(m), n) - _phi(wide, n)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2.0 ** (m - 1), chi2 / 2.0)
     return TestResult(TestId.ApproximateEntropy, (p,), ("",))
@@ -482,8 +474,7 @@ def serial_test(bits, params: TestParams) -> TestResult:
     n = len(seq)
     m = params.serial_m
     _require(n, 2 ** (m + 2), "serial test")
-    counts = _cyclic_counts(seq, m, 3, _count_width(params))
-    psi_m, psi_m1, psi_m2 = (_psi_squared(c, n) for c in counts)
+    psi_m, psi_m1, psi_m2 = (_psi_squared(seq.cyclic_counts(k), n) for k in (m, m - 1, m - 2))
     del1 = psi_m - psi_m1
     del2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = igamc(2.0 ** (m - 2), del1 / 2.0)
@@ -608,6 +599,7 @@ __all__ = [
     "TestResult",
     "TEST_ORDER",
     "run_test",
+    "aperiodic_template_values",
     "frequency_test",
     "block_frequency_test",
     "cumulative_sums_test",

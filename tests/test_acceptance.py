@@ -20,10 +20,9 @@ from rtdrng.cli import main as cli_main
 from rtdrng.control import ControllerState, run_closed_loop
 from rtdrng.device import DeviceParams, DeviceState, streams, sweep_current
 from rtdrng.nist.battery import analyze_suite, pass_threshold, run_battery
-from rtdrng.nist.gf2 import berlekamp_massey, gf2_rank
+from rtdrng.nist.gf2 import column_complexities, gf2_ranks
 from rtdrng.nist.special import igamc
-from rtdrng.nist.statistical_tests import TestParams, frequency_test
-from rtdrng.nist.templates import aperiodic_template_values
+from rtdrng.nist.statistical_tests import TestParams, aperiodic_template_values, frequency_test
 from rtdrng.pulses import PulseConfig, acquire_bits, window_fractions
 
 mpmath.mp.dps = 40
@@ -266,15 +265,16 @@ def test_c09_suite_sensitivity(tmp_path):
 
 def test_c10_kernel_oracles():
     t0 = time.perf_counter()
-    # linear complexity vs exhaustive LFSR search on every 12-bit sequence
-    for value in range(2**12):
-        seq = [(value >> k) & 1 for k in range(12)]
-        assert berlekamp_massey(seq) == oracles.brute_force_lfsr_length(seq)
+    # linear complexity vs exhaustive LFSR search on every 12-bit sequence,
+    # bit k of value v being column v's bit k
+    columns = ((np.arange(2**12) >> np.arange(12)[:, None]) & 1).astype(np.uint8)
+    assert column_complexities(columns).tolist() == [
+        oracles.brute_force_lfsr_length(seq.tolist()) for seq in columns.T
+    ]
     # rank vs an independent elimination oracle
     rng = np.random.default_rng(1001)
-    for _ in range(100):
-        m = (rng.random((32, 32)) < 0.5).astype(np.uint8)
-        assert gf2_rank(m) == oracles.gf2_rank_oracle(m)
+    matrices = (rng.random((100, 32, 32)) < 0.5).astype(np.uint8)
+    assert gf2_ranks(matrices).tolist() == [oracles.gf2_rank_oracle(m) for m in matrices]
     # special functions vs a high-precision oracle on 50-point grids
     for x in np.linspace(-4.0, 8.0, 50):
         want = float(mpmath.erfc(mpmath.mpf(float(x))))

@@ -517,6 +517,9 @@ class TestUsageErrors:
             "overlapping_m = 70\n",  # used to give P = nan
             "overlapping_m = 2000\n",  # used to raise OverflowError
             "overlapping_m = 20\noverlapping_block_len = 19\n",
+            "universal_q = -5\n",  # used to fail in a numpy broadcast
+            "universal_l = 17\n",  # used to fail only once the battery ran
+            "longest_run_m = 9\n",  # used to fail only once the battery ran
         ],
     )
     def test_template_window_checked_at_load(self, tmp_path, capsys, ini):

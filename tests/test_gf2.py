@@ -8,7 +8,7 @@ from oracles import (
     rank_class_probability,
     textbook_berlekamp_massey,
 )
-from rtdrng.nist.gf2 import berlekamp_massey, column_complexities, gf2_rank, gf2_ranks
+from rtdrng.nist.gf2 import column_complexities, gf2_ranks
 
 
 def random_blocks(shape, seed):
@@ -22,34 +22,31 @@ def row_complexities(blocks):
 
 class TestBerlekampMassey:
     def test_all_zeros(self):
-        assert berlekamp_massey([0, 0, 0, 0, 0]) == 0
+        assert row_complexities(np.array([[0, 0, 0, 0, 0]], dtype=np.uint8)).tolist() == [0]
 
     def test_impulse_at_end(self):
-        assert berlekamp_massey([0, 0, 0, 0, 1]) == 5
+        assert row_complexities(np.array([[0, 0, 0, 0, 1]], dtype=np.uint8)).tolist() == [5]
 
     def test_alternating(self):
-        assert berlekamp_massey([1, 0, 1, 0, 1, 0]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            berlekamp_massey([])
+        assert row_complexities(np.array([[1, 0, 1, 0, 1, 0]], dtype=np.uint8)).tolist() == [2]
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_exhaustive_against_brute_force(self, length):
-        for value in range(2**length):
-            seq = [(value >> k) & 1 for k in range(length)]
-            assert berlekamp_massey(seq) == brute_force_lfsr_length(seq)
+        # row v holds bits k = 0..length-1 of value v
+        blocks = ((np.arange(2**length)[:, None] >> np.arange(length)) & 1).astype(np.uint8)
+        want = [brute_force_lfsr_length(seq.tolist()) for seq in blocks]
+        assert row_complexities(blocks).tolist() == want
 
     def test_matches_textbook_formulation_on_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             seq = (rng.random(rng.integers(10, 300)) < 0.5).astype(np.uint8)
-            assert berlekamp_massey(seq) == textbook_berlekamp_massey(seq)
+            assert row_complexities(seq[None]).tolist() == [textbook_berlekamp_massey(seq)]
 
     def test_expected_complexity_of_random_blocks(self):
         # random 500-bit blocks concentrate near length/2
         rng = np.random.default_rng(2)
-        values = [berlekamp_massey((rng.random(500) < 0.5).astype(np.uint8)) for _ in range(50)]
+        values = row_complexities((rng.random((50, 500)) < 0.5).astype(np.uint8))
         assert all(246 <= v <= 254 for v in values)
 
 
@@ -79,10 +76,6 @@ class TestLinearComplexities:
         got = row_complexities(np.stack([zeros, ones, impulse]))
         assert got.tolist() == [0, 1, length]
 
-    def test_shape_checked(self):
-        with pytest.raises(ValueError):
-            berlekamp_massey(np.zeros((3, 10), dtype=np.uint8))
-
 
 class TestRanks:
     def test_every_rank_against_oracle(self):
@@ -108,36 +101,38 @@ class TestRanks:
     def test_wide_and_tall_rows_span_words(self):
         rng = np.random.default_rng(10)
         for shape in ((3, 130), (130, 3), (70, 70), (64, 65)):
-            for rank in (1, min(shape) // 2, min(shape)):
-                m = (rng.integers(0, 2, (shape[0], rank)) @ rng.integers(0, 2, (rank, shape[1]))) % 2
-                assert gf2_rank(m) == gf2_rank_oracle(m), (shape, rank)
+            stack = np.stack([
+                (rng.integers(0, 2, (shape[0], rank)) @ rng.integers(0, 2, (rank, shape[1]))) % 2
+                for rank in (1, min(shape) // 2, min(shape))
+            ])
+            assert gf2_ranks(stack).tolist() == [gf2_rank_oracle(m) for m in stack], shape
 
 
 class TestRank:
     def test_identity(self):
-        assert gf2_rank(np.eye(32, dtype=np.uint8)) == 32
+        assert gf2_ranks(np.eye(32, dtype=np.uint8)[None]).tolist() == [32]
 
     def test_zero_matrix(self):
-        assert gf2_rank(np.zeros((32, 32), dtype=np.uint8)) == 0
+        assert gf2_ranks(np.zeros((1, 32, 32), dtype=np.uint8)).tolist() == [0]
 
     def test_duplicate_rows_collapse(self):
         m = np.zeros((4, 4), dtype=np.uint8)
         m[0] = [1, 0, 1, 0]
         m[1] = [1, 0, 1, 0]
         m[2] = [0, 1, 0, 0]
-        assert gf2_rank(m) == 2
+        assert gf2_ranks(m[None]).tolist() == [2]
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            m = (rng.random((32, 32)) < 0.5).astype(np.uint8)
-            assert gf2_rank(m) == gf2_rank_oracle(m)
+        # one batch draws the same stream as one (32, 32) draw per matrix
+        matrices = (rng.random((100, 32, 32)) < 0.5).astype(np.uint8)
+        assert gf2_ranks(matrices).tolist() == [gf2_rank_oracle(m) for m in matrices]
 
     def test_rectangular(self):
         rng = np.random.default_rng(4)
         for shape in ((5, 9), (9, 5), (1, 7)):
             m = (rng.random(shape) < 0.5).astype(np.uint8)
-            assert gf2_rank(m) == gf2_rank_oracle(m)
+            assert gf2_ranks(m[None]).tolist() == [gf2_rank_oracle(m)]
 
     def test_rank_class_frequencies(self):
         # empirical {32, 31, <=30} frequencies vs the exact distribution

@@ -8,6 +8,7 @@ The battery works through its sequences a group at a time, so more
 sequences may not raise its peak by more than one group's bits.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,11 @@ from rtdrng.device import DeviceParams, DeviceState, streams
 from rtdrng.extractor import ExtractorConfig, extract
 from rtdrng.nist.battery import run_battery
 from rtdrng.nist.sequence import battery_sequences
-from rtdrng.nist.statistical_tests import TestParams
+from rtdrng.nist.statistical_tests import (
+    SequenceTooShortError,
+    TestParams,
+    approximate_entropy_test,
+)
 from rtdrng.pulses import PulseConfig, acquire_bits, window_fractions
 
 P = DeviceParams()
@@ -105,6 +110,23 @@ def test_battery_groups(monkeypatch):
     peaks = [traced_peak(battery, random_stream(count * n, count), count) for count in (2, 8)]
     # at most the byte-per-bit rows of one group
     assert_growth_within(peaks, 2 * n)
+
+
+def test_short_sequence_rejected_before_serial_counts():
+    # counting at serial_m = 24 would take a 2^24-entry int64 bincount (134 MB);
+    # Serial rejects 400k bits first, and ApEn counts only at its own width
+    bits = random_stream(400_000, 5).to_array()
+    params = TestParams(n=bits.size, serial_m=24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SequenceTooShortError, match="serial test"):
+            run_battery(bits, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+    standard = dataclasses.replace(params, serial_m=16)
+    assert approximate_entropy_test(bits, params) == approximate_entropy_test(bits, standard)
 
 
 @pytest.mark.parametrize("length", [800_000, 3_200_000])

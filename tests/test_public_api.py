@@ -19,13 +19,13 @@ MODULES = [
     "rtdrng.nist.gf2",
     "rtdrng.nist.special",
     "rtdrng.nist.statistical_tests",
-    "rtdrng.nist.templates",
 ]
 
 # names with no caller, deleted from the package
 REMOVED = {
     "rtdrng": ["concat_streams", "controller_update", "h_fraction_histogram"],
-    "rtdrng.nist": ["erfc"],
+    "rtdrng.nist": ["erfc", "berlekamp_massey", "gf2_rank", "aperiodic_templates"],
+    "rtdrng.nist.gf2": ["berlekamp_massey", "gf2_rank"],
 }
 
 

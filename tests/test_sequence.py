@@ -21,7 +21,6 @@ from rtdrng.nist.statistical_tests import (
     _MAX_WINDOW_BITS,
     _OVERLAPPING_PI_STANDARD,
     TestParams,
-    _cyclic_counts,
     _overlapping_probabilities,
     overlapping_template_test,
 )
@@ -83,17 +82,29 @@ class TestWindowValues:
                 window_values(bits, width)
 
     def test_counts_fold_from_the_widest_window(self):
-        # ApEn and Serial fold their counts down from one bincount, taken
-        # from the top bits of wider windows that other tests read
+        # the holder keeps the widest windows and counts asked for so far and
+        # serves narrower ones from them, whatever order the tests ask in
         bits = random_bits(4000, 35)
         bits[-7:] = 1  # windows that wrap round the end see the start
         seq = as_sequence(bits)
-        seq.windows(20)
-        for m, counts in zip(range(6, 0, -1), _cyclic_counts(seq, 6, 6, counted=11)):
+
+        def check_windows(m):
+            values, width = seq.windows(m)
+            top = values.astype(np.int64) >> (width - m)
+            assert top.tolist() == oracles.pattern_values(bits, m, wrap=True).tolist(), m
+
+        def check_counts(m):
             want = np.zeros(2**m, dtype=np.int64)
             for value, count in oracles.oracle_cyclic_counts(bits, m).items():
                 want[value] = count
-            assert np.array_equal(counts, want), m
+            assert np.array_equal(seq.cyclic_counts(m), want), m
+
+        check_windows(9)
+        check_windows(20)
+        assert seq.windows(9)[1] == 20  # narrower after wider: the kept ones
+        for m in (3, 4, 2, 11, 6, 1, 11, 5):  # narrow, wider, narrow again
+            check_counts(m)
+        check_windows(7)
 
 
 class TestWalk:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+from rtdrng.nist.sequence import as_sequence
 from rtdrng.nist.special import igamc
 from rtdrng.nist.statistical_tests import (
     SequenceTooShortError,
     TEST_ORDER,
     TestId,
     TestParams,
+    aperiodic_template_values,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -28,7 +30,6 @@ from rtdrng.nist.statistical_tests import (
     serial_test,
     universal_test,
 )
-from rtdrng.nist.templates import aperiodic_template_values
 
 PARAMS = TestParams()
 
@@ -351,13 +352,14 @@ class TestUniversal:
 
 class TestApproximateEntropy:
     def test_phi_matches_oracle(self):
-        from rtdrng.nist.statistical_tests import _cyclic_counts, _phi
+        from rtdrng.nist.statistical_tests import _phi
 
         # counted once at m = 5, marginalised down to m = 1
         bits = random_bits(5000, 25)
-        for m, counts in zip(range(5, 0, -1), _cyclic_counts(bits, 5, 5)):
+        seq = as_sequence(bits)
+        for m in range(5, 0, -1):
             want = oracles.oracle_phi(bits, m)
-            assert _phi(counts, bits.size) == pytest.approx(want, abs=1e-10)
+            assert _phi(seq.cyclic_counts(m), bits.size) == pytest.approx(want, abs=1e-10)
 
     def test_statistic_assembly(self):
         bits = random_bits(40_000, 26)
@@ -376,26 +378,26 @@ class TestApproximateEntropy:
 
 class TestSerial:
     def test_psi_matches_oracle(self):
-        from rtdrng.nist.statistical_tests import _cyclic_counts, _psi_squared
+        from rtdrng.nist.statistical_tests import _psi_squared
 
         # counted once at m = 4, marginalised down to m = 1
         bits = random_bits(3000, 27)
-        for m, counts in zip(range(4, 0, -1), _cyclic_counts(bits, 4, 4)):
-            assert _psi_squared(counts, bits.size) == pytest.approx(
+        seq = as_sequence(bits)
+        for m in range(4, 0, -1):
+            assert _psi_squared(seq.cyclic_counts(m), bits.size) == pytest.approx(
                 oracles.oracle_psi_sq(bits, m), abs=1e-8
             )
 
     def test_marginalised_counts_are_exact(self):
         # each cyclic (k-1)-bit window is the prefix of one cyclic k-bit window
-        from rtdrng.nist.statistical_tests import _cyclic_counts
-
         bits = random_bits(4000, 35)
         bits[-7:] = 1  # windows that wrap round the end see the start
-        for m, counts in zip(range(8, 0, -1), _cyclic_counts(bits, 8, 8)):
+        seq = as_sequence(bits)
+        for m in range(8, 0, -1):
             want = np.zeros(2**m, dtype=np.int64)
             for value, count in oracles.oracle_cyclic_counts(bits, m).items():
                 want[value] = count
-            assert np.array_equal(counts, want), m
+            assert np.array_equal(seq.cyclic_counts(m), want), m
 
     def test_statistic_assembly(self):
         bits = random_bits(300_000, 28)

@@ -1,6 +1,6 @@
 import pytest
 
-from rtdrng.nist.templates import aperiodic_template_values, aperiodic_templates, template_label
+from rtdrng.nist.statistical_tests import aperiodic_template_values
 
 
 def overlaps_itself(pattern: str) -> bool:
@@ -23,7 +23,3 @@ class TestTemplates:
     def test_values_ascending(self):
         values = aperiodic_template_values(9)
         assert list(values) == sorted(values)
-
-    def test_array_form_consistent(self):
-        for value, arr in zip(aperiodic_template_values(5), aperiodic_templates(5)):
-            assert template_label(value, 5) == "".join(str(b) for b in arr)
