@@ -21,7 +21,10 @@ import numpy as np
 from .bits import BitFileError, read_bits, write_bits
 from .config import ConfigError, PipelineConfig, default_config, load_config, seed_bits
 from .control import run_closed_loop
-from .device import DeviceState, streams, sweep_current
+from .device import Branch, DeviceState, _branch_voltage_unchecked, streams, sweep_branches
+
+# perfbench/worker.py patches cli.sweep_current to time each sweep call
+from .device import sweep_current  # noqa: F401
 from .extractor import (
     InsufficientEntropyError,
     choose_block_params,
@@ -88,16 +91,14 @@ def cmd_generate(args) -> int:
         )
         if len(stream) > args.count:
             stream = stream._prefix(args.count)
-        _write_tsv(
-            out.with_name(out.name + ".ratio.tsv"),
-            ["window", "ratio"],
-            ((w, f"{ratios[w]:.6f}") for w in range(len(ratios))),
-        )
-        _write_tsv(
-            out.with_name(out.name + ".amplitude.tsv"),
-            ["window", "amplitude_ma"],
-            ((w, f"{amplitudes[w]:.6f}") for w in range(len(amplitudes))),
-        )
+        for suffix, column, values in (
+            ("ratio", "ratio", ratios),
+            ("amplitude", "amplitude_ma", amplitudes),
+        ):
+            rows = "".join([f"{w}\t{v:.6f}\n" for w, v in enumerate(values.tolist())])
+            out.with_name(f"{out.name}.{suffix}.tsv").write_text(
+                f"window\t{column}\n{rows}", encoding="utf-8"
+            )
     else:
         stream = acquire_bits(state, cfg.device, cfg.pulse, args.count, rng)
     write_bits(out, stream)
@@ -127,32 +128,29 @@ def cmd_sweep(args) -> int:
         start = args.start
     if args.stop is not None:
         stop = args.stop
-    rng = streams(cfg.seed)
-    state = DeviceState()
-    blocks = []
-    current_cells = None
-    switches = []
-    for sweep_idx in range(args.repeats):
-        trace = sweep_current(
-            cfg.device, start, stop, args.steps, args.dt, rng, state=state
-        )
-        # every sweep runs the same current grid
-        if current_cells is None:
-            current_cells = [f"\t{i:.6f}\t" for i in trace.currents.tolist()]
-        idx = str(sweep_idx)
-        blocks.append(
-            "".join(
-                f"{idx}{cell}{v:.6f}\n" for cell, v in zip(current_cells, trace.voltages.tolist())
-            )
-        )
-        switches.append(trace.switch_current)
-    # sweep_current checks --steps, --dt, --start and --stop: nothing is
-    # written unless every sweep ran
+    # sweep_branches checks --steps, --dt, --start and --stop before it draws
+    # anything: nothing is written on a bad flag
+    currents, groups = sweep_branches(
+        cfg.device, start, stop, args.steps, args.dt, args.repeats, streams(cfg.seed)
+    )
+    # a point's voltage depends only on its grid current and its branch, so
+    # each point's L and H line texts are formatted once
+    texts = {}
+    for branch in (Branch.L, Branch.H):
+        volts = _branch_voltage_unchecked(cfg.device, branch, currents).tolist()
+        lines = [f"\t{i:.6f}\t{v:.6f}\n" for i, v in zip(currents.tolist(), volts)]
+        texts[branch] = np.array(lines, dtype=object)
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    switches = []
     with open(out_dir / "sweeps.tsv", "w", encoding="utf-8") as fh:
         fh.write("sweep\tcurrent_ma\tvoltage_v\n")
-        fh.writelines(blocks)
+        for branches, group_switches in groups:
+            # written as each group is made, so the stage holds one group's lines
+            rows = np.where(branches, texts[Branch.H], texts[Branch.L]).tolist()
+            idx = map(str, range(len(switches), len(switches) + len(rows)))
+            fh.writelines(k + k.join(row) for k, row in zip(idx, rows))
+            switches.extend(group_switches)
     _write_tsv(
         out_dir / "switch_currents.tsv",
         ["sweep", "switch_current_ma"],
@@ -281,7 +279,8 @@ def cmd_report(args) -> int:
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     stages = {}
-    for meta_path in sorted(run_dir.glob("*.meta")):
+    # a sweep stage may write into its own subdirectory of the run
+    for meta_path in sorted([*run_dir.glob("*.meta"), *run_dir.glob("*/sweep.meta")]):
         entries = read_sidecar(meta_path)
         stages.setdefault(entries.get("stage", "?"), []).append((meta_path, entries))
     missing = [stage for stage in ("generate", "extract", "test") if stage not in stages]

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,11 @@ _MS_PER_S = 1000.0
 # stay within 2**64.
 _SCAN_ROW = 2048
 _SCAN_SPAN = 2.0**-64
+
+# steps per bulk draw: a chunk of pulses in pulses._acquire, each holding
+# about 40 bytes of temporaries, or a group of sweeps in sweep_branches; also
+# the bits per pulses.window_fractions chunk
+_CHUNK_PULSES = 1 << 18
 
 # Default stochastic calibration: with a 1 ms pulse the switching
 # probability crosses 0.5 at 1.515 mA, so the two working amplitudes
@@ -314,10 +319,10 @@ def _fill(rng: Streams, u: np.ndarray, z: np.ndarray) -> None:
 def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
     """Draw `count` successive steps of dt ms, starting from `drift`.
 
-    The draw of sweep points and trace pulses, which acquisition's chunks
-    repeat with the draws on a helper thread (pulses._acquire): _fill
-    draws each step's switch uniform from rng.switch and its drift normal
-    from rng.drift.  The drift is the exact discretisation of the
+    The draw of trace pulses, which acquisition's chunks (pulses._acquire,
+    with the draws on a helper thread) and sweep groups (sweep_branches)
+    repeat: _fill draws each step's switch uniform from rng.switch and its
+    drift normal from rng.drift.  The drift is the exact discretisation of the
     mean-reverting walk, run by _drift_scan; with drift_sigma = 0 it only
     decays.  Returns (drifts, u, final): the drift entering each step, the
     switch uniforms and the drift after the last step.
@@ -335,6 +340,109 @@ def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([clock], dwells)))[1:]
 
 
+def sweep_branches(
+    params: DeviceParams,
+    start: float,
+    stop: float,
+    steps: int,
+    dt_per_step: float,
+    repeats: int,
+    rng: Streams,
+    state: DeviceState | None = None,
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, list[float | None]]]]:
+    """Run `repeats` successive sweeps of one current ramp in lockstep.
+
+    Returns the grid currents and an iterator over groups of sweeps.  A group
+    is (high, switches): high[r, j] is True where sweep r reads the H branch
+    at grid point j, and switches[r] is sweep r's switch current or None.
+    The sweeps equal `repeats` chained sweep_current calls on one state, which
+    is advanced in place as each group is made (a fresh state if None).  The
+    arguments are checked here, before anything is drawn.
+
+    A group holds at most _CHUNK_PULSES steps, one sweep at least.  One _fill
+    draws its switch uniforms and drift normals; each sweep's drift is then
+    scanned on its own from the previous sweep's end, so the drifts equal
+    chained calls bit for bit (one scan over the whole group would differ in
+    the last bits).  The set/reset latch runs once over the group's rows laid
+    end to end, each row led by an entry for the start point: that entry is
+    forced only when `start` lies outside the drift-shifted window, and
+    otherwise keeps the branch the previous row ended on (the state's branch
+    for the first row).
+    """
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    if not 0.0 < dt_per_step < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("start and stop must be finite")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    state = state if state is not None else DeviceState()
+    currents = np.linspace(start, stop, steps)
+    return currents, _sweep_groups(params, start, currents, dt_per_step, repeats, rng, state)
+
+
+def _sweep_groups(params, start, currents, dt, repeats, rng, state):
+    steps = currents.size
+    decay, scatter = _walk_terms(params, dt)
+    per_group = max(1, _CHUNK_PULSES // steps)
+    scan = np.empty(_scan_size(steps, decay))
+    for done in range(0, repeats, per_group):
+        rows = min(per_group, repeats - done)
+        u = np.empty((rows, steps))
+        z = np.empty((rows, steps))
+        _fill(rng, u.reshape(-1), z.reshape(-1))
+        drifts = np.empty((rows, steps))
+        drift = state.drift
+        for r in range(rows):
+            scan[:steps] = z[r]
+            path = _drift_scan(scan, steps, decay, scatter, drift)
+            drifts[r] = path[:-1]
+            drift = float(path[-1])
+        del z
+        thresholds = _switch_thresholds(params, drifts, u, dt)
+        del u
+        valleys = params.i_valley + drifts
+        # entry 0 of each row pre-positions the branch for the starting bias
+        # point: settling there is part of the sweep setup, not a switch
+        sets = np.empty((rows, steps + 1), dtype=bool)
+        forced = np.empty((rows, steps + 1), dtype=bool)
+        np.greater(start, params.i_peak + drifts[:, 0], out=sets[:, 0])
+        np.less(start, valleys[:, 0], out=forced[:, 0])
+        np.greater(currents, thresholds, out=sets[:, 1:])
+        np.less(currents, valleys, out=forced[:, 1:])
+        del thresholds
+        forced |= sets
+        # the latch reads the first entry of the group as forced, so a first
+        # row starting inside the window takes the state's branch there
+        if not forced[0, 0]:
+            sets[0, 0] = state.branch is Branch.H
+        # the threshold never lies below the valley, so set and reset exclude
+        # each other; every entry keeps the level of the last forced one
+        last = np.where(forced.reshape(-1), np.arange(forced.size), 0)
+        np.maximum.accumulate(last, out=last)
+        high = sets.reshape(-1)[last].reshape(rows, steps + 1)
+        del last, sets, forced
+        # each row's first change gives its switch current: the grid current
+        # for a stochastic L->H jump, the crossed peak or valley otherwise
+        changes = high[:, 1:] != high[:, :-1]
+        first = changes.argmax(axis=1)
+        entry = np.arange(rows)
+        crossed = np.where(
+            high[entry, first + 1],
+            np.minimum(currents[first], params.i_peak + drifts[entry, first]),
+            valleys[entry, first],
+        )
+        switches = [
+            at if changed else None
+            for at, changed in zip(crossed.tolist(), changes.any(axis=1).tolist())
+        ]
+        state.branch = Branch.H if high[-1, -1] else Branch.L
+        state.drift = drift
+        state.clock = float(_elapsed(state.clock, np.full(rows * steps, dt))[-1])
+        yield high[:, 1:], switches
+
+
 def sweep_current(
     params: DeviceParams,
     start: float,
@@ -348,55 +456,22 @@ def sweep_current(
 
     Each point dwells dt_per_step at its current before the voltage is read,
     mimicking an SMU staircase sweep.  Each point draws like one pulse
-    (_draw_steps) and the branch is a set/reset latch: a point sets H when
-    its current exceeds the point's switching threshold, resets to L below
-    the drift-shifted valley and otherwise keeps the branch.  The recorded
+    (_fill) and the branch is a set/reset latch: a point sets H when its
+    current exceeds the point's switching threshold, resets to L below the
+    drift-shifted valley and otherwise keeps the branch.  The recorded
     switch current is the grid current for a stochastic L->H jump and the
     crossed threshold itself (peak or valley plus drift) for deterministic
     jumps.  If `state` is given it seeds the sweep and is advanced in place;
     otherwise the sweep starts fresh on the branch consistent with the start
-    current.
+    current.  This is sweep_branches with one repeat.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    if not 0.0 < dt_per_step < math.inf:
-        raise ValueError("dt must be positive and finite")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError("start and stop must be finite")
-    state = state if state is not None else DeviceState()
-    drifts, u, drift = _draw_steps(params, state.drift, steps, dt_per_step, rng)
-    currents = np.linspace(start, stop, steps)
-    valleys = params.i_valley + drifts
-    # entry 0 pre-positions the branch for the starting bias point: settling
-    # there is part of the sweep setup, not a recorded switch
-    if start > params.i_peak + state.drift:
-        settled = True
-    elif start < params.i_valley + state.drift:
-        settled = False
-    else:
-        settled = state.branch is Branch.H
-    thresholds = _switch_thresholds(params, drifts, u, dt_per_step)
-    sets = np.concatenate(([settled], currents > thresholds))
-    forced = sets | np.concatenate(([True], currents < valleys))
-    # the threshold never lies below the valley, so set and reset exclude
-    # each other; every point keeps the level of the last forced one
-    high = sets[np.maximum.accumulate(np.where(forced, np.arange(steps + 1), 0))]
-    switch_current: float | None = None
-    changes = np.flatnonzero(high[1:] != high[:-1])
-    if changes.size:
-        k = changes[0]
-        if high[k + 1]:
-            switch_current = min(float(currents[k]), params.i_peak + float(drifts[k]))
-        else:
-            switch_current = float(valleys[k])
+    currents, groups = sweep_branches(params, start, stop, steps, dt_per_step, 1, rng, state)
+    (high,), (switch_current,) = next(groups)
     voltages = np.where(
-        high[1:],
+        high,
         _branch_voltage_unchecked(params, Branch.H, currents),
         _branch_voltage_unchecked(params, Branch.L, currents),
     )
-    state.branch = Branch.H if high[-1] else Branch.L
-    state.drift = drift
-    state.clock = float(_elapsed(state.clock, np.full(steps, dt_per_step))[-1])
     return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
 
 
@@ -426,6 +501,7 @@ __all__ = [
     "streams",
     "iv_current",
     "branch_voltage",
+    "sweep_branches",
     "sweep_current",
     "sweep_switch_probabilities",
 ]

@@ -41,6 +41,7 @@ import numpy as np
 
 from .bits import BitStream, _Packer
 from .device import (
+    _CHUNK_PULSES,
     _branch_voltage_unchecked,
     _draw_steps,
     _drift_scan,
@@ -55,10 +56,6 @@ from .device import (
     ModelRangeError,
     Streams,
 )
-
-# pulses per bulk draw, and bits per window_fractions chunk; each pulse holds
-# about 40 bytes of temporaries
-_CHUNK_PULSES = 1 << 18
 
 
 @dataclass(frozen=True)

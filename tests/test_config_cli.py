@@ -387,6 +387,21 @@ class TestReportCommand:
         assert run_cli("report", "--run", tmp_path) == 3
         assert "ext.bits.meta" in capsys.readouterr().err
 
+    def test_sweeps_in_subdirectories_are_summarized(self, tmp_path):
+        run_cli("generate", "--count", 1000, "--out", tmp_path / "raw.bits")
+        for direction in ("reverse", "forward"):
+            assert run_cli(
+                "sweep", "--direction", direction, "--repeats", 4, "--steps", 100,
+                "--out-dir", tmp_path / f"sweep_{direction}",
+            ) == 0
+        assert run_cli("report", "--run", tmp_path) == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        sections = summary.split("sweep:\n")[1:]
+        assert len(sections) == 2
+        # sorted by path: sweep_forward before sweep_reverse
+        assert sections[0].startswith("  direction: forward\n  repeats: 4\n  switch current mean")
+        assert sections[1].startswith("  direction: reverse\n  repeats: 4\n  switch current mean")
+
     def test_two_amplitude_run_shows_both_histograms(self, tmp_path):
         for name, amplitude in (("lo.bits", 1.50), ("hi.bits", 1.53)):
             cfg = tmp_path / f"{name}.ini"

@@ -5,11 +5,15 @@ in chunks of a fixed size, so quadrupling the input may raise the peak
 traced allocation by the extra output and a small slack only.  A
 byte-per-bit copy of the stream would add eight times the packed input.
 The battery works through its sequences a group at a time, so more
-sequences may not raise its peak by more than one group's bits.
+sequences may not raise its peak by more than one group's bits.  A sweep
+stage writes its rows a group of sweeps at a time.
 """
 
 import dataclasses
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from rtdrng.pulses import PulseConfig, acquire_bits, window_fractions
 P = DeviceParams()
 CFG = PulseConfig(amplitude=1.515, width=1.0)
 SLACK = 8 << 10
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def traced_peak(fn, *args):
@@ -134,3 +139,24 @@ def test_read_bits_holds_one_payload(tmp_path, length):
     path = tmp_path / "x.bits"
     write_bits(path, random_stream(length, 4))
     assert traced_peak(read_bits, path) <= length // 8 + SLACK
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sweep_stage_peak_rss(tmp_path):
+    # a fresh process, so this session's own allocations do not count.  Its
+    # ru_maxrss would: exec keeps the spawning process's high-water mark,
+    # while VmHWM belongs to the new address space.  The 3M rows take about
+    # 66 MB as text; holding every line until the end peaked at 103 MB
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from rtdrng.cli import main; "
+        "argv = ['sweep', '--repeats', '10000', '--steps', '300', '--out-dir', sys.argv[2]]; "
+        "assert main(argv) == 0; "
+        "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    peak_mb = int(out.stdout.split()[-2]) / 1024  # VmHWM is in kB
+    assert peak_mb < 80, peak_mb
+    assert (tmp_path / "sweeps.tsv").stat().st_size > 60 << 20

@@ -5,6 +5,8 @@ from switching thresholds; the oracles step the same model one DeviceState
 and one scalar uniform at a time, so every voltage, time, branch and grid
 switch current must agree bit for bit.  The drift, and a switch current on
 the drift-shifted peak or valley, agree within the drift scan's bound.
+sweep_branches runs many repeats of one ramp in lockstep, and must equal
+chained oracle sweeps the same way, and chained one-repeat calls exactly.
 """
 
 import itertools
@@ -20,11 +22,15 @@ from oracles import (
     sweep_current_oracle,
     trace_pulses_oracle,
 )
+import rtdrng.device as device
 from rtdrng.device import (
+    Branch,
     DeviceParams,
     DeviceState,
+    _branch_voltage_unchecked,
     _switch_probability,
     streams,
+    sweep_branches,
     sweep_current,
 )
 from rtdrng.pulses import PulseConfig, acquire_bits, trace_pulses
@@ -92,6 +98,84 @@ def test_sweep_without_state_matches_oracle():
 def test_sweep_rejects_nonpositive_dwell():
     with pytest.raises(ValueError, match="dt must be positive"):
         sweep_current(DeviceParams(), 0.0, 1.0, 10, 0.0, streams(0))
+
+
+# one ramp per lockstep case, with the branch the state starts on; a start
+# inside the window makes every later sweep start on the branch the one
+# before it ended on, and a start on the peak or the valley does so only
+# while the drift entering the sweep keeps it inside
+RAMPS = {
+    "forward": (0.0, TOP, Branch.L),
+    "reverse": (TOP, 0.0, Branch.L),
+    "inside-up": (1.0, 1.7, Branch.L),
+    "inside-down": (1.0, 0.2, Branch.H),
+    "from-peak": (1.55, 0.4, Branch.L),
+    "from-valley": (0.4, 1.55, Branch.H),
+}
+DRIFTS = {
+    "sigma0": DeviceParams(drift_sigma=0.0),
+    "sigma0.03": DeviceParams(drift_sigma=0.03),
+    "sigma0.3": DeviceParams(drift_sigma=0.3, drift_tau=0.5),
+}
+STEPS, REPEATS = 60, 8
+
+
+def _lockstep(monkeypatch, params, start, stop, dt, rng, state):
+    """(voltages, switch current) of each of REPEATS lockstep sweeps, in groups of 3."""
+    monkeypatch.setattr(device, "_CHUNK_PULSES", 3 * STEPS + 7)
+    currents, groups = sweep_branches(params, start, stop, STEPS, dt, REPEATS, rng, state)
+    high_v = _branch_voltage_unchecked(params, Branch.H, currents)
+    low_v = _branch_voltage_unchecked(params, Branch.L, currents)
+    sweeps = []
+    for group, (high, switches) in enumerate(groups):
+        assert len(switches) == (3 if group < 2 else 2)
+        sweeps += [(np.where(row, high_v, low_v), s) for row, s in zip(high, switches)]
+    assert len(sweeps) == REPEATS
+    return currents, sweeps
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.01])
+@pytest.mark.parametrize("params", DRIFTS.values(), ids=DRIFTS.keys())
+@pytest.mark.parametrize("ramp", RAMPS.values(), ids=RAMPS.keys())
+def test_lockstep_matches_chained_oracle(monkeypatch, ramp, params, dt):
+    start, stop, branch = ramp
+    state, ref_state = DeviceState(branch=branch), DeviceState(branch=branch)
+    rng, ref_rng = streams(12), streams(12)
+    currents, sweeps = _lockstep(monkeypatch, params, start, stop, dt, rng, state)
+    for voltages, switch in sweeps:
+        _, ref_voltages, ref_switch = sweep_current_oracle(
+            params, start, stop, STEPS, dt, ref_rng, state=ref_state
+        )
+        assert np.array_equal(voltages, ref_voltages)
+        _assert_same_switch(switch, ref_switch, currents)
+    _assert_same_state(state, ref_state, params.drift_sigma)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.01])
+@pytest.mark.parametrize("params", DRIFTS.values(), ids=DRIFTS.keys())
+@pytest.mark.parametrize("ramp", RAMPS.values(), ids=RAMPS.keys())
+def test_lockstep_equals_chained_sweeps(monkeypatch, ramp, params, dt):
+    start, stop, branch = ramp
+    state, ref_state = DeviceState(branch=branch), DeviceState(branch=branch)
+    rng, ref_rng = streams(13), streams(13)
+    _, sweeps = _lockstep(monkeypatch, params, start, stop, dt, rng, state)
+    for voltages, switch in sweeps:
+        ref = sweep_current(params, start, stop, STEPS, dt, ref_rng, state=ref_state)
+        assert np.array_equal(voltages, ref.voltages)
+        assert switch == ref.switch_current
+    assert state == ref_state
+    # both runs leave the streams at the same place
+    assert rng.switch.random() == ref_rng.switch.random()
+    assert rng.drift.standard_normal() == ref_rng.drift.standard_normal()
+
+
+def test_lockstep_checks_arguments_before_drawing():
+    rng = streams(0)
+    with pytest.raises(ValueError, match="repeats"):
+        sweep_branches(DeviceParams(), 0.0, 1.0, 10, 1.0, 0, rng)
+    with pytest.raises(ValueError, match="finite"):
+        sweep_branches(DeviceParams(), 0.0, math.nan, 10, 1.0, 5, rng)
+    assert rng.switch.random() == streams(0).switch.random()
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
