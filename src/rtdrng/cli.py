@@ -9,6 +9,7 @@ error, 3 I/O or malformed-file error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -405,9 +406,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters, and the values main sets them to
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_BYTES = 256 << 20
+_MMAP_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let the C heap keep what a stage frees, where glibc's ``mallopt`` exists.
+
+    The test stage allocates and frees the same arrays for every sequence
+    (the FFT's input, output and pocketfft scratch, the walk, the runs).
+    By default glibc serves each from a fresh ``mmap`` or trims it off the
+    heap when it is freed, so every sequence faults its pages in again
+    (about 24 MB per 550k bits).  Arrays under 32 MiB now come from the
+    heap, and up to 256 MiB of free heap stays mapped.  Both are set:
+    setting either turns off glibc's dynamic mmap threshold, so the trim
+    threshold alone would leave every array above 128 KiB a fresh
+    ``mmap``.  The policy is the program's, so it is set here and not when
+    the package is imported.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.func(args)
     except ConfigError as exc:

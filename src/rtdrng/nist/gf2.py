@@ -9,49 +9,59 @@ from __future__ import annotations
 import numpy as np
 
 _ONE = np.uint64(1)
-_TOP = np.uint64(63)
-_FOLDS = tuple(np.uint64(s) for s in (32, 16, 8, 4, 2, 1))
-
-
-def _times_x(words: np.ndarray) -> None:
-    """In place: multiply each column's word-major (W, B) polynomial by x."""
-    carry = words[:-1] >> _TOP
-    words <<= _ONE
-    words[1:] |= carry
 
 
 def column_complexities(columns: np.ndarray) -> np.ndarray:
     """Linear complexity of each column of an (m, B) uint8 0/1 matrix.
 
     Row t holds bit t of every block.  Berlekamp-Massey runs in lockstep
-    over all columns.  The state is word-major, (W, B) uint64 with
-    W = ceil((m + 1) / 64) and bit i of a polynomial holding the
-    coefficient of x^i: the connection polynomial, the previous one
-    pre-multiplied by x^(t - last_change), and the window (bit i =
-    s[t - i]).  The discrepancy is the parity of poly AND window; updates
-    are selected with all-ones/all-zeros masks.  At step t no polynomial
-    has a bit above t + 2, so only the low words are touched.
+    over all columns, bit-sliced: each uint64 word holds one bit of 64
+    blocks, so a polynomial is an (rows, ceil(B / 64)) array whose row i
+    holds the coefficient of x^i of every block.  The state is the
+    connection polynomial ``poly`` and the previous one pre-multiplied by
+    x^(t - last_change), ``shifted``, which is a view into a larger buffer:
+    multiplying it by x moves the view one row down, with no carry.  The
+    sequence is stored reversed, so the discrepancy at step t is the XOR
+    over rows of poly[i] & s[t - i] on one contiguous slice.  Only rows that
+    can be nonzero are touched: poly has degree at most max L and shifted at
+    most t + 1 - min L, over the real blocks (padding blocks stay at L = 0).
     """
     m, n_blocks = columns.shape
-    n_words = m // 64 + 1
-    poly, shifted, window = np.zeros((3, n_words, n_blocks), dtype=np.uint64)
-    poly[0] = 1
-    shifted[0] = 2  # prev * x^(t - last_change) at t = 0, last_change = -1
-    length = np.zeros(n_blocks, dtype=np.uint64)
+    n_words = -(-n_blocks // 64)
+    packed = np.zeros((m, n_words * 8), dtype=np.uint8)
+    packed[:, : -(-n_blocks // 8)] = np.packbits(columns[::-1], axis=1, bitorder="little")
+    reversed_bits = packed.view(np.uint64)  # row j holds bit m - 1 - j
+    poly = np.zeros((m + 1, n_words), dtype=np.uint64)
+    poly[0] = ~np.uint64(0)
+    # shifted's row i is buffer row i + m - 1 - t at step t; it is x at t = 0
+    buffer = np.zeros((m + 1, n_words), dtype=np.uint64)
+    buffer[m] = ~np.uint64(0)
+    scratch = np.empty((m + 1, n_words), dtype=np.uint64)
+    d = np.empty(n_words, dtype=np.uint64)
+    length = np.zeros(n_words * 64, dtype=np.int32)
+    real = length[:n_blocks]
+    low = high = 0  # min and max L over the real blocks
     for t in range(m):
-        k = min(n_words, (t + 2) // 64 + 1)
-        _times_x(window[:k])
-        window[0] |= columns[t]
-        d = np.bitwise_xor.reduce(poly[:k] & window[:k], axis=0)
-        for s in _FOLDS:
-            d ^= d >> s
-        d &= _ONE
-        change = -(d & (length << _ONE <= t))  # all ones where the length changes
-        poly[:k] ^= shifted[:k] & -d
-        shifted[:k] ^= poly[:k] & change  # on a change, shifted takes the old poly
-        length += (t + 1 - (length << _ONE)) & change
-        _times_x(shifted[:k])
-    return length.astype(np.int64)
+        k = high + 1
+        np.bitwise_and(poly[:k], reversed_bits[m - 1 - t : m - 1 - t + k], out=scratch[:k])
+        np.bitwise_xor.reduce(scratch[:k], axis=0, out=d)
+        if not d.any():
+            continue
+        k = t + 2 - low
+        shifted = buffer[m - 1 - t : m + 1 - low]
+        np.bitwise_and(shifted, d, out=scratch[:k])
+        poly[:k] ^= scratch[:k]
+        lanes = np.unpackbits(d.view(np.uint8), bitorder="little").view(bool)
+        lanes &= length <= t // 2  # 2L <= t
+        if not lanes.any():
+            continue
+        change = np.packbits(lanes, bitorder="little").view(np.uint64)
+        # on a change shifted takes the old poly, which is the new poly XOR shifted
+        np.bitwise_and(poly[:k], change, out=scratch[:k])
+        shifted ^= scratch[:k]
+        length += (t + 1 - 2 * length) * lanes
+        low, high = int(real.min()), int(real.max())
+    return real.astype(np.int64)
 
 
 def gf2_ranks(matrices) -> np.ndarray:

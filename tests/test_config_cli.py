@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -326,6 +327,34 @@ class TestTestCommand:
         assert report["sequences"] == 2
         table = (tmp_path / "report.tsv").read_text().strip().split("\n")
         assert len(table) == 2 + 188
+
+    @pytest.mark.parametrize("broken", ["no mallopt", "no C library"])
+    def test_same_outputs_where_heap_policy_is_skipped(self, tmp_path, monkeypatch, broken):
+        raw = tmp_path / "raw.bits"
+        rng = np.random.default_rng(15)
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 400_000).astype(np.uint8)))
+
+        def stage(out_dir):
+            code = run_cli(
+                "test", "--in", raw, "--sequences", 1, "--sequence-length", 400_000,
+                "--out-dir", out_dir,
+            )
+            names = sorted(p.name for p in out_dir.iterdir())
+            return code, {name: (out_dir / name).read_bytes() for name in names}
+
+        want = stage(tmp_path / "with")
+        opened = []
+
+        def cdll(name, *args, **kwargs):
+            opened.append(name)
+            if broken == "no C library":
+                raise OSError("cannot open the C library")
+            return object()  # a C library without mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert stage(tmp_path / "without") == want
+        assert opened == [None]
+        assert sorted(want[1]) == ["report.json", "report.tsv", "test.meta"]
 
     def test_all_zeros_fail_with_exit_one(self, tmp_path):
         # 4 sequences so the three-sigma bound is above zero and can bite

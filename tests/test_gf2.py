@@ -76,6 +76,24 @@ class TestLinearComplexities:
         got = row_complexities(np.stack([zeros, ones, impulse]))
         assert got.tolist() == [0, 1, length]
 
+    @pytest.mark.parametrize("length", [64, 500])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 129, 1100])
+    @pytest.mark.parametrize("degenerate", [True, False])
+    def test_lanes_against_scalar_reference(self, count, length, degenerate):
+        # 64 blocks share a word and the last word is padded, so the row
+        # bounds (max L and min L over the real blocks) see every mix of
+        # lengths; degenerate blocks pin min L at 0 and 1 and push max L
+        # to the block length, random ones keep min L near t / 2
+        blocks = random_blocks((count, length), 7 * count + length)
+        if degenerate:
+            impulse = np.zeros(length, dtype=np.uint8)
+            impulse[-1] = 1
+            lanes = [np.zeros(length), np.ones(length), impulse, np.arange(length) % 2]
+            for j, lane in enumerate(lanes):
+                blocks[(count - 1 - j * (count // 4 + 1)) % count] = lane
+        got = row_complexities(blocks).tolist()
+        assert got == [int_berlekamp_massey(b) for b in blocks]
+
 
 class TestRanks:
     def test_every_rank_against_oracle(self):
