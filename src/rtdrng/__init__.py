@@ -10,13 +10,10 @@ from .config import PipelineConfig, default_config, load_config
 from .control import ControllerState, default_controller, next_amplitude, run_closed_loop
 from .device import (
     Branch,
-    BranchRangeError,
     DeviceParams,
     DeviceState,
     Streams,
     SweepTrace,
-    branch_voltage,
-    iv_current,
     streams,
     sweep_current,
 )
@@ -50,13 +47,10 @@ __all__ = [
     "next_amplitude",
     "run_closed_loop",
     "Branch",
-    "BranchRangeError",
     "DeviceParams",
     "DeviceState",
     "Streams",
     "SweepTrace",
-    "branch_voltage",
-    "iv_current",
     "streams",
     "sweep_current",
     "ExtractorConfig",

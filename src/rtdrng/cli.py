@@ -24,7 +24,8 @@ from .config import ConfigError, PipelineConfig, default_config, load_config, se
 from .control import run_closed_loop
 from .device import Branch, DeviceState, _branch_voltage_unchecked, streams, sweep_branches
 
-# perfbench/worker.py patches cli.sweep_current to time each sweep call
+# kept only so that perfbench/worker.py's patch list resolves: cmd_sweep calls
+# sweep_branches, so the device.sweep_* layers read 0 until that list changes
 from .device import sweep_current  # noqa: F401
 from .extractor import (
     InsufficientEntropyError,

@@ -17,7 +17,8 @@ from .bits import BitStream
 from .device import DeviceParams, DeviceState, Streams
 from .pulses import PulseConfig, _acquire
 
-# perfbench/worker.py patches control.acquire_bits to count per-window calls
+# kept only so that perfbench/worker.py's patch list resolves: run_closed_loop
+# calls _acquire, so closed-loop runs read 0 in pulses.acquire_* until it changes
 from .pulses import acquire_bits  # noqa: F401
 
 

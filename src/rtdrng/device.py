@@ -60,13 +60,6 @@ class Branch(Enum):
     H = "H"
 
 
-class BranchRangeError(ValueError):
-    """Current outside the selected branch's range.
-
-    Physically this is exactly the condition that forces a branch switch.
-    """
-
-
 class ModelRangeError(ValueError):
     """Drift pushed the thresholds outside the model's validity range."""
 
@@ -156,73 +149,23 @@ class SweepTrace:
     switch_current: float | None
 
 
-def iv_current(params: DeviceParams, v: float) -> float:
-    """Static single-valued current at voltage v (voltage-sweep curve).
-
-    Piecewise linear: 0 -> i_peak over [0, v_peak], i_peak -> i_valley over
-    [v_peak, v_valley] (the NDR interpolation, only used for plotting), then
-    slope g_high beyond v_valley.
-    """
-    if v < 0.0:
-        raise ValueError("voltage must be nonnegative")
-    if v <= params.v_peak:
-        return params.i_peak * v / params.v_peak
-    if v <= params.v_valley:
-        frac = (v - params.v_peak) / (params.v_valley - params.v_peak)
-        return params.i_peak + (params.i_valley - params.i_peak) * frac
-    return params.i_valley + params.g_high * (v - params.v_valley)
-
-
 def _branch_voltage_unchecked(params: DeviceParams, branch: Branch, i: float) -> float:
-    # Linear branch lines without range enforcement; under drift the L
+    # The branch's line at current i, with no range check: under drift the L
     # branch extends slightly past i_peak (the effective peak is shifted).
     if branch is Branch.L:
         return i * params.v_peak / params.i_peak
     return params.v_valley + (i - params.i_valley) / params.g_high
 
 
-def branch_voltage(params: DeviceParams, branch: Branch, i: float) -> float:
-    """Voltage on the given branch at current i; inverts iv_current.
-
-    L maps [0, i_peak] into [0, v_peak]; H maps [i_valley, inf) into
-    [v_valley, inf).  A current outside the branch's range raises
-    BranchRangeError.
-    """
-    if branch is Branch.L:
-        if not 0.0 <= i <= params.i_peak:
-            raise BranchRangeError(f"current {i} mA outside L branch [0, {params.i_peak}]")
-    else:
-        if i < params.i_valley:
-            raise BranchRangeError(f"current {i} mA below H branch minimum {params.i_valley}")
-    return _branch_voltage_unchecked(params, branch, i)
-
-
-def _switch_probability(params: DeviceParams, amplitude, drift, exposure):
-    """P(L->H within `exposure` ms at constant current), elementwise.
-
-    The module docstring's hazard over a constant exposure: exactly 0 at or
-    below the drift-shifted valley and 1 above the drift-shifted peak.
-    sweep_switch_probabilities uses it; pulse readout compares against
-    _switch_thresholds instead.
-    """
-    peak = params.i_peak + drift
-    valley = params.i_valley + drift
-    with np.errstate(over="ignore"):
-        rate = params.lambda0 * np.exp((amplitude - peak) / params.i_scale)
-        p = -np.expm1(-rate * exposure)
-    return np.where(amplitude <= valley, 0.0, np.where(amplitude > peak, 1.0, p))
-
-
 def _switch_thresholds(params: DeviceParams, drift, u, exposure) -> np.ndarray:
     """Switching current of each pulse whose switch uniform is u, elementwise.
 
-    The amplitude-free inverse of _switch_probability: a pulse of any
-    amplitude reads H exactly when amplitude > threshold, in exact
-    arithmetic the same event as u < _switch_probability(params, amplitude,
-    drift, exposure).  The
-    threshold is clipped to the drift-shifted bistable window, so amplitudes
-    at or below the valley read L and above the peak read H for every u.
-    Returns a new array; u is not modified.
+    A pulse of any amplitude reads H exactly when amplitude > threshold,
+    which in exact arithmetic is the event u < 1 - exp(-rate(amplitude) *
+    exposure) for the module docstring's hazard rate.  The threshold is
+    clipped to the drift-shifted bistable window, so amplitudes at or below
+    the valley read L and above the peak read H for every u.  Returns a new
+    array; u is not modified.
     """
     t = np.negative(u)
     np.log1p(t, out=t)
@@ -475,33 +418,14 @@ def sweep_current(
     return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
 
 
-def sweep_switch_probabilities(
-    params: DeviceParams, currents: np.ndarray, dt_per_step: float, drift: float = 0.0
-) -> np.ndarray:
-    """Closed-form switch-current distribution for a forward staircase sweep.
-
-    Probability of the L->H jump landing on each grid point: the device
-    survives every earlier dwell and switches during this one.  Grid points
-    above the effective peak collapse onto the threshold crossing itself
-    (deterministic switch), reported on the first such point.
-    """
-    p = _switch_probability(params, np.asarray(currents, dtype=np.float64), drift, dt_per_step)
-    # p = 1 past the peak zeroes every later survival term
-    return p * np.concatenate(([1.0], np.cumprod(1.0 - p)[:-1]))
-
-
 __all__ = [
     "Branch",
-    "BranchRangeError",
     "ModelRangeError",
     "DeviceParams",
     "DeviceState",
     "Streams",
     "SweepTrace",
     "streams",
-    "iv_current",
-    "branch_voltage",
     "sweep_branches",
     "sweep_current",
-    "sweep_switch_probabilities",
 ]

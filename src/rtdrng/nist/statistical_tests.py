@@ -434,7 +434,6 @@ def universal_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     length, q, k = params.resolved_universal(n)
-    _require(n, (q + 1) * length, "universal test")
     n_blocks = q + k
     values, width = seq.windows(length)
     prev = _previous_occurrence(values[: n_blocks * length : length] >> (width - length))

@@ -7,8 +7,11 @@ as the package does, from the stream pair of rtdrng.device.streams: a step's
 switch uniform is one scalar rng.switch.random() and its drift normal one
 scalar rng.drift.standard_normal().  The sweep and trace references are built
 on them with one DeviceState per step; ar1_oracle steps the drift
-recurrence alone, one Python float at a time.  The closed-loop reference is
-the per-window loop over the public acquire_bits and next_amplitude.
+recurrence alone, one Python float at a time.  The closed forms are
+switch_probability, the L->H probability of one exposure elementwise over
+arrays, and switch_current_distribution, a sweep's first-switch point built
+on hazard.  The closed-loop reference is the per-window loop over the public
+acquire_bits and next_amplitude.
 
 The serial chunk references are the exception: they are a reference for the
 scheduling of acquisition, not for its arithmetic.  They run the chunk loop
@@ -414,6 +417,36 @@ def hazard(params, i: float, drift: float) -> float:
     if i > params.i_peak + drift:
         return math.inf
     return params.lambda0 * math.exp((i - (params.i_peak + drift)) / params.i_scale)
+
+
+def switch_probability(params, amplitude, drift, exposure):
+    """P(L->H within `exposure` ms at constant current), elementwise.
+
+    The hazard over a constant exposure, 1 - exp(-rate * exposure): exactly
+    0 at or below the drift-shifted valley and 1 above the drift-shifted
+    peak.
+    """
+    peak = params.i_peak + drift
+    valley = params.i_valley + drift
+    with np.errstate(over="ignore"):
+        rate = params.lambda0 * np.exp((amplitude - peak) / params.i_scale)
+        p = -np.expm1(-rate * exposure)
+    return np.where(amplitude <= valley, 0.0, np.where(amplitude > peak, 1.0, p))
+
+
+def switch_current_distribution(params, currents, dt: float) -> list:
+    """P(a forward staircase sweep from drift 0 first switches at each grid point).
+
+    The device survives every earlier dwell of dt ms and switches during
+    this one; past the peak the switch is certain, so later points get 0.
+    """
+    probs = []
+    survive = 1.0
+    for i in currents:
+        p_here = -math.expm1(-hazard(params, float(i), 0.0) * dt)
+        probs.append(survive * p_here)
+        survive *= 1.0 - p_here
+    return probs
 
 
 def switching_hazard(params, state, i: float) -> float:

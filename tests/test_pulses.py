@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rtdrng.pulses as pulses
-from oracles import drift_close, run_pulse
+from oracles import drift_close, run_pulse, switch_probability
 from rtdrng.bits import BitStream
 from rtdrng.device import (
     Branch,
@@ -24,11 +24,6 @@ from rtdrng.pulses import (
 P = DeviceParams()
 P0 = DeviceParams(drift_sigma=0.0)
 CFG = PulseConfig(amplitude=1.50, width=1.0)
-
-
-def closed_form_p(params, amplitude, exposure):
-    rate = params.lambda0 * math.exp((amplitude - params.i_peak) / params.i_scale)
-    return -math.expm1(-rate * exposure)
 
 
 class TestPulseConfig:
@@ -125,13 +120,13 @@ class TestAcquire:
         for amplitude, width in ((1.50, 1.0), (1.53, 1.0), (1.45, 2.0)):
             cfg = PulseConfig(amplitude=amplitude, width=width)
             stream = acquire_bits(DeviceState(), P0, cfg, 10**5, streams(17))
-            expected = closed_form_p(P0, amplitude, width)
+            expected = switch_probability(P0, amplitude, 0.0, width)
             assert abs(stream.to_array().mean() - expected) < 0.01
 
     def test_sample_offset_shortens_exposure(self):
         cfg = PulseConfig(amplitude=1.53, width=1.0, sample_offset=0.5)
         stream = acquire_bits(DeviceState(), P0, cfg, 10**5, streams(18))
-        expected = closed_form_p(P0, 1.53, 0.5)
+        expected = switch_probability(P0, 1.53, 0.0, 0.5)
         assert abs(stream.to_array().mean() - expected) < 0.01
 
     def test_monotone_in_amplitude(self):

@@ -18,6 +18,7 @@ import pytest
 from oracles import (
     DRIFT_TOL,
     drift_close,
+    switch_probability,
     switching_hazard,
     sweep_current_oracle,
     trace_pulses_oracle,
@@ -28,7 +29,6 @@ from rtdrng.device import (
     DeviceParams,
     DeviceState,
     _branch_voltage_unchecked,
-    _switch_probability,
     streams,
     sweep_branches,
     sweep_current,
@@ -218,7 +218,7 @@ def test_array_kernel_matches_scalar_hazard(drift, dt):
     valley = params.i_valley + drift
     peak = params.i_peak + drift
     ends = np.array([valley, np.nextafter(peak, np.inf)])
-    assert scalar(ends).tolist() == _switch_probability(params, ends, drift, dt).tolist() == [0, 1]
+    assert scalar(ends).tolist() == switch_probability(params, ends, drift, dt).tolist() == [0, 1]
     inside = np.concatenate(([peak], np.linspace(valley, peak, 401)[1:-1]))
-    array = _switch_probability(params, inside, drift, dt)
+    array = switch_probability(params, inside, drift, dt)
     np.testing.assert_array_max_ulp(array, scalar(inside), maxulp=4)

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 import rtdrng.pulses as pulses
-from oracles import closed_loop_oracle, drift_close, drift_step
+from oracles import closed_loop_oracle, drift_close, drift_step, switch_probability
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
     DeviceParams,
     DeviceState,
     ModelRangeError,
-    _switch_probability,
     _switch_thresholds,
     streams,
 )
@@ -27,7 +26,7 @@ CFG = PulseConfig(amplitude=1.515, width=1.0)  # period 2 ms: every clock sum is
 
 def _bits_both_ways(params, amplitude, drift, u, exposure):
     by_threshold = amplitude > _switch_thresholds(params, drift, u, exposure)
-    by_probability = u < _switch_probability(params, amplitude, drift, exposure)
+    by_probability = u < switch_probability(params, amplitude, drift, exposure)
     return by_threshold, by_probability
 
 
