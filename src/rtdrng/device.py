@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -259,16 +260,53 @@ def _fill(rng: Streams, u: np.ndarray, z: np.ndarray) -> None:
     rng.drift.standard_normal(out=z[: u.size])
 
 
+def _drawn(rng: Streams, sizes: list[int], decay: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each chunk's draws in turn: (u, z), u its switch uniforms and z[:u.size] its normals.
+
+    z has room for _drift_scan at `decay`.  Chunk 0 is drawn in line.  While
+    the caller uses chunk k, a thread fills chunk k + 1 into the other of two
+    reused buffer pairs, each sized by its first chunk, as no later chunk is
+    larger; it is joined before the next yield or close, and its exception is
+    raised here.  So one thread draws at a time, nothing past the last chunk,
+    and the streams end where drawing each chunk in line leaves them.
+    """
+    pairs = [(np.empty(m), np.empty(_scan_size(m, decay))) for m in sizes[:2]]
+    caught = []
+
+    def fill(u, z):
+        try:
+            _fill(rng, u, z)
+        except BaseException as exc:  # raised again in the caller's thread below
+            caught.append(exc)
+
+    _fill(rng, *pairs[0])
+    for k, m in enumerate(sizes):
+        ahead = None
+        if k + 1 < len(sizes):
+            u, z = pairs[(k + 1) % 2]
+            ahead = threading.Thread(target=fill, args=(u[: sizes[k + 1]], z), name="rtdrng-draws")
+            ahead.start()
+        u, z = pairs[k % 2]
+        try:
+            yield u[:m], z
+        finally:
+            if ahead is not None:
+                ahead.join()
+        if caught:
+            raise caught[0]
+
+
 def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
     """Draw `count` successive steps of dt ms, starting from `drift`.
 
-    The draw of trace pulses, which acquisition's chunks (pulses._acquire,
-    with the draws on a helper thread) and sweep groups (sweep_branches)
-    repeat: _fill draws each step's switch uniform from rng.switch and its
-    drift normal from rng.drift.  The drift is the exact discretisation of the
-    mean-reverting walk, run by _drift_scan; with drift_sigma = 0 it only
-    decays.  Returns (drifts, u, final): the drift entering each step, the
-    switch uniforms and the drift after the last step.
+    The draw of trace pulses and of the tests' serial references: _fill
+    draws each step's switch uniform from rng.switch and its drift normal
+    from rng.drift.  Acquisition's chunks (pulses._acquire) and sweep groups
+    (sweep_branches) take the same draws from _drawn, a chunk ahead.  The
+    drift is the exact discretisation of the mean-reverting walk, run by
+    _drift_scan; with drift_sigma = 0 it only decays.  Returns (drifts, u,
+    final): the drift entering each step, the switch uniforms and the drift
+    after the last step.
     """
     decay, scatter = _walk_terms(params, dt)
     u = np.empty(count)
@@ -302,15 +340,17 @@ def sweep_branches(
     is advanced in place as each group is made (a fresh state if None).  The
     arguments are checked here, before anything is drawn.
 
-    A group holds at most _CHUNK_PULSES steps, one sweep at least.  One _fill
-    draws its switch uniforms and drift normals; each sweep's drift is then
-    scanned on its own from the previous sweep's end, so the drifts equal
-    chained calls bit for bit (one scan over the whole group would differ in
-    the last bits).  The set/reset latch runs once over the group's rows laid
-    end to end, each row led by an entry for the start point: that entry is
-    forced only when `start` lies outside the drift-shifted window, and
-    otherwise keeps the branch the previous row ended on (the state's branch
-    for the first row).
+    A group holds at most _CHUNK_PULSES steps, one sweep at least.  _drawn
+    gives each group's switch uniforms and drift normals and draws the next
+    group's on a thread while this one is latched and used, so rng must not
+    be drawn from elsewhere until the iterator is exhausted or closed;
+    closing it joins the thread.  Each sweep's drift is scanned on its own
+    from the previous sweep's end, so the drifts equal chained calls bit for
+    bit (one scan over the whole group would differ in the last bits).  The
+    set/reset latch runs once over the group's rows laid end to end, each
+    row led by an entry for the start point: that entry is forced only when
+    `start` lies outside the drift-shifted window, and otherwise keeps the
+    branch the previous row ended on (the state's branch for the first row).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -329,61 +369,64 @@ def _sweep_groups(params, start, currents, dt, repeats, rng, state):
     steps = currents.size
     decay, scatter = _walk_terms(params, dt)
     per_group = max(1, _CHUNK_PULSES // steps)
+    sizes = [min(per_group, repeats - done) * steps for done in range(0, repeats, per_group)]
     scan = np.empty(_scan_size(steps, decay))
-    for done in range(0, repeats, per_group):
-        rows = min(per_group, repeats - done)
-        u = np.empty((rows, steps))
-        z = np.empty((rows, steps))
-        _fill(rng, u.reshape(-1), z.reshape(-1))
-        drifts = np.empty((rows, steps))
-        drift = state.drift
-        for r in range(rows):
-            scan[:steps] = z[r]
-            path = _drift_scan(scan, steps, decay, scatter, drift)
-            drifts[r] = path[:-1]
-            drift = float(path[-1])
-        del z
-        thresholds = _switch_thresholds(params, drifts, u, dt)
-        del u
-        valleys = params.i_valley + drifts
-        # entry 0 of each row pre-positions the branch for the starting bias
-        # point: settling there is part of the sweep setup, not a switch
-        sets = np.empty((rows, steps + 1), dtype=bool)
-        forced = np.empty((rows, steps + 1), dtype=bool)
-        np.greater(start, params.i_peak + drifts[:, 0], out=sets[:, 0])
-        np.less(start, valleys[:, 0], out=forced[:, 0])
-        np.greater(currents, thresholds, out=sets[:, 1:])
-        np.less(currents, valleys, out=forced[:, 1:])
-        del thresholds
-        forced |= sets
-        # the latch reads the first entry of the group as forced, so a first
-        # row starting inside the window takes the state's branch there
-        if not forced[0, 0]:
-            sets[0, 0] = state.branch is Branch.H
-        # the threshold never lies below the valley, so set and reset exclude
-        # each other; every entry keeps the level of the last forced one
-        last = np.where(forced.reshape(-1), np.arange(forced.size), 0)
-        np.maximum.accumulate(last, out=last)
-        high = sets.reshape(-1)[last].reshape(rows, steps + 1)
-        del last, sets, forced
-        # each row's first change gives its switch current: the grid current
-        # for a stochastic L->H jump, the crossed peak or valley otherwise
-        changes = high[:, 1:] != high[:, :-1]
-        first = changes.argmax(axis=1)
-        entry = np.arange(rows)
-        crossed = np.where(
-            high[entry, first + 1],
-            np.minimum(currents[first], params.i_peak + drifts[entry, first]),
-            valleys[entry, first],
-        )
-        switches = [
-            at if changed else None
-            for at, changed in zip(crossed.tolist(), changes.any(axis=1).tolist())
-        ]
-        state.branch = Branch.H if high[-1, -1] else Branch.L
-        state.drift = drift
-        state.clock = float(_elapsed(state.clock, np.full(rows * steps, dt))[-1])
-        yield high[:, 1:], switches
+    draws = _drawn(rng, sizes, decay)
+    try:
+        for u, z in draws:
+            rows = u.size // steps
+            u, z = u.reshape(rows, steps), z[: u.size].reshape(rows, steps)
+            drifts = np.empty((rows, steps))
+            drift = state.drift
+            for r in range(rows):
+                scan[:steps] = z[r]
+                path = _drift_scan(scan, steps, decay, scatter, drift)
+                drifts[r] = path[:-1]
+                drift = float(path[-1])
+            thresholds = _switch_thresholds(params, drifts, u, dt)
+            valleys = params.i_valley + drifts
+            # entry 0 of each row pre-positions the branch for the starting bias
+            # point: settling there is part of the sweep setup, not a switch
+            sets = np.empty((rows, steps + 1), dtype=bool)
+            forced = np.empty((rows, steps + 1), dtype=bool)
+            np.greater(start, params.i_peak + drifts[:, 0], out=sets[:, 0])
+            np.less(start, valleys[:, 0], out=forced[:, 0])
+            np.greater(currents, thresholds, out=sets[:, 1:])
+            np.less(currents, valleys, out=forced[:, 1:])
+            del thresholds
+            forced |= sets
+            # the latch reads the first entry of the group as forced, so a first
+            # row starting inside the window takes the state's branch there
+            if not forced[0, 0]:
+                sets[0, 0] = state.branch is Branch.H
+            # the threshold never lies below the valley, so set and reset exclude
+            # each other; every entry keeps the level of the last forced one
+            last = np.where(forced.reshape(-1), np.arange(forced.size), 0)
+            np.maximum.accumulate(last, out=last)
+            high = sets.reshape(-1)[last].reshape(rows, steps + 1)
+            del last, sets, forced
+            # each row's first change gives its switch current: the grid current
+            # for a stochastic L->H jump, the crossed peak or valley otherwise
+            changes = high[:, 1:] != high[:, :-1]
+            first = changes.argmax(axis=1)
+            entry = np.arange(rows)
+            crossed = np.where(
+                high[entry, first + 1],
+                np.minimum(currents[first], params.i_peak + drifts[entry, first]),
+                valleys[entry, first],
+            )
+            switches = [
+                at if changed else None
+                for at, changed in zip(crossed.tolist(), changes.any(axis=1).tolist())
+            ]
+            state.branch = Branch.H if high[-1, -1] else Branch.L
+            state.drift = drift
+            state.clock = float(_elapsed(state.clock, np.full(rows * steps, dt))[-1])
+            # free the group's temporaries before its lines are made
+            del drifts, valleys, changes
+            yield high[:, 1:], switches
+    finally:
+        draws.close()
 
 
 def sweep_current(

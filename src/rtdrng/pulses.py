@@ -18,23 +18,19 @@ batching, so the thresholds, and with them the bits, do not depend on how a
 run is split into calls or chunks.  The scalar per-pulse reference that
 draws the same way lives in the tests (tests/oracles.py:run_pulse).
 
-Acquisition runs in chunks of _CHUNK_PULSES pulses (_acquire), and one
-helper thread per call draws chunk k + 1's uniforms and normals while the
+Acquisition runs in chunks of _CHUNK_PULSES pulses (_acquire).  While the
 calling thread scans chunk k's drift, checks the reset condition and reads
-its bits.  Two reused buffer pairs pass between the threads through a free
-and a filled queue.  Both numpy fills release the GIL, so on two cores the
-draws and the scan overlap.  The helper is the only thread that touches the
-streams while it runs, draws nothing past the last chunk and is joined
-before _acquire returns or raises, so callers close nothing, and the bits
-and the streams' positions equal those of drawing each chunk in line (the
-serial chunk loop in tests/oracles.py).
+its bits, a short-lived thread draws chunk k + 1 (device._drawn); both numpy
+fills release the GIL, so on two cores the draws and the scan overlap.  A
+one-chunk call starts no thread, and _acquire returns or raises only once
+the thread is joined, so callers close nothing.  The bits and the streams'
+positions equal those of drawing each chunk in line (the serial chunk loop
+in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +40,9 @@ from .device import (
     _CHUNK_PULSES,
     _branch_voltage_unchecked,
     _draw_steps,
+    _drawn,
     _drift_scan,
     _elapsed,
-    _fill,
-    _scan_size,
     _switch_thresholds,
     _walk_terms,
     Branch,
@@ -115,50 +110,6 @@ def _require_reset(params: DeviceParams, drift) -> None:
         )
 
 
-class _Draws:
-    """A helper thread drawing each chunk's switch uniforms and drift normals.
-
-    The helper takes a free buffer pair, fills it with the next chunk's
-    draws (_fill) and queues it as filled; the caller takes it, scans it and
-    gives it back.  Until close() has joined the helper, only it draws from
-    the streams, and it draws the listed chunks and no further.
-    """
-
-    def __init__(self, rng: Streams, sizes: list[int], width: int):
-        self._free = queue.SimpleQueue()  # pairs to fill; None stops the helper
-        self._filled = queue.SimpleQueue()  # filled pairs, or the helper's exception
-        for _ in range(min(2, len(sizes))):
-            self._free.put((np.empty(sizes[0]), np.empty(width)))
-        self._thread = threading.Thread(target=self._run, args=(rng, sizes), name="rtdrng-draws")
-        self._thread.start()
-
-    def _run(self, rng: Streams, sizes: list[int]) -> None:
-        try:
-            for m in sizes:
-                pair = self._free.get()
-                if pair is None:
-                    return
-                _fill(rng, pair[0][:m], pair[1])
-                self._filled.put(pair)
-        except BaseException as exc:  # re-raised in the caller by take()
-            self._filled.put(exc)
-
-    def take(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next chunk's (uniforms, scan buffer) pair, once drawn."""
-        pair = self._filled.get()
-        if isinstance(pair, BaseException):
-            raise pair
-        return pair
-
-    def give_back(self, pair: tuple[np.ndarray, np.ndarray]) -> None:
-        """Let the helper refill a pair that take() returned."""
-        self._free.put(pair)
-
-    def close(self) -> None:
-        self._free.put(None)
-        self._thread.join()
-
-
 def _acquire(
     state: DeviceState,
     params: DeviceParams,
@@ -170,12 +121,13 @@ def _acquire(
     """The bits of `count` successive pulses; read(thresholds, bits) sets each chunk's.
 
     Chunks of up to _CHUNK_PULSES pulses draw as one _draw_steps call would,
-    but a helper thread (_Draws) draws chunk k + 1 while this thread scans
+    but a thread (device._drawn) draws chunk k + 1 while this thread scans
     chunk k's drift from the drift the previous chunk ended on, checks the
     reset condition, lets `read` write the bits into a reused bool buffer and
-    packs them; pulse k's threshold sees the drift entering it.  The helper
-    is joined before the call returns or raises.  state.drift, state.clock
-    and state.branch advance only once every chunk has been read.
+    packs them; pulse k's threshold sees the drift entering it.  The draws
+    are closed, and their thread joined, before the call returns or raises.
+    state.drift, state.clock and state.branch advance only once every chunk
+    has been read.
     """
     exposure = cfg.width * cfg.sample_offset
     decay, scatter = _walk_terms(params, cfg.period)
@@ -183,18 +135,16 @@ def _acquire(
     drift = state.drift
     buf = np.empty(sizes[0], dtype=bool)
     out = _Packer(count)
-    draws = _Draws(rng, sizes, _scan_size(sizes[0], decay))
+    draws = _drawn(rng, sizes, decay)
     try:
-        for m in sizes:
-            u, z = pair = draws.take()
-            path = _drift_scan(z, m, decay, scatter, drift)
+        for u, z in draws:
+            path = _drift_scan(z, u.size, decay, scatter, drift)
             drifts, drift = path[:-1], float(path[-1])
             _require_reset(params, drifts)
-            thresholds = _switch_thresholds(params, drifts, u[:m], exposure)
+            thresholds = _switch_thresholds(params, drifts, u, exposure)
             # only the thresholds stay alive while the chunk is read
             del path, drifts
-            draws.give_back(pair)
-            bits = buf[:m]
+            bits = buf[: u.size]
             read(thresholds, bits)
             out.append(bits)
     finally:

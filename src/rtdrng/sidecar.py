@@ -25,16 +25,17 @@ def write_sidecar(path, entries: dict) -> None:
         if "\n" in text or "=" in key:
             raise ValueError(f"unserializable sidecar entry {key!r}")
         lines.append(f"{key}={text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_sidecar(path) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SidecarError(f"{path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # lines end at "\n" only, the one character a value cannot hold
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         if "=" not in line:

@@ -1,9 +1,9 @@
 """An acquisition that raises leaves the device state as it was and no thread alive.
 
 pulses._acquire advances the state only once every chunk has been read, and
-joins its draw helper in a finally clause; a reader that raises, in the
-first chunk or in the last, and a mid-run reset failure must both leave
-nothing behind.
+closes its draws, joining their thread, in a finally clause; a reader that
+raises, in the first chunk or in the last, and a mid-run reset failure must
+both leave nothing behind.
 """
 
 import threading

@@ -70,7 +70,7 @@ def test_pipeline_runs_with_scipy_refused(tmp_path):
 
 
 def test_cli_import_leaves_concurrent_futures_out():
-    # acquisition's helper thread comes from threading, which the interpreter
+    # the draw-ahead threads come from threading, which the interpreter
     # has loaded anyway; a cold concurrent.futures would add to every stage
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import rtdrng.cli; "

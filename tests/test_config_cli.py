@@ -181,6 +181,16 @@ class TestSidecar:
         assert entries["ratio"] == "0.5"
         assert entries["flag"] == "1"
 
+    # every str.splitlines boundary but "\n", which the writer refuses
+    @pytest.mark.parametrize(
+        "char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_values_with_line_boundaries_read_back(self, tmp_path, char):
+        path = tmp_path / "x.meta"
+        entries = {"input": f"a{char}b=c", "tail": f"{char}", "count": "8"}
+        write_sidecar(path, entries)
+        assert read_sidecar(path) == entries
+
 
 class TestGenerateCommand:
     def test_eight_bits_one_payload_byte(self, tmp_path):
@@ -397,6 +407,18 @@ class TestReportCommand:
         assert "extraction:" in summary
         assert "ratio 0.3300" in summary
         assert "stages not present: test" in summary
+
+    def test_input_named_with_a_line_separator(self, tmp_path):
+        # extract records the input's file name in its sidecar, and report
+        # must read back what extract wrote
+        raw = tmp_path / "raw\u2028x.bits"
+        run_cli("generate", "--count", 30_000, "--out", raw, "--seed", 15)
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[extractor]\nn = 1000\nl = 330\n")
+        assert run_cli("extract", "--config", cfg, "--in", raw, "--out", tmp_path / "ext.bits") == 0
+        assert read_sidecar(tmp_path / "ext.bits.meta")["input"] == raw.name
+        assert run_cli("report", "--run", tmp_path) == 0
+        assert "ratio 0.3300" in (tmp_path / "summary.txt").read_text()
 
     @pytest.mark.parametrize(
         "sidecar",

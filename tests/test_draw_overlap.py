@@ -1,34 +1,82 @@
-"""Acquisition with a helper thread drawing ahead, against the serial chunk loop.
+"""Acquisition and sweeps with a thread drawing ahead, against drawing in line.
 
-A helper thread draws chunk k + 1's switch uniforms and drift normals while
-chunk k is scanned and read, so the bits, the final device state and the
-streams' positions must equal those of the loop that draws every chunk in
-line (oracles.serial_threshold_chunks), and no thread may outlive a call,
-whether it returns or raises.
+While chunk k is scanned and read (or group k of lockstep sweeps is
+latched), a short-lived thread draws chunk k + 1's switch uniforms and drift
+normals, so the bits, the final device state and the streams' positions
+must equal those of the loop that draws every chunk in line
+(oracles.serial_threshold_chunks; test_stepping checks lockstep sweeps
+against chained sweep_current calls), a one-chunk call must start no
+thread, and no thread may outlive a call, whether it returns, raises or is
+abandoned.
 """
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rtdrng.control as control
+import rtdrng.device as device
 import rtdrng.pulses as pulses
 from oracles import serial_acquire, serial_closed_loop
 from rtdrng.control import default_controller, run_closed_loop
-from rtdrng.device import DeviceParams, DeviceState, ModelRangeError, Streams, streams
+from rtdrng.device import (
+    DeviceParams,
+    DeviceState,
+    ModelRangeError,
+    Streams,
+    streams,
+    sweep_branches,
+    sweep_current,
+)
 from rtdrng.pulses import PulseConfig, acquire_bits
 
 CHUNK = 257
 CFG = PulseConfig(amplitude=1.515, width=1.0)
 COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+# lockstep sweeps of STEPS points, GROUP to a group, over four groups
+STEPS, GROUP, REPEATS = 60, 3, 11
+RAMP = (DeviceParams(drift_sigma=0.03), 0.0, 1.2 * 1.55, STEPS, 1.0)
 
 
 def _assert_same_next_draws(rng, ref):
     # nothing drawn past the last chunk: both streams sit where the reference's do
     assert rng.switch.random() == ref.switch.random()
     assert rng.drift.standard_normal() == ref.drift.standard_normal()
+
+
+def _no_helper_alive():
+    return not any(thread.name == "rtdrng-draws" for thread in threading.enumerate())
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The names of the threads started through device.threading.Thread."""
+    names = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(device, "threading", SimpleNamespace(Thread=Thread))
+    return names
+
+
+class _FailingSwitch:
+    """A switch stream whose second fill raises, on whichever thread makes it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.fills = []
+
+    def random(self, out):
+        self.fills.append(threading.current_thread().name)
+        if len(self.fills) == 2:
+            raise RuntimeError("second fill failed")
+        return self._rng.random(out=out)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.008, 0.03])
@@ -123,18 +171,58 @@ def test_no_thread_outlives_an_abandoned_loop(monkeypatch):
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
+    # chunk 0 is drawn in line and chunk 1 on the helper, which fails
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
-    broken = Streams(switch=object(), drift=np.random.default_rng(4))
+    monkeypatch.setattr(device, "_CHUNK_PULSES", GROUP * STEPS)
     before = threading.active_count()
-    with pytest.raises(AttributeError):
+    switch = _FailingSwitch(4)
+    broken = Streams(switch=switch, drift=np.random.default_rng(4))
+    with pytest.raises(RuntimeError, match="second fill failed"):
         acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * CHUNK, broken)
+    assert switch.fills == [threading.current_thread().name, "rtdrng-draws"]
+    switch = _FailingSwitch(4)
+    broken = Streams(switch=switch, drift=np.random.default_rng(4))
+    _, groups = sweep_branches(*RAMP, REPEATS, broken)
+    with pytest.raises(RuntimeError, match="second fill failed"):
+        list(groups)
+    assert switch.fills == [threading.current_thread().name, "rtdrng-draws"]
     assert threading.active_count() == before
+    assert _no_helper_alive()
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_one_thread_start_per_chunk_after_the_first(monkeypatch, starts, count):
+    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    acquire_bits(DeviceState(), DeviceParams(), CFG, count, streams(5))
+    assert starts == ["rtdrng-draws"] * (-(-count // CHUNK) - 1)
+
+
+def test_sweep_starts_one_thread_per_group_after_the_first(monkeypatch, starts):
+    monkeypatch.setattr(device, "_CHUNK_PULSES", GROUP * STEPS)
+    sweep_current(*RAMP, streams(6))
+    _, groups = sweep_branches(*RAMP, GROUP, streams(6))
+    assert len(list(groups)) == 1
+    assert starts == []
+    _, groups = sweep_branches(*RAMP, REPEATS, streams(6))
+    assert len(list(groups)) == 4
+    assert starts == ["rtdrng-draws"] * 3
+
+
+def test_closed_sweep_leaves_no_helper(monkeypatch):
+    monkeypatch.setattr(device, "_CHUNK_PULSES", GROUP * STEPS)
+    before = threading.active_count()
+    _, groups = sweep_branches(*RAMP, REPEATS, streams(7))
+    assert len(next(groups)[1]) == GROUP
+    groups.close()
+    assert threading.active_count() == before
+    assert _no_helper_alive()
+
 
 
 def test_concurrent_calls_under_fast_switching(monkeypatch):
-    # more calls than cores, each with its own helper, with the interpreter
-    # switching threads every microsecond: a lost handoff between a helper
-    # and its caller would mix chunks and change the bits
+    # more calls than cores, each with its own draw threads, with the
+    # interpreter switching threads every microsecond: a fill that overlapped
+    # its caller's use of the same buffers would change the bits
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", 64)
     count = 64 * 40 + 3
     expected = {
