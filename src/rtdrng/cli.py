@@ -65,6 +65,14 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _input_name(args) -> str:
+    # checked before any output is written: a sidecar value cannot hold "\n"
+    name = Path(args.input).name
+    if "\n" in name:
+        raise ConfigError(f"input file name {name!r} holds a newline")
+    return name
+
+
 def _out_path(args, cfg: PipelineConfig, default_name: str) -> Path:
     path = Path(args.out) if getattr(args, "out", None) else Path(cfg.out_dir) / default_name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -194,6 +202,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
+    input_name = _input_name(args)
     stream = read_bits(args.input)
     n, l, k = cfg.extractor.n, cfg.extractor.l, cfg.extractor.epsilon_exponent
     h_min = None
@@ -227,7 +236,7 @@ def cmd_extract(args) -> int:
         {
             "seed_fingerprint": ext_cfg.seed_fingerprint(),
             "seed_derived": seed_derived,
-            "input": Path(args.input).name,
+            "input": input_name,
             "input_sha256": _sha256(args.input),
             "input_bits": len(stream),
             "output_bits": len(out_stream),
@@ -241,6 +250,7 @@ def cmd_extract(args) -> int:
 
 def cmd_test(args) -> int:
     cfg = _load_config(args)
+    input_name = _input_name(args)
     sequences = args.sequences if args.sequences is not None else cfg.suite.sequences
     seq_len = args.sequence_length if args.sequence_length is not None else cfg.suite.n
     params = dataclasses.replace(cfg.suite, n=seq_len, sequences=sequences)
@@ -261,7 +271,7 @@ def cmd_test(args) -> int:
         out_dir / "test.meta",
         {
             "stage": "test",
-            "input": Path(args.input).name,
+            "input": input_name,
             "input_sha256": _sha256(args.input),
             "sequences": sequences,
             "sequence_length": seq_len,

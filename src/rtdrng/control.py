@@ -15,11 +15,7 @@ import numpy as np
 
 from .bits import BitStream
 from .device import DeviceParams, DeviceState, Streams
-from .pulses import PulseConfig, _acquire
-
-# kept only so that perfbench/worker.py's patch list resolves: run_closed_loop
-# calls _acquire, so closed-loop runs read 0 in pulses.acquire_* until it changes
-from .pulses import acquire_bits  # noqa: F401
+from .pulses import PulseConfig, acquire_bits
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,12 @@ def run_closed_loop(
     """Alternate window acquisitions with controller updates.
 
     Returns the concatenated bits plus per-window diagnostics: the observed
-    ratio and the amplitude command in effect for each window.  The pulse
-    thresholds do not depend on the amplitude, so they are drawn in bulk
-    and each window only compares its slice against the current command;
-    the bits equal a loop of acquire_bits calls, one per window.  A window's
-    ones are counted as its slices arrive, since a window may straddle
-    threshold chunks, and each chunk's bits are packed once read, so only
-    the packed bits and the per-window diagnostics grow with n_windows.
-    The device state is advanced in place.
+    ratio and the amplitude command in effect for each window.  The thresholds
+    do not depend on the amplitude, so the windows are one acquire_bits call
+    whose reader compares each window's slice against the current command,
+    counting its ones as they arrive (a window may straddle chunks); the bits
+    equal one acquire_bits call per window.  The device state is advanced in
+    place.
     """
     if n_windows < 1:
         raise ValueError("n_windows must be at least 1")
@@ -122,7 +116,7 @@ def run_closed_loop(
                 w += 1
                 filled = ones = 0
 
-    return _acquire(state, params, cfg, n_windows * window, rng, read), ratios, amplitudes
+    return acquire_bits(state, params, cfg, n_windows * window, rng, read), ratios, amplitudes
 
 
 __all__ = ["ControllerState", "default_controller", "next_amplitude", "run_closed_loop"]

@@ -38,9 +38,9 @@ _MS_PER_S = 1000.0
 _SCAN_ROW = 2048
 _SCAN_SPAN = 2.0**-64
 
-# steps per bulk draw: a chunk of pulses in pulses._acquire, each holding
-# about 40 bytes of temporaries, or a group of sweeps in sweep_branches; also
-# the bits per pulses.window_fractions chunk
+# steps per bulk draw: a chunk of pulses in pulses.acquire_bits, each holding
+# about 40 bytes of temporaries, or a group of sweeps in sweep_branches (a
+# trace draws in one chunk); also the bits per pulses.window_fractions chunk
 _CHUNK_PULSES = 1 << 18
 
 # Default stochastic calibration: with a 1 ms pulse the switching
@@ -294,26 +294,6 @@ def _drawn(rng: Streams, sizes: list[int], decay: float) -> Iterator[tuple[np.nd
                 ahead.join()
         if caught:
             raise caught[0]
-
-
-def _draw_steps(params: DeviceParams, drift: float, count: int, dt: float, rng: Streams):
-    """Draw `count` successive steps of dt ms, starting from `drift`.
-
-    The draw of trace pulses and of the tests' serial references: _fill
-    draws each step's switch uniform from rng.switch and its drift normal
-    from rng.drift.  Acquisition's chunks (pulses._acquire) and sweep groups
-    (sweep_branches) take the same draws from _drawn, a chunk ahead.  The
-    drift is the exact discretisation of the mean-reverting walk, run by
-    _drift_scan; with drift_sigma = 0 it only decays.  Returns (drifts, u,
-    final): the drift entering each step, the switch uniforms and the drift
-    after the last step.
-    """
-    decay, scatter = _walk_terms(params, dt)
-    u = np.empty(count)
-    z = np.empty(_scan_size(count, decay))
-    _fill(rng, u, z)
-    path = _drift_scan(z, count, decay, scatter, drift)
-    return path[:-1], u, float(path[-1])
 
 
 def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:

@@ -18,14 +18,14 @@ batching, so the thresholds, and with them the bits, do not depend on how a
 run is split into calls or chunks.  The scalar per-pulse reference that
 draws the same way lives in the tests (tests/oracles.py:run_pulse).
 
-Acquisition runs in chunks of _CHUNK_PULSES pulses (_acquire).  While the
+Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
+runs with its own reader) takes _CHUNK_PULSES pulses at a time.  While the
 calling thread scans chunk k's drift, checks the reset condition and reads
 its bits, a short-lived thread draws chunk k + 1 (device._drawn); both numpy
 fills release the GIL, so on two cores the draws and the scan overlap.  A
-one-chunk call starts no thread, and _acquire returns or raises only once
-the thread is joined, so callers close nothing.  The bits and the streams'
-positions equal those of drawing each chunk in line (the serial chunk loop
-in tests/oracles.py).
+one-chunk call, and every trace, starts no thread.  The bits and the
+streams' positions equal those of drawing each chunk in line (the serial
+chunk loop in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .bits import BitStream, _Packer
 from .device import (
     _CHUNK_PULSES,
     _branch_voltage_unchecked,
-    _draw_steps,
     _drawn,
     _drift_scan,
     _elapsed,
@@ -110,25 +109,28 @@ def _require_reset(params: DeviceParams, drift) -> None:
         )
 
 
-def _acquire(
+def acquire_bits(
     state: DeviceState,
     params: DeviceParams,
     cfg: PulseConfig,
     count: int,
     rng: Streams,
-    read,
+    read=None,
 ) -> BitStream:
-    """The bits of `count` successive pulses; read(thresholds, bits) sets each chunk's.
+    """Collect `count` bits from successive pulses; `state` threads through.
 
-    Chunks of up to _CHUNK_PULSES pulses draw as one _draw_steps call would,
-    but a thread (device._drawn) draws chunk k + 1 while this thread scans
-    chunk k's drift from the drift the previous chunk ended on, checks the
-    reset condition, lets `read` write the bits into a reused bool buffer and
-    packs them; pulse k's threshold sees the drift entering it.  The draws
-    are closed, and their thread joined, before the call returns or raises.
-    state.drift, state.clock and state.branch advance only once every chunk
-    has been read.
+    Each bit is cfg.amplitude > its pulse's switching threshold, unless
+    read(thresholds, bits) writes each chunk's bits (the closed loop's reader).
+    Chunks of up to _CHUNK_PULSES pulses come from device._drawn, one ahead on
+    a thread; each is scanned from the drift the previous chunk ended on,
+    reset-checked, read into a reused bool buffer and packed, so the working
+    set is bounded by the chunk, not by `count`.  The draws are closed, and
+    their thread joined, before the call returns or raises; the state
+    advances in place only once every chunk has been read.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
     exposure = cfg.width * cfg.sample_offset
     decay, scatter = _walk_terms(params, cfg.period)
     sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
@@ -155,27 +157,6 @@ def _acquire(
     return out.stream()
 
 
-def acquire_bits(
-    state: DeviceState,
-    params: DeviceParams,
-    cfg: PulseConfig,
-    count: int,
-    rng: Streams,
-) -> BitStream:
-    """Collect `count` bits from successive pulses; `state` threads through.
-
-    Each bit is cfg.amplitude > its pulse's switching threshold.  Pulses
-    are drawn _CHUNK_PULSES at a time and each chunk's bits are packed as
-    they are read, so the working set is bounded by the chunk, not by
-    `count`.  The passed state is advanced in place.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return _acquire(
-        state, params, cfg, count, rng, lambda t, bits: np.greater(cfg.amplitude, t, out=bits)
-    )
-
-
 def trace_pulses(
     state: DeviceState,
     params: DeviceParams,
@@ -196,7 +177,10 @@ def trace_pulses(
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    drifts, u, drift = _draw_steps(params, state.drift, n_pulses, cfg.period, rng)
+    decay, scatter = _walk_terms(params, cfg.period)
+    [(u, z)] = _drawn(rng, [n_pulses], decay)
+    path = _drift_scan(z, n_pulses, decay, scatter, state.drift)
+    drifts, drift = path[:-1], float(path[-1])
     _require_reset(params, drifts)
     n_off = max(1, round(cfg.off_time / cfg.substep))
     n_on = max(1, round(cfg.width / cfg.substep))

@@ -15,8 +15,9 @@ acquire_bits and next_amplitude.
 
 The serial chunk references are the exception: they are a reference for the
 scheduling of acquisition, not for its arithmetic.  They run the chunk loop
-with every draw in line, through the package's own _draw_steps and
-_switch_thresholds, so acquisition must match them bit for bit.
+with every draw in line (_draw_steps, on the package's own _fill and
+_drift_scan) and through _switch_thresholds, so acquisition must match them
+bit for bit.
 """
 
 import math
@@ -26,7 +27,16 @@ import numpy as np
 
 import rtdrng.pulses as pulses
 from rtdrng.control import next_amplitude
-from rtdrng.device import Branch, DeviceState, ModelRangeError, _draw_steps, _switch_thresholds
+from rtdrng.device import (
+    Branch,
+    DeviceState,
+    ModelRangeError,
+    _drift_scan,
+    _fill,
+    _scan_size,
+    _switch_thresholds,
+    _walk_terms,
+)
 from rtdrng.pulses import acquire_bits
 
 
@@ -631,6 +641,24 @@ def closed_loop_oracle(state, params, cfg, ctrl, n_windows, rng):
 
 
 # ---------------------------------------------------------------- serial chunks
+
+
+def _draw_steps(params, drift: float, count: int, dt: float, rng):
+    """Draw `count` successive steps of dt ms in line, starting from `drift`.
+
+    The in-line serial draw: _fill draws each step's switch uniform from
+    rng.switch and its drift normal from rng.drift, as device._drawn does a
+    chunk ahead, and _drift_scan runs the exact discretisation of the
+    mean-reverting walk; with drift_sigma = 0 it only decays.  Returns
+    (drifts, u, final): the drift entering each step, the switch uniforms
+    and the drift after the last step.
+    """
+    decay, scatter = _walk_terms(params, dt)
+    u = np.empty(count)
+    z = np.empty(_scan_size(count, decay))
+    _fill(rng, u, z)
+    path = _drift_scan(z, count, decay, scatter, drift)
+    return path[:-1], u, float(path[-1])
 
 
 def serial_threshold_chunks(state, params, cfg, count: int, rng):

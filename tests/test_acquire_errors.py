@@ -1,6 +1,6 @@
 """An acquisition that raises leaves the device state as it was and no thread alive.
 
-pulses._acquire advances the state only once every chunk has been read, and
+pulses.acquire_bits advances the state only once every chunk has been read, and
 closes its draws, joining their thread, in a finally clause; a reader that
 raises, in the first chunk or in the last, and a mid-run reset failure must
 both leave nothing behind.
@@ -42,7 +42,7 @@ def test_reader_failure_leaves_state_and_no_thread(monkeypatch, failing_chunk):
     state = _start_state()
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="reader failed"):
-        pulses._acquire(state, DeviceParams(), CFG, sum(SIZES), streams(5), read)
+        acquire_bits(state, DeviceParams(), CFG, sum(SIZES), streams(5), read)
     assert seen == SIZES[: failing_chunk + 1]
     assert state == _start_state()
     assert threading.active_count() == before
@@ -63,7 +63,7 @@ def test_reset_failure_leaves_state_and_no_thread(monkeypatch):
     before = threading.active_count()
     state = _start_state()
     with pytest.raises(ModelRangeError):
-        pulses._acquire(state, params, CFG, 20_000, streams(70), read)
+        acquire_bits(state, params, CFG, 20_000, streams(70), read)
     assert 0 < len(seen) < -(-20_000 // CHUNK)
     assert state == _start_state()
     with pytest.raises(ModelRangeError):

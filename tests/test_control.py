@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rtdrng.control as control
 from rtdrng.control import (
     ControllerState,
     default_controller,
@@ -164,6 +165,18 @@ class TestClosedLoop:
         open_ratios = open_stream.to_array().reshape(n_windows, 500).mean(axis=1)
         assert trend(controlled) <= threshold
         assert rms(open_ratios) > np.quantile(baseline_rms, 0.99)  # drift alone strays
+
+    def test_one_acquisition_for_all_windows(self, monkeypatch):
+        # the windows are one pulse train, read through control.acquire_bits
+        counts = []
+
+        def counting(state, params, cfg, count, rng, read=None):
+            counts.append(count)
+            return acquire_bits(state, params, cfg, count, rng, read)
+
+        monkeypatch.setattr(control, "acquire_bits", counting)
+        run_closed_loop(DeviceState(), P_DRIFT, CFG, make_ctrl(window=120), 7, streams(8))
+        assert counts == [7 * 120]
 
     def test_rejects_zero_windows(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import DRIFT_TOL, ar1_oracle
+from oracles import DRIFT_TOL, _draw_steps, ar1_oracle
 from rtdrng.device import (
     _SCAN_ROW,
     _SCAN_SPAN,
     DeviceParams,
-    _draw_steps,
     _drift_scan,
     _scan_geometry,
     _scan_size,
