@@ -66,10 +66,12 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _input_name(args) -> str:
-    # checked before any output is written: a sidecar value cannot hold "\n"
+    # checked before any output is written: a sidecar value is one line of UTF-8
     name = Path(args.input).name
     if "\n" in name:
         raise ConfigError(f"input file name {name!r} holds a newline")
+    if name.encode("utf-8", "replace").decode("utf-8") != name:
+        raise ConfigError(f"input file name {name!r} is not valid UTF-8")
     return name
 
 

@@ -260,16 +260,21 @@ def _fill(rng: Streams, u: np.ndarray, z: np.ndarray) -> None:
     rng.drift.standard_normal(out=z[: u.size])
 
 
-def _drawn(rng: Streams, sizes: list[int], decay: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each chunk's draws in turn: (u, z), u its switch uniforms and z[:u.size] its normals.
+def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drift: float):
+    """The one drift walk, dt ms a step: each chunk in turn as (u, drifts, drift).
 
-    z has room for _drift_scan at `decay`.  Chunk 0 is drawn in line.  While
-    the caller uses chunk k, a thread fills chunk k + 1 into the other of two
-    reused buffer pairs, each sized by its first chunk, as no later chunk is
-    larger; it is joined before the next yield or close, and its exception is
-    raised here.  So one thread draws at a time, nothing past the last chunk,
-    and the streams end where drawing each chunk in line leaves them.
+    u holds the chunk's switch uniforms, drifts the drift entering each step
+    and drift the drift after the chunk.  The walk starts from `drift`, and
+    each chunk is scanned (_drift_scan) from the previous chunk's end, so
+    other chunk sizes agree within the scan's bound, not bit for bit.  Chunk
+    0 is drawn in line.  While chunk k is scanned and used, a thread fills
+    chunk k + 1 into the other of two reused buffer pairs, each sized by its
+    first chunk, as no later chunk is larger; it is joined before the next
+    yield or close, and its exception is raised here.  So one thread draws
+    at a time, nothing past the last chunk, and the streams end where
+    drawing each chunk in line leaves them.
     """
+    decay, scatter = _walk_terms(params, dt)
     pairs = [(np.empty(m), np.empty(_scan_size(m, decay))) for m in sizes[:2]]
     caught = []
 
@@ -288,7 +293,9 @@ def _drawn(rng: Streams, sizes: list[int], decay: float) -> Iterator[tuple[np.nd
             ahead.start()
         u, z = pairs[k % 2]
         try:
-            yield u[:m], z
+            path = _drift_scan(z, m, decay, scatter, drift)
+            drift = float(path[-1])
+            yield u[:m], path[:-1], drift
         finally:
             if ahead is not None:
                 ahead.join()
@@ -316,21 +323,20 @@ def sweep_branches(
     Returns the grid currents and an iterator over groups of sweeps.  A group
     is (high, switches): high[r, j] is True where sweep r reads the H branch
     at grid point j, and switches[r] is sweep r's switch current or None.
-    The sweeps equal `repeats` chained sweep_current calls on one state, which
-    is advanced in place as each group is made (a fresh state if None).  The
-    arguments are checked here, before anything is drawn.
+    The sweeps are `repeats` chained sweep_current calls on one state, which
+    is advanced in place as each group is made (a fresh state if None): they
+    take the same draws, and the drift agrees within the drift scan's bound.
+    The arguments are checked here, before anything is drawn.
 
     A group holds at most _CHUNK_PULSES steps, one sweep at least.  _drawn
-    gives each group's switch uniforms and drift normals and draws the next
-    group's on a thread while this one is latched and used, so rng must not
-    be drawn from elsewhere until the iterator is exhausted or closed;
-    closing it joins the thread.  Each sweep's drift is scanned on its own
-    from the previous sweep's end, so the drifts equal chained calls bit for
-    bit (one scan over the whole group would differ in the last bits).  The
-    set/reset latch runs once over the group's rows laid end to end, each
-    row led by an entry for the start point: that entry is forced only when
-    `start` lies outside the drift-shifted window, and otherwise keeps the
-    branch the previous row ended on (the state's branch for the first row).
+    gives each group's switch uniforms and drift path, walked in one scan
+    over the group's sweeps laid end to end, and draws the next group's on a
+    thread while this one is latched and used, so rng must not be drawn from
+    elsewhere until the iterator is exhausted or closed; closing it joins
+    the thread.  The set/reset latch runs once over the same rows, each led
+    by an entry for the start point: that entry is forced only when `start`
+    lies outside the drift-shifted window, and otherwise keeps the branch
+    the previous row ended on (the state's branch for the first row).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -347,22 +353,13 @@ def sweep_branches(
 
 def _sweep_groups(params, start, currents, dt, repeats, rng, state):
     steps = currents.size
-    decay, scatter = _walk_terms(params, dt)
     per_group = max(1, _CHUNK_PULSES // steps)
     sizes = [min(per_group, repeats - done) * steps for done in range(0, repeats, per_group)]
-    scan = np.empty(_scan_size(steps, decay))
-    draws = _drawn(rng, sizes, decay)
+    draws = _drawn(rng, params, dt, sizes, state.drift)
     try:
-        for u, z in draws:
+        for u, drifts, drift in draws:
             rows = u.size // steps
-            u, z = u.reshape(rows, steps), z[: u.size].reshape(rows, steps)
-            drifts = np.empty((rows, steps))
-            drift = state.drift
-            for r in range(rows):
-                scan[:steps] = z[r]
-                path = _drift_scan(scan, steps, decay, scatter, drift)
-                drifts[r] = path[:-1]
-                drift = float(path[-1])
+            u, drifts = u.reshape(rows, steps), drifts.reshape(rows, steps)
             thresholds = _switch_thresholds(params, drifts, u, dt)
             valleys = params.i_valley + drifts
             # entry 0 of each row pre-positions the branch for the starting bias
@@ -402,8 +399,8 @@ def _sweep_groups(params, start, currents, dt, repeats, rng, state):
             state.branch = Branch.H if high[-1, -1] else Branch.L
             state.drift = drift
             state.clock = float(_elapsed(state.clock, np.full(rows * steps, dt))[-1])
-            # free the group's temporaries before its lines are made
-            del drifts, valleys, changes
+            # free the group's temporaries (_drawn holds its drift path) before its lines are made
+            del valleys, changes
             yield high[:, 1:], switches
     finally:
         draws.close()
@@ -421,8 +418,8 @@ def sweep_current(
     """Ramp the bias current across `steps` points and record the response.
 
     Each point dwells dt_per_step at its current before the voltage is read,
-    mimicking an SMU staircase sweep.  Each point draws like one pulse
-    (_fill) and the branch is a set/reset latch: a point sets H when its
+    mimicking an SMU staircase sweep.  Points draw and walk the drift like
+    pulses (_drawn); the branch is a set/reset latch: a point sets H when its
     current exceeds the point's switching threshold, resets to L below the
     drift-shifted valley and otherwise keeps the branch.  The recorded
     switch current is the grid current for a stochastic L->H jump and the

@@ -10,13 +10,13 @@ p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
 therefore needs no sub-stepping, and a time-resolved trace reads the same
 threshold at each sub-step's exposure.
 
-Pulses, trace pulses and sweep points draw alike (device._fill): each
-step takes its switch uniform from one stream and its drift-update normal
-from another, the two spawned children of the run's seed (device.streams).
-Uniform and normal draws from numpy's Generator are stream-stable under
-batching, so the thresholds, and with them the bits, do not depend on how a
-run is split into calls or chunks.  The scalar per-pulse reference that
-draws the same way lives in the tests (tests/oracles.py:run_pulse).
+Pulses, trace pulses and sweep points draw alike and walk one drift
+(device._drawn): each step takes its switch uniform from one stream and its
+drift-update normal from another, the two spawned children of the run's
+seed (device.streams).  Both of numpy's draws are stream-stable under
+batching, so a run split into other calls or chunks takes the same draws,
+and its drift, scanned a chunk at a time, agrees within the scan's 1e-12
+bound.  The scalar per-pulse reference lives in tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
 runs with its own reader) takes _CHUNK_PULSES pulses at a time.  While the
@@ -40,10 +40,8 @@ from .device import (
     _CHUNK_PULSES,
     _branch_voltage_unchecked,
     _drawn,
-    _drift_scan,
     _elapsed,
     _switch_thresholds,
-    _walk_terms,
     Branch,
     DeviceParams,
     DeviceState,
@@ -121,31 +119,25 @@ def acquire_bits(
 
     Each bit is cfg.amplitude > its pulse's switching threshold, unless
     read(thresholds, bits) writes each chunk's bits (the closed loop's reader).
-    Chunks of up to _CHUNK_PULSES pulses come from device._drawn, one ahead on
-    a thread; each is scanned from the drift the previous chunk ended on,
-    reset-checked, read into a reused bool buffer and packed, so the working
-    set is bounded by the chunk, not by `count`.  The draws are closed, and
-    their thread joined, before the call returns or raises; the state
-    advances in place only once every chunk has been read.
+    Chunks of up to _CHUNK_PULSES pulses and their drift path come from
+    device._drawn, drawn one ahead on a thread; each is reset-checked, read
+    into a reused bool buffer and packed, so the working set is bounded by
+    the chunk, not by `count`.  The draws are closed, and their thread
+    joined, before the call returns or raises; the state advances in place
+    only once every chunk has been read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
     exposure = cfg.width * cfg.sample_offset
-    decay, scatter = _walk_terms(params, cfg.period)
     sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
-    drift = state.drift
     buf = np.empty(sizes[0], dtype=bool)
     out = _Packer(count)
-    draws = _drawn(rng, sizes, decay)
+    draws = _drawn(rng, params, cfg.period, sizes, state.drift)
     try:
-        for u, z in draws:
-            path = _drift_scan(z, u.size, decay, scatter, drift)
-            drifts, drift = path[:-1], float(path[-1])
+        for u, drifts, drift in draws:
             _require_reset(params, drifts)
             thresholds = _switch_thresholds(params, drifts, u, exposure)
-            # only the thresholds stay alive while the chunk is read
-            del path, drifts
             bits = buf[: u.size]
             read(thresholds, bits)
             out.append(bits)
@@ -177,10 +169,7 @@ def trace_pulses(
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    decay, scatter = _walk_terms(params, cfg.period)
-    [(u, z)] = _drawn(rng, [n_pulses], decay)
-    path = _drift_scan(z, n_pulses, decay, scatter, state.drift)
-    drifts, drift = path[:-1], float(path[-1])
+    [(u, drifts, drift)] = _drawn(rng, params, cfg.period, [n_pulses], state.drift)
     _require_reset(params, drifts)
     n_off = max(1, round(cfg.off_time / cfg.substep))
     n_on = max(1, round(cfg.width / cfg.substep))

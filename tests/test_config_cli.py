@@ -492,18 +492,23 @@ class TestUsageErrors:
     def test_input_name_with_newline_rejected_before_output(
         self, tmp_path, capsys, monkeypatch, stage, flags
     ):
-        # a sidecar value cannot hold "\n": such a name used to fail only after
-        # the stage had written its outputs, leaving them without a sidecar
-        raw = tmp_path / "raw\n.bits"
-        write_bits(raw, BitStream.from_array(np.random.default_rng(4).integers(0, 2, 25_000)))
+        # a sidecar value is one line of UTF-8: such a name used to fail only
+        # after the stage had written its outputs, leaving them without a sidecar
         cfg = tmp_path / "pipeline.ini"
         cfg.write_text("[extractor]\nn = 1000\nl = 330\n")
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        monkeypatch.chdir(out_dir)
-        assert run_cli(stage, "--config", cfg, "--in", raw, *flags) == 2
-        assert "holds a newline" in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        bits = BitStream.from_array(np.random.default_rng(4).integers(0, 2, 25_000))
+        # "\udcff" is a file name's byte 0xff, which has no UTF-8 encoding
+        for case, (name, message) in enumerate(
+            [("raw\n.bits", "holds a newline"), ("raw\udcff.bits", "not valid UTF-8")]
+        ):
+            raw = tmp_path / name
+            write_bits(raw, bits)
+            out_dir = tmp_path / f"out{case}"
+            out_dir.mkdir()
+            monkeypatch.chdir(out_dir)
+            assert run_cli(stage, "--config", cfg, "--in", raw, *flags) == 2
+            assert message in capsys.readouterr().err
+            assert list(out_dir.iterdir()) == []
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.ini"

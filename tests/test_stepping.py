@@ -6,7 +6,9 @@ and one scalar uniform at a time, so every voltage, time, branch and grid
 switch current must agree bit for bit.  The drift, and a switch current on
 the drift-shifted peak or valley, agree within the drift scan's bound.
 sweep_branches runs many repeats of one ramp in lockstep, and must equal
-chained oracle sweeps the same way, and chained one-repeat calls exactly.
+chained oracle sweeps and chained one-repeat calls the same way: the group
+walks its drift in one scan, the calls one sweep at a time.  A sweep and a
+pulse train of the same steps walk the drift exactly alike (device._drawn).
 """
 
 import itertools
@@ -158,13 +160,27 @@ def test_lockstep_equals_chained_sweeps(monkeypatch, ramp, params, dt):
     start, stop, branch = ramp
     state, ref_state = DeviceState(branch=branch), DeviceState(branch=branch)
     rng, ref_rng = streams(13), streams(13)
-    _, sweeps = _lockstep(monkeypatch, params, start, stop, dt, rng, state)
+    currents, sweeps = _lockstep(monkeypatch, params, start, stop, dt, rng, state)
     for voltages, switch in sweeps:
         ref = sweep_current(params, start, stop, STEPS, dt, ref_rng, state=ref_state)
         assert np.array_equal(voltages, ref.voltages)
-        assert switch == ref.switch_current
-    assert state == ref_state
+        _assert_same_switch(switch, ref.switch_current, currents)
+    _assert_same_state(state, ref_state, params.drift_sigma)
     # both runs leave the streams at the same place
+    assert rng.switch.random() == ref_rng.switch.random()
+    assert rng.drift.standard_normal() == ref_rng.drift.standard_normal()
+
+
+def test_sweep_walks_the_drift_like_acquisition():
+    # 40 sweeps of 300 steps and 12,000 pulses, each one chunk of 1 ms steps
+    params = DeviceParams(drift_sigma=0.03)
+    cfg = PulseConfig(width=0.5, duty_cycle=0.5)
+    rng, ref_rng = streams(21), streams(21)
+    state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
+    _, groups = sweep_branches(params, 0.0, TOP, 300, 1.0, 40, rng, state)
+    assert sum(len(switches) for _, switches in groups) == 40
+    acquire_bits(ref_state, params, cfg, 12_000, ref_rng)
+    assert state.drift == ref_state.drift
     assert rng.switch.random() == ref_rng.switch.random()
     assert rng.drift.standard_normal() == ref_rng.drift.standard_normal()
 
