@@ -58,15 +58,6 @@ class BitStream:
         lo = start // 8
         return np.unpackbits(self._packed[lo : (stop + 7) // 8])[start - 8 * lo : stop - 8 * lo]
 
-    def _prefix(self, length: int) -> "BitStream":
-        """The first `length` bits, copied byte-wise with the pad bits cleared."""
-        if not 0 <= length <= self._length:
-            raise ValueError(f"prefix of {length} bits from a stream of {self._length}")
-        packed = self._packed[: (length + 7) // 8].copy()
-        if length % 8:
-            packed[-1] &= (0xFF00 >> (length % 8)) & 0xFF
-        return BitStream(packed, length)
-
     def to_array(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 values."""
         return self._unpack(0, self._length)

@@ -61,6 +61,8 @@ def _flatten(prefix: str, obj) -> dict:
 def _load_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -97,12 +99,9 @@ def cmd_generate(args) -> int:
     state = DeviceState()
     control_on = cfg.controller is not None
     if control_on:
-        windows = -(-args.count // cfg.controller.window)
         stream, ratios, amplitudes = run_closed_loop(
-            state, cfg.device, cfg.pulse, cfg.controller, windows, rng
+            state, cfg.device, cfg.pulse, cfg.controller, args.count, rng
         )
-        if len(stream) > args.count:
-            stream = stream._prefix(args.count)
         for suffix, column, values in (
             ("ratio", "ratio", ratios),
             ("amplitude", "amplitude_ma", amplitudes),

@@ -1,6 +1,6 @@
 """Pipeline configuration: a strict INI document with one section per stage.
 
-Unknown sections or keys are rejected so typos in the 42 keys fail fast.
+Unknown sections or keys are rejected so typos in the 40 keys fail fast.
 Each stage section's keys are the fields of its dataclass (DeviceParams,
 PulseConfig, ControllerState, ExtractorConfig, TestParams), parsed by their
 annotations; a few extra keys configure the run around them.  Every key is
@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .control import ControllerState, default_controller
+from .control import ControllerState, _check_start, default_controller
 from .device import DeviceParams
 from .extractor import ExtractorConfig
 from .nist.statistical_tests import TestParams
@@ -38,15 +38,6 @@ def _to_float(text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"not a finite number: {text!r}")
     return value
-
-
-def _to_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _to_mode(text: str) -> str:
@@ -77,7 +68,7 @@ def _stage_keys(cls, skip=()) -> dict:
 _SCHEMA = {
     "device": _stage_keys(DeviceParams),
     "pulse": _stage_keys(PulseConfig),
-    "controller": {"enabled": _to_bool, **_stage_keys(ControllerState)},
+    "controller": _stage_keys(ControllerState),
     "extractor": {
         "mode": _to_mode,
         **_stage_keys(ExtractorConfig, skip={"seed"}),
@@ -95,8 +86,8 @@ _SCHEMA = {
 class PipelineConfig:
     """One stage object per INI section, plus the run's seed and output directory.
 
-    controller is None when feedback is off, extractor.l is None under
-    mode = auto, and extractor_seed_hex holds the decoded seed_hex bytes.
+    controller is None without a [controller] section, extractor.l is None
+    under mode = auto, and extractor_seed_hex holds the decoded seed_hex bytes.
     """
 
     device: DeviceParams
@@ -151,16 +142,11 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
     device = _construct("device", DeviceParams, **values.get("device", {}))
     pulse = _construct("pulse", PulseConfig, **values.get("pulse", {}))
 
-    # a [controller] section turns feedback on unless it says enabled = false;
-    # the command starts from the pulse amplitude unless the section sets one
+    # a [controller] section turns feedback on; the command starts at the pulse amplitude
     controller = None
     if "controller" in values:
-        ctrl_values = dict(values["controller"])
-        if ctrl_values.pop("enabled", True):
-            amplitude = ctrl_values.pop("amplitude", pulse.amplitude)
-            controller = _construct(
-                "controller", default_controller, device, amplitude, **ctrl_values
-            )
+        controller = _construct("controller", default_controller, device, **values["controller"])
+        _construct("controller", _check_start, controller, pulse.amplitude)
 
     ext = dict(values.get("extractor", {}))
     if ext.pop("mode", "fixed") == "auto":
@@ -176,6 +162,9 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
     suite = _construct("suite", TestParams, **suite_values)
 
     run_values = values.get("run", {})
+    seed = run_values.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"[run] seed must be nonnegative, not {seed}")
     return PipelineConfig(
         device=device,
         pulse=pulse,
@@ -183,7 +172,7 @@ def _build(values: dict[str, dict]) -> PipelineConfig:
         extractor=extractor,
         extractor_seed_hex=seed_hex,
         suite=suite,
-        seed=run_values.get("seed", 0),
+        seed=seed,
         out_dir=run_values.get("out_dir", "."),
     )
 

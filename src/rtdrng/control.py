@@ -9,7 +9,7 @@ memoryless, one clamped accumulating term, next_amplitude, is sufficient.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +18,16 @@ from .device import DeviceParams, DeviceState, Streams
 from .pulses import PulseConfig, acquire_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ControllerState:
-    """Setpoint tracking state: target ratio, window, gain and command.
+    """Setpoint tracking settings: target ratio, window, gain and clamp.
 
-    gain is the amplitude correction (mA) per unit ratio error; amplitude is
-    the current command, clamped to [amp_min, amp_max].  default_controller
-    derives gain and the clamp from the device geometry.
+    gain is the amplitude correction (mA) per unit ratio error, and every
+    command is clamped to [amp_min, amp_max].  The command starts at the
+    pulse amplitude, so the controller holds no command of its own.
+    default_controller derives gain and the clamp from the device geometry.
     """
 
-    amplitude: float
-    _: KW_ONLY
     setpoint: float = 0.5
     window: int = 500
     gain: float
@@ -45,11 +44,9 @@ class ControllerState:
         # the clamp then keeps every command a valid pulse amplitude
         if not 0.0 < self.amp_min < self.amp_max < math.inf:
             raise ValueError("require 0 < amp_min < amp_max < inf")
-        if not self.amp_min <= self.amplitude <= self.amp_max:
-            raise ValueError("amplitude must lie within [amp_min, amp_max]")
 
 
-def default_controller(params: DeviceParams, amplitude: float, **overrides) -> ControllerState:
+def default_controller(params: DeviceParams, **overrides) -> ControllerState:
     """Controller with gain a quarter of the bistable current range.
 
     The command is clamped to the bistable window; `overrides` set any
@@ -58,11 +55,17 @@ def default_controller(params: DeviceParams, amplitude: float, **overrides) -> C
     overrides.setdefault("gain", 0.25 * (params.i_peak - params.i_valley))
     overrides.setdefault("amp_min", params.i_valley)
     overrides.setdefault("amp_max", params.i_peak)
-    return ControllerState(amplitude, **overrides)
+    return ControllerState(**overrides)
+
+
+def _check_start(ctrl: ControllerState, amplitude: float) -> None:
+    """Refuse a start command outside the clamp [amp_min, amp_max]."""
+    if not ctrl.amp_min <= amplitude <= ctrl.amp_max:
+        raise ValueError(f"pulse amplitude {amplitude} must lie within [amp_min, amp_max]")
 
 
 def next_amplitude(ctrl: ControllerState, amplitude: float, observed_ratio: float) -> float:
-    """One clamped proportional-on-error step of the command; ctrl gives only the settings."""
+    """One clamped proportional-on-error step of the command."""
     if not 0.0 <= observed_ratio <= 1.0:
         raise ValueError("observed_ratio must be in [0, 1]")
     amplitude = amplitude + ctrl.gain * (ctrl.setpoint - observed_ratio)
@@ -74,25 +77,30 @@ def run_closed_loop(
     params: DeviceParams,
     cfg: PulseConfig,
     ctrl: ControllerState,
-    n_windows: int,
+    count: int,
     rng: Streams,
 ) -> tuple[BitStream, np.ndarray, np.ndarray]:
-    """Alternate window acquisitions with controller updates.
+    """Acquire `count` bits, updating the command after each window.
 
-    Returns the concatenated bits plus per-window diagnostics: the observed
-    ratio and the amplitude command in effect for each window.  The thresholds
-    do not depend on the amplitude, so the windows are one acquire_bits call
-    whose reader compares each window's slice against the current command,
-    counting its ones as they arrive (a window may straddle chunks); the bits
-    equal one acquire_bits call per window.  The device state is advanced in
-    place.
+    The command starts at cfg.amplitude.  Returns the bits plus per-window
+    diagnostics: the observed ratio and the command in effect for each of
+    the ceil(count / window) windows; when the window does not divide
+    `count`, the last window is short and its ratio is over the pulses it
+    holds.  The thresholds do not depend on the amplitude, so the windows
+    are one acquire_bits call of `count` pulses whose reader compares each
+    window's slice against the current command, counting its ones as they
+    arrive (a window may straddle chunks); the bits equal one acquire_bits
+    call per window, and the device state and streams end where
+    acquire_bits of `count` pulses leaves them.
     """
-    if n_windows < 1:
-        raise ValueError("n_windows must be at least 1")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    _check_start(ctrl, cfg.amplitude)
     window = ctrl.window
+    n_windows = -(-count // window)
     ratios = np.empty(n_windows)
     amplitudes = np.empty(n_windows)
-    amplitude = ctrl.amplitude
+    amplitude = cfg.amplitude
     w = 0
     filled = 0  # pulses read so far in window w
     ones = 0  # ones among them
@@ -116,7 +124,10 @@ def run_closed_loop(
                 w += 1
                 filled = ones = 0
 
-    return acquire_bits(state, params, cfg, n_windows * window, rng, read), ratios, amplitudes
+    stream = acquire_bits(state, params, cfg, count, rng, read)
+    if filled:
+        ratios[w] = ones / filled  # the short last window
+    return stream, ratios, amplitudes
 
 
 __all__ = ["ControllerState", "default_controller", "next_amplitude", "run_closed_loop"]

@@ -622,16 +622,18 @@ def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
 # ---------------------------------------------------------------- bias control
 
 
-def closed_loop_oracle(state, params, cfg, ctrl, n_windows, rng):
+def closed_loop_oracle(state, params, cfg, ctrl, count, rng):
     """One acquire_bits call per window at the command then in effect.
 
-    Returns (bits, ratios, amplitudes) as arrays and advances `state` in place.
+    The command starts at cfg.amplitude, and the last window holds what is
+    left of `count`.  Returns (bits, ratios, amplitudes) as arrays and
+    advances `state` in place.
     """
     chunks, ratios, amplitudes = [], [], []
-    amplitude = ctrl.amplitude
-    for _ in range(n_windows):
+    amplitude = cfg.amplitude
+    for lo in range(0, count, ctrl.window):
         window_cfg = replace(cfg, amplitude=amplitude)
-        chunk = acquire_bits(state, params, window_cfg, ctrl.window, rng)
+        chunk = acquire_bits(state, params, window_cfg, min(ctrl.window, count - lo), rng)
         ratio = chunk.ones_fraction()
         ratios.append(ratio)
         amplitudes.append(amplitude)
@@ -691,18 +693,17 @@ def serial_acquire(state, params, cfg, count: int, rng):
     return bits
 
 
-def serial_closed_loop(state, params, cfg, ctrl, n_windows: int, rng):
+def serial_closed_loop(state, params, cfg, ctrl, count: int, rng):
     """run_closed_loop's (bits, ratios, amplitudes) from the serial chunks."""
     window = ctrl.window
-    chunks = serial_threshold_chunks(state, params, cfg, n_windows * window, rng)
-    thresholds = np.concatenate(list(chunks))
+    thresholds = np.concatenate(list(serial_threshold_chunks(state, params, cfg, count, rng)))
     bits, ratios, amplitudes = [], [], []
-    amplitude = ctrl.amplitude
-    for k in range(n_windows):
-        piece = amplitude > thresholds[k * window : (k + 1) * window]
+    amplitude = cfg.amplitude
+    for lo in range(0, count, window):
+        piece = amplitude > thresholds[lo : lo + window]
         bits.append(piece)
         amplitudes.append(amplitude)
-        ratio = np.count_nonzero(piece) / window
+        ratio = np.count_nonzero(piece) / piece.size
         ratios.append(ratio)
         amplitude = next_amplitude(ctrl, amplitude, ratio)
     bits = np.concatenate(bits).astype(np.uint8)

@@ -127,13 +127,11 @@ def test_c05_drift_and_feedback():
     t0 = time.perf_counter()
     drifty = DeviceParams(drift_sigma=0.03)
     cfg = PulseConfig(amplitude=1.515, width=1.0)
-    ctrl = ControllerState(
-        amplitude=1.515, setpoint=0.5, window=500, gain=0.2875, amp_min=1.40, amp_max=1.55
-    )
+    ctrl = ControllerState(setpoint=0.5, window=500, gain=0.2875, amp_min=1.40, amp_max=1.55)
     n_windows = 200
     seed = 6
     _, ratios, _ = run_closed_loop(
-        DeviceState(), drifty, cfg, ctrl, n_windows, streams(seed)
+        DeviceState(), drifty, cfg, ctrl, 500 * n_windows, streams(seed)
     )
     stream = acquire_bits(
         DeviceState(), drifty, cfg, 500 * n_windows, streams(seed)

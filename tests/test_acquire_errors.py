@@ -69,9 +69,9 @@ def test_reset_failure_leaves_state_and_no_thread(monkeypatch):
     with pytest.raises(ModelRangeError):
         acquire_bits(state, params, CFG, 20_000, streams(70))
     assert state == _start_state()
-    ctrl = default_controller(params, 1.515, window=100)
+    ctrl = default_controller(params, window=100)
     with pytest.raises(ModelRangeError):
-        run_closed_loop(state, params, CFG, ctrl, 200, streams(70))
+        run_closed_loop(state, params, CFG, ctrl, 200 * 100, streams(70))
     assert state == _start_state()
     assert threading.active_count() == before
     assert _no_helper_alive()

@@ -81,11 +81,6 @@ class TestUnpackAndPack:
         with pytest.raises(ValueError):
             packer.append(np.ones(2, dtype=np.uint8))
 
-    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 99, 100])
-    def test_prefix(self, length):
-        bits = (np.random.default_rng(3).random(100) < 0.5).astype(np.uint8)
-        assert BitStream.from_array(bits)._prefix(length) == BitStream.from_array(bits[:length])
-
 
 class TestFileFormat:
     def test_roundtrip_exact(self, tmp_path):

@@ -2,14 +2,20 @@ import ctypes
 import dataclasses
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rtdrng.bits import BitStream, read_bits, write_bits
-from rtdrng.cli import main
+from rtdrng.cli import build_parser, main
 from rtdrng.config import _SCHEMA, ConfigError, _stage_keys, default_config, load_config
+from rtdrng.pulses import window_fractions
 from rtdrng.sidecar import read_sidecar, write_sidecar
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -42,16 +48,10 @@ class TestConfig:
         assert cfg.pulse.amplitude == 1.53
         assert cfg.controller is not None
         assert cfg.controller.setpoint == 0.45
-        assert cfg.controller.amplitude == 1.53  # inherits the pulse amplitude
         assert cfg.extractor.l is None  # auto mode sizes l per run
         assert cfg.suite.sequences == 4
         assert cfg.suite.n == 550_000
         assert cfg.seed == 99
-
-    def test_controller_can_be_disabled(self, tmp_path):
-        path = tmp_path / "pipeline.ini"
-        path.write_text("[controller]\nenabled = false\nsetpoint = 0.4\n")
-        assert load_config(path).controller is None
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -99,8 +99,6 @@ _NON_DEFAULTS = {
     ("pulse", "duty_cycle"): "0.25",
     ("pulse", "sample_offset"): "0.5",
     ("pulse", "substep"): "0.002",
-    ("controller", "enabled"): "false",
-    ("controller", "amplitude"): "1.45",
     ("controller", "setpoint"): "0.45",
     ("controller", "window"): "100",
     ("controller", "gain"): "0.1",
@@ -130,7 +128,6 @@ _NON_DEFAULTS = {
 }
 # where the keys that are not stage fields land
 _EXTRA_KEYS = {
-    ("controller", "enabled"): lambda cfg: cfg.controller is not None,
     ("extractor", "mode"): lambda cfg: "auto" if cfg.extractor.l is None else "fixed",
     ("extractor", "seed_hex"): lambda cfg: cfg.extractor_seed_hex,
     ("suite", "sequence_length"): lambda cfg: cfg.suite.n,
@@ -223,6 +220,33 @@ class TestGenerateCommand:
         assert amplitude[0] == "window\tamplitude_ma"
         assert len(ratio) == len(amplitude) == 1 + 10  # ceil(950 / 100) windows
         assert read_sidecar(tmp_path / "c.bits.meta")["controller"] == "on"
+
+    @pytest.mark.parametrize("count", [1000, 1001])
+    def test_ratio_table_matches_the_written_stream(self, tmp_path, capsys, count):
+        # the loop draws exactly --count pulses; a last window of one pulse
+        # has the written last bit as its ratio
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[pulse]\namplitude = 1.53\n[controller]\nwindow = 500\n[run]\nseed = 9\n")
+        out = tmp_path / "raw.bits"
+        assert run_cli("generate", "--config", cfg, "--count", count, "--out", out) == 0
+        stream = read_bits(out)
+        assert len(stream) == count
+        bits = stream.to_array()
+        ratio_tsv = (tmp_path / "raw.bits.ratio.tsv").read_text()
+        rows = [line.split("\t") for line in ratio_tsv.splitlines()]
+        assert rows[0] == ["window", "ratio"]
+        starts = range(0, count, 500)
+        assert [int(w) for w, _ in rows[1:]] == list(range(len(starts)))
+        for (_, ratio), lo in zip(rows[1:], starts):
+            piece = BitStream.from_array(bits[lo : lo + 500])
+            assert ratio == f"{window_fractions(piece, len(piece))[0]:.6f}"
+        if count % 500:
+            assert len(piece) == 1 and float(rows[-1][1]) == bits[-1]
+        amplitudes = (tmp_path / "raw.bits.amplitude.tsv").read_text().splitlines()
+        assert len(amplitudes) == len(rows)
+        assert run_cli("report", "--run", tmp_path) == 0
+        reported = re.search(r"amplitude_ma: (\S+)", capsys.readouterr().out).group(1)
+        assert float(reported) == float(amplitudes[1].split("\t")[1]) == 1.53
 
     def test_bad_count(self, tmp_path):
         assert run_cli("generate", "--count", 0, "--out", tmp_path / "x.bits") == 2
@@ -542,6 +566,37 @@ class TestUsageErrors:
         assert not list(tmp_path.glob("*.bits"))
         assert "[controller]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "sweep", "extract", "test"])
+    def test_start_outside_the_clamp_rejected_at_load(self, tmp_path, capsys, command):
+        # the loop starts at the pulse amplitude, here above amp_max
+        out_dir = tmp_path / "run"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(
+            "[pulse]\namplitude = 1.53\n[controller]\namp_max = 1.52\n"
+            f"[run]\nout_dir = {out_dir}\n"
+        )
+        assert run_cli(command, "--config", cfg, *_command_args(tmp_path)[command]) == 2
+        assert "[controller]: pulse amplitude 1.53 must lie within" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "ini, flags, name",
+        [("seed = -5\n", [], "[run] seed"), ("", ["--seed", -1], "--seed")],
+        ids=["ini", "flag"],
+    )
+    @pytest.mark.parametrize("command", ["generate", "test"])
+    def test_negative_seed_rejected_before_output(
+        self, tmp_path, capsys, command, ini, flags, name
+    ):
+        # refused when the config loads, before a stage makes its output directory
+        out_dir = tmp_path / "o"
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text(f"[run]\nout_dir = {out_dir}\n{ini}")
+        args = _command_args(tmp_path)[command]
+        assert run_cli(command, "--config", cfg, *args, *flags) == 2
+        assert f"config error: {name} must be nonnegative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "ini", ["[extractor]\nn = 16777217\nl = 330\n", "[extractor]\nepsilon_exponent = 0\n"]
     )
@@ -659,3 +714,29 @@ class TestUsageErrors:
         cfg.write_text(f"[suite]\n{field} = 0\n")
         with pytest.raises(ConfigError, match=rf"\[suite\]: {field} must be at least 1"):
             load_config(cfg)
+
+
+def _readme_blocks(language):
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_ini_example_loads(tmp_path):
+    [text] = _readme_blocks("ini")
+    path = tmp_path / "pipeline.ini"
+    path.write_text(text)
+    cfg = load_config(path)
+    assert cfg.controller is not None
+
+
+def test_readme_command_lines_parse():
+    lines = [
+        line
+        for block in _readme_blocks("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("rtdrng ")
+    ]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -10,7 +10,7 @@ from rtdrng.control import (
     next_amplitude,
     run_closed_loop,
 )
-from rtdrng.device import DeviceParams, DeviceState, streams
+from rtdrng.device import Branch, DeviceParams, DeviceState, streams
 from rtdrng.pulses import PulseConfig, acquire_bits
 
 P_DRIFT = DeviceParams(drift_sigma=0.03)
@@ -19,8 +19,7 @@ CFG = PulseConfig(amplitude=1.515, width=1.0)  # calibrated 50/50 point
 
 
 def make_ctrl(**kwargs):
-    base = dict(amplitude=1.515, setpoint=0.5, window=500, gain=0.2875,
-                amp_min=1.40, amp_max=1.55)
+    base = dict(setpoint=0.5, window=500, gain=0.2875, amp_min=1.40, amp_max=1.55)
     base.update(kwargs)
     return ControllerState(**base)
 
@@ -28,21 +27,20 @@ def make_ctrl(**kwargs):
 class TestControllerUpdate:
     def test_zero_error_keeps_amplitude(self):
         ctrl = make_ctrl()
-        assert next_amplitude(ctrl, ctrl.amplitude, 0.5) == ctrl.amplitude
+        assert next_amplitude(ctrl, 1.515, 0.5) == 1.515
 
     def test_high_ratio_lowers_amplitude(self):
         ctrl = make_ctrl()
-        assert next_amplitude(ctrl, ctrl.amplitude, 0.7) < ctrl.amplitude
+        assert next_amplitude(ctrl, 1.515, 0.7) < 1.515
 
     def test_low_ratio_raises_amplitude(self):
         ctrl = make_ctrl()
-        assert next_amplitude(ctrl, ctrl.amplitude, 0.3) > ctrl.amplitude
+        assert next_amplitude(ctrl, 1.515, 0.3) > 1.515
 
     def test_clamping(self):
-        at_min = make_ctrl(amplitude=1.40)
-        assert next_amplitude(at_min, at_min.amplitude, 1.0) == 1.40
-        at_max = make_ctrl(amplitude=1.55)
-        assert next_amplitude(at_max, at_max.amplitude, 0.0) == 1.55
+        ctrl = make_ctrl()
+        assert next_amplitude(ctrl, 1.40, 1.0) == 1.40
+        assert next_amplitude(ctrl, 1.55, 0.0) == 1.55
 
     def test_ratio_domain(self):
         with pytest.raises(ValueError):
@@ -55,13 +53,17 @@ class TestControllerUpdate:
             make_ctrl(setpoint=0.0)
         with pytest.raises(ValueError):
             make_ctrl(amp_min=2.0)
-        with pytest.raises(ValueError):
-            make_ctrl(amplitude=1.0)  # outside [amp_min, amp_max]
+        with pytest.raises(ValueError, match="must lie within"):
+            # a start command outside [amp_min, amp_max]
+            run_closed_loop(
+                DeviceState(), P_QUIET, PulseConfig(amplitude=1.0, width=1.0),
+                make_ctrl(), 500, streams(0),
+            )
         with pytest.raises(ValueError):
             make_ctrl(gain=-0.1)
 
     def test_default_controller_gain_rule(self):
-        ctrl = default_controller(P_QUIET, amplitude=1.5)
+        ctrl = default_controller(P_QUIET)
         assert ctrl.gain == pytest.approx(0.25 * (P_QUIET.i_peak - P_QUIET.i_valley))
         assert ctrl.amp_min == P_QUIET.i_valley
         assert ctrl.amp_max == P_QUIET.i_peak
@@ -71,14 +73,14 @@ class TestClosedLoop:
     def test_zero_gain_freezes_amplitude(self):
         ctrl = make_ctrl(gain=0.0)
         _, _, amplitudes = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, 20, streams(1)
+            DeviceState(), P_DRIFT, CFG, ctrl, 20 * 500, streams(1)
         )
         assert np.all(amplitudes == amplitudes[0])
 
     def test_output_sizes(self):
         ctrl = make_ctrl(window=100)
         stream, ratios, amplitudes = run_closed_loop(
-            DeviceState(), P_QUIET, CFG, ctrl, 7, streams(2)
+            DeviceState(), P_QUIET, CFG, ctrl, 7 * 100, streams(2)
         )
         assert len(stream) == 700
         assert ratios.shape == (7,) and amplitudes.shape == (7,)
@@ -86,7 +88,7 @@ class TestClosedLoop:
     def test_amplitude_always_within_bounds(self):
         ctrl = make_ctrl(gain=1.5)  # deliberately twitchy
         _, _, amplitudes = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, 50, streams(3)
+            DeviceState(), P_DRIFT, CFG, ctrl, 50 * 500, streams(3)
         )
         assert np.all(amplitudes >= ctrl.amp_min)
         assert np.all(amplitudes <= ctrl.amp_max)
@@ -96,7 +98,7 @@ class TestClosedLoop:
         ctrl = make_ctrl()
         n_windows = 100
         _, ratios, _ = run_closed_loop(
-            DeviceState(), P_QUIET, CFG, ctrl, n_windows, streams(4)
+            DeviceState(), P_QUIET, CFG, ctrl, 500 * n_windows, streams(4)
         )
         tol = 3.0 / (2.0 * math.sqrt(500 * n_windows))
         assert abs(ratios.mean() - 0.5) < tol
@@ -107,7 +109,7 @@ class TestClosedLoop:
         state = DeviceState(drift=0.04)
         ctrl = make_ctrl()
         _, ratios, _ = run_closed_loop(
-            state, frozen, CFG, ctrl, 60, streams(5)
+            state, frozen, CFG, ctrl, 60 * 500, streams(5)
         )
         band = 2.0 / math.sqrt(500)
         assert abs(ratios[0] - 0.5) > band  # disturbance visible at start
@@ -118,7 +120,7 @@ class TestClosedLoop:
         n_windows = 100
         ctrl = make_ctrl()
         _, controlled, _ = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, streams(seed)
+            DeviceState(), P_DRIFT, CFG, ctrl, 500 * n_windows, streams(seed)
         )
         stream = acquire_bits(
             DeviceState(), P_DRIFT, CFG, 500 * n_windows, streams(seed)
@@ -157,7 +159,7 @@ class TestClosedLoop:
         threshold = np.quantile(baseline_trend, 0.99)
         seed = 11
         _, controlled, _ = run_closed_loop(
-            DeviceState(), P_DRIFT, CFG, ctrl, n_windows, streams(seed)
+            DeviceState(), P_DRIFT, CFG, ctrl, 500 * n_windows, streams(seed)
         )
         open_stream = acquire_bits(
             DeviceState(), P_DRIFT, CFG, 500 * n_windows, streams(seed)
@@ -175,12 +177,45 @@ class TestClosedLoop:
             return acquire_bits(state, params, cfg, count, rng, read)
 
         monkeypatch.setattr(control, "acquire_bits", counting)
-        run_closed_loop(DeviceState(), P_DRIFT, CFG, make_ctrl(window=120), 7, streams(8))
+        run_closed_loop(DeviceState(), P_DRIFT, CFG, make_ctrl(window=120), 7 * 120, streams(8))
         assert counts == [7 * 120]
 
     def test_rejects_zero_windows(self):
         with pytest.raises(ValueError):
             run_closed_loop(DeviceState(), P_QUIET, CFG, make_ctrl(), 0, streams(0))
+
+
+class TestPulseCount:
+    # the loop draws exactly `count` pulses, in ceil(count / window) windows
+
+    @pytest.mark.parametrize("count", [1000, 1001, 1499])
+    def test_ends_where_acquisition_of_count_ends(self, count):
+        state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
+        rng, ref = streams(12), streams(12)
+        stream, _, _ = run_closed_loop(state, P_DRIFT, CFG, make_ctrl(), count, rng)
+        acquire_bits(ref_state, P_DRIFT, CFG, count, ref)
+        assert len(stream) == count
+        assert (state.drift, state.clock) == (ref_state.drift, ref_state.clock)
+        assert state.branch == (Branch.H if stream.to_array()[-1] else Branch.L)
+        assert rng.switch.random() == ref.switch.random()
+        assert rng.drift.standard_normal() == ref.drift.standard_normal()
+
+    @pytest.mark.parametrize("count", [1, 499, 500, 1001])
+    def test_short_last_window_is_a_prefix_of_a_longer_loop(self, count):
+        ctrl = make_ctrl()
+        stream, ratios, amplitudes = run_closed_loop(
+            DeviceState(), P_DRIFT, CFG, ctrl, count, streams(13)
+        )
+        longer, _, longer_amplitudes = run_closed_loop(
+            DeviceState(), P_DRIFT, CFG, ctrl, 2000, streams(13)
+        )
+        bits = stream.to_array()
+        assert np.array_equal(bits, longer.to_array()[:count])
+        starts = range(0, count, ctrl.window)
+        assert ratios.size == amplitudes.size == len(starts)
+        assert ratios.tolist() == [bits[lo : lo + ctrl.window].mean() for lo in starts]
+        assert amplitudes.tolist() == longer_amplitudes[: len(starts)].tolist()
+        assert amplitudes[0] == CFG.amplitude
 
 
 @pytest.mark.parametrize("gain", [math.inf, math.nan])

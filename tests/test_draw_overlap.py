@@ -95,10 +95,10 @@ def test_open_loop_matches_serial_chunks(monkeypatch, count, sigma):
 @pytest.mark.parametrize("sigma", [0.0, 0.008, 0.03])
 @pytest.mark.parametrize("count", COUNTS)
 def test_closed_loop_matches_serial_chunks(monkeypatch, count, sigma):
-    # one-pulse windows, so that any count is a whole number of windows
+    # one-pulse windows: the command moves after every pulse
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
     params = DeviceParams(drift_sigma=sigma)
-    ctrl = default_controller(params, 1.515, window=1)
+    ctrl = default_controller(params, window=1)
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
     rng, ref = streams(90 + count), streams(90 + count)
     stream, ratios, amplitudes = run_closed_loop(state, params, CFG, ctrl, count, rng)
@@ -129,8 +129,8 @@ def test_no_thread_outlives_a_call(monkeypatch):
     before = threading.active_count()
     acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * CHUNK + 5, streams(1))
     assert threading.active_count() == before
-    ctrl = default_controller(DeviceParams(), 1.515, window=100)
-    run_closed_loop(DeviceState(), DeviceParams(), CFG, ctrl, 20, streams(2))
+    ctrl = default_controller(DeviceParams(), window=100)
+    run_closed_loop(DeviceState(), DeviceParams(), CFG, ctrl, 20 * 100, streams(2))
     assert threading.active_count() == before
 
 
@@ -144,9 +144,9 @@ def test_no_thread_outlives_a_reset_failure(monkeypatch):
     with pytest.raises(ModelRangeError):
         acquire_bits(DeviceState(), params, CFG, 20_000, streams(70))
     assert threading.active_count() == before
-    ctrl = default_controller(params, 1.515, window=100)
+    ctrl = default_controller(params, window=100)
     with pytest.raises(ModelRangeError):
-        run_closed_loop(DeviceState(), params, CFG, ctrl, 200, streams(70))
+        run_closed_loop(DeviceState(), params, CFG, ctrl, 200 * 100, streams(70))
     assert threading.active_count() == before
 
 
@@ -162,10 +162,10 @@ def test_no_thread_outlives_an_abandoned_loop(monkeypatch):
 
     # the fifth window ends in the third chunk
     monkeypatch.setattr(control, "next_amplitude", refuse_late)
-    ctrl = default_controller(DeviceParams(), 1.515, window=120)
+    ctrl = default_controller(DeviceParams(), window=120)
     before = threading.active_count()
     with pytest.raises(ValueError, match="refused"):
-        run_closed_loop(DeviceState(), DeviceParams(), CFG, ctrl, 20, streams(3))
+        run_closed_loop(DeviceState(), DeviceParams(), CFG, ctrl, 20 * 120, streams(3))
     assert len(calls) == 5
     assert threading.active_count() == before
 

@@ -80,9 +80,9 @@ def test_acquire_bits(monkeypatch):
 
 def test_closed_loop(monkeypatch):
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
-    ctrl = default_controller(P, 1.515, window=100)
+    ctrl = default_controller(P, window=100)
     peaks = [
-        traced_peak(run_closed_loop, DeviceState(), P, CFG, ctrl, windows, streams(3))
+        traced_peak(run_closed_loop, DeviceState(), P, CFG, ctrl, windows * 100, streams(3))
         for windows in (200, 800)
     ]
     # packed bits plus a float64 ratio and amplitude per window

@@ -75,14 +75,14 @@ def test_closed_loop_matches_per_window_oracle(monkeypatch, window, sigma, chunk
     if chunk is not None:
         monkeypatch.setattr(pulses, "_CHUNK_PULSES", chunk)
     params = DeviceParams(drift_sigma=sigma)
-    ctrl = default_controller(params, 1.515, window=window)
+    ctrl = default_controller(params, window=window)
     n_windows = max(3, 4000 // window)
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
     stream, ratios, amplitudes = run_closed_loop(
-        state, params, CFG, ctrl, n_windows, streams(60 + window)
+        state, params, CFG, ctrl, n_windows * window, streams(60 + window)
     )
     ref_bits, ref_ratios, ref_amplitudes = closed_loop_oracle(
-        ref_state, params, CFG, ctrl, n_windows, streams(60 + window)
+        ref_state, params, CFG, ctrl, n_windows * window, streams(60 + window)
     )
     assert np.array_equal(stream.to_array(), ref_bits)
     assert ratios.tolist() == ref_ratios.tolist()
@@ -114,12 +114,12 @@ def test_closed_loop_rejects_drift_crossing_below_zero_valley(monkeypatch):
     crossing = _first_reset_failure(params, 70, 20_000)
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", min(257, crossing))
     window = min(100, crossing)
-    ctrl = default_controller(params, 1.515, window=window)
+    ctrl = default_controller(params, window=window)
     clean = crossing // window
-    run_closed_loop(DeviceState(), params, CFG, ctrl, clean, streams(70))
+    run_closed_loop(DeviceState(), params, CFG, ctrl, clean * window, streams(70))
     for loop in (run_closed_loop, closed_loop_oracle):
         with pytest.raises(ModelRangeError):
-            loop(DeviceState(), params, CFG, ctrl, clean + 1, streams(70))
+            loop(DeviceState(), params, CFG, ctrl, (clean + 1) * window, streams(70))
 
 
 def test_closed_loop_rejects_nonpositive_command():
@@ -128,4 +128,4 @@ def test_closed_loop_rejects_nonpositive_command():
     params = DeviceParams(drift_sigma=0.0)
     for amp_min in (-1.0, 0.0):
         with pytest.raises(ValueError, match="0 < amp_min"):
-            default_controller(params, 1.55, window=50, amp_min=amp_min, setpoint=0.01, gain=3.0)
+            default_controller(params, window=50, amp_min=amp_min, setpoint=0.01, gain=3.0)
