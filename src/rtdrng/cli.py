@@ -49,13 +49,7 @@ def _sha256(path) -> str:
 
 
 def _flatten(prefix: str, obj) -> dict:
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if value is None or isinstance(value, np.ndarray):
-            continue
-        out[f"{prefix}.{f.name}"] = value
-    return out
+    return {f"{prefix}.{f.name}": getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -106,9 +100,10 @@ def cmd_generate(args) -> int:
             ("ratio", "ratio", ratios),
             ("amplitude", "amplitude_ma", amplitudes),
         ):
-            rows = "".join([f"{w}\t{v:.6f}\n" for w, v in enumerate(values.tolist())])
-            out.with_name(f"{out.name}.{suffix}.tsv").write_text(
-                f"window\t{column}\n{rows}", encoding="utf-8"
+            _write_tsv(
+                out.with_name(f"{out.name}.{suffix}.tsv"),
+                ["window", column],
+                ((w, f"{v:.6f}") for w, v in enumerate(values.tolist())),
             )
     else:
         stream = acquire_bits(state, cfg.device, cfg.pulse, args.count, rng)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequence import as_sequence
-from .special import igamc
-from .statistical_tests import TEST_ORDER, TestId, TestParams, TestResult, run_test
+from .statistical_tests import TEST_ORDER, TestId, TestParams, TestResult, chi_square_p, run_test
 
 TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASSING SEQUENCES"
 
@@ -108,9 +107,7 @@ def analyze_suite(results_by_sequence: list[list[TestResult]], alpha: float = 0.
                 counts = np.bincount(
                     np.minimum((pvals * 10).astype(np.int64), 9), minlength=10
                 )
-                expected = applicable / 10.0
-                chi2 = float(np.sum((counts - expected) ** 2 / expected))
-                uniformity = igamc(4.5, chi2 / 2.0)
+                uniformity = chi_square_p(counts, np.full(10, applicable / 10.0))
                 passed = int(np.count_nonzero(pvals >= alpha))
                 threshold = pass_threshold(applicable, alpha)
             else:

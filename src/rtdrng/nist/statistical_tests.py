@@ -135,6 +135,11 @@ class TestParams:
             raise ValueError(
                 f"overlapping_m must be at most overlapping_block_len and {_MAX_WINDOW_BITS}"
             )
+        if min(_overlapping_law(self.overlapping_m, self.overlapping_block_len)) <= 0.0:
+            raise ValueError(
+                f"overlapping_m = {self.overlapping_m} in blocks of {self.overlapping_block_len}"
+                " bits leaves an occurrence class of probability 0"
+            )
         if self.longest_run_m not in (None, *_LONGEST_RUN_TABLES):
             raise ValueError(f"unsupported longest-run block size {self.longest_run_m}")
         if self.universal_l is not None and not 1 <= self.universal_l <= 16:
@@ -176,6 +181,12 @@ class TestResult:
     pvalues: tuple[float, ...]
     labels: tuple[str, ...]
     applicable: bool = True
+
+
+def chi_square_p(observed, expected) -> float:
+    """Pearson's goodness-of-fit P-value of counts over k classes: igamc((k - 1) / 2, chi2 / 2)."""
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return igamc((len(expected) - 1) / 2.0, chi2 / 2.0)
 
 
 def _require(n: int, minimum: int, test: str) -> None:
@@ -277,9 +288,7 @@ def longest_run_test(bits, params: TestParams) -> TestResult:
     (lo, hi), pi = _LONGEST_RUN_TABLES[m]
     runs = _longest_runs(arr[: n_blocks * m].reshape(n_blocks, m))
     counts = np.bincount(np.clip(runs, lo, hi) - lo, minlength=len(pi))
-    expected = n_blocks * np.asarray(pi)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    p = igamc((len(pi) - 1) / 2.0, chi2 / 2.0)
+    p = chi_square_p(counts, n_blocks * np.asarray(pi))
     return TestResult(TestId.LongestRun, (p,), ("",))
 
 
@@ -300,18 +309,11 @@ def rank_test(bits, params: TestParams) -> TestResult:
     size = 32
     n_matrices = n // (size * size)
     ranks = gf2_ranks(arr[: n_matrices * size * size].reshape(n_matrices, size, size))
-    full = int(np.count_nonzero(ranks == size))
-    minus_one = int(np.count_nonzero(ranks == size - 1))
+    # classes: full rank, rank 31, and rank 30 or less
+    counts = np.bincount(np.minimum(size - ranks, 2), minlength=3)
     p_full = _rank_probability(size, size)
     p_minus = _rank_probability(size, size - 1)
-    p_rest = 1.0 - p_full - p_minus
-    rest = n_matrices - full - minus_one
-    chi2 = (
-        (full - n_matrices * p_full) ** 2 / (n_matrices * p_full)
-        + (minus_one - n_matrices * p_minus) ** 2 / (n_matrices * p_minus)
-        + (rest - n_matrices * p_rest) ** 2 / (n_matrices * p_rest)
-    )
-    p = igamc(1.0, chi2 / 2.0)
+    p = chi_square_p(counts, n_matrices * np.array([p_full, p_minus, 1.0 - p_full - p_minus]))
     return TestResult(TestId.Rank, (p,), ("",))
 
 
@@ -396,6 +398,14 @@ def _overlapping_probabilities(eta: float, k: int) -> list[float]:
     return pi
 
 
+def _overlapping_law(m: int, block_len: int) -> tuple[float, ...]:
+    """Probabilities of 0..4 and of 5 or more all-ones m-bit windows in an M-bit block."""
+    if m == 9 and block_len == 1032:
+        return _OVERLAPPING_PI_STANDARD
+    lam = (block_len - m + 1) / 2.0**m
+    return tuple(_overlapping_probabilities(lam / 2.0, 5))
+
+
 def overlapping_template_test(bits, params: TestParams) -> TestResult:
     """Overlapping occurrences of the all-ones template in fixed blocks."""
     seq = as_sequence(bits)
@@ -404,19 +414,12 @@ def overlapping_template_test(bits, params: TestParams) -> TestResult:
     block_len = params.overlapping_block_len
     _require(n, 5 * block_len, "overlapping template test")
     n_blocks = n // block_len
-    k = 5
+    pi = np.asarray(_overlapping_law(m, block_len))
     values, width = seq.windows(m)
     ones = values[: n_blocks * block_len] >= (2**m - 1) << (width - m)  # top m bits all ones
     hits = ones.reshape(n_blocks, block_len)[:, : block_len - m + 1].sum(axis=1)
-    freq = np.bincount(np.minimum(hits, k), minlength=k + 1)
-    if m == 9 and block_len == 1032:
-        pi = list(_OVERLAPPING_PI_STANDARD)
-    else:
-        lam = (block_len - m + 1) / 2.0**m
-        pi = _overlapping_probabilities(lam / 2.0, k)
-    expected = n_blocks * np.asarray(pi)
-    chi2 = float(np.sum((freq - expected) ** 2 / expected))
-    p = igamc(k / 2.0, chi2 / 2.0)
+    freq = np.bincount(np.minimum(hits, pi.size - 1), minlength=pi.size)
+    p = chi_square_p(freq, n_blocks * pi)
     return TestResult(TestId.OverlappingTemplate, (p,), ("",))
 
 
@@ -508,9 +511,7 @@ def random_excursions_test(bits, params: TestParams) -> TestResult:
         pi = [pi0] + [pi0 ** (k - 1) / (4.0 * a * a) for k in range(1, 5)]
         pi.append(pi0**4 / (2.0 * a))
         freq = np.bincount(np.minimum(visits[:, col], 5), minlength=6)
-        expected = j * np.asarray(pi)
-        chi2 = float(np.sum((freq - expected) ** 2 / expected))
-        pvalues.append(igamc(2.5, chi2 / 2.0))
+        pvalues.append(chi_square_p(freq, j * np.asarray(pi)))
     return TestResult(TestId.RandomExcursions, tuple(pvalues), labels)
 
 
@@ -552,9 +553,7 @@ def linear_complexity_test(bits, params: TestParams) -> TestResult:
     freq = np.bincount(
         np.searchsorted(_LINEAR_COMPLEXITY_BOUNDS, stats, side="left"), minlength=7
     )
-    expected = n_blocks * np.asarray(_LINEAR_COMPLEXITY_PI)
-    chi2 = float(np.sum((freq - expected) ** 2 / expected))
-    p = igamc(3.0, chi2 / 2.0)
+    p = chi_square_p(freq, n_blocks * np.asarray(_LINEAR_COMPLEXITY_PI))
     return TestResult(TestId.LinearComplexity, (p,), ("",))
 
 
@@ -598,6 +597,7 @@ __all__ = [
     "TestResult",
     "TEST_ORDER",
     "run_test",
+    "chi_square_p",
     "aperiodic_template_values",
     "frequency_test",
     "block_frequency_test",

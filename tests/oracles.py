@@ -17,7 +17,10 @@ The serial chunk references are the exception: they are a reference for the
 scheduling of acquisition, not for its arithmetic.  They run the chunk loop
 with every draw in line (_draw_steps, on the package's own _fill and
 _drift_scan) and through _switch_thresholds, so acquisition must match them
-bit for bit.
+bit for bit.  The truth replay (true_switch_probabilities, block_min_entropy)
+is built on the same in-line draws: it gives each pulse's true switch
+probability from a run's own draws, the ground truth for entropy and
+extraction claims.
 """
 
 import math
@@ -663,26 +666,32 @@ def _draw_steps(params, drift: float, count: int, dt: float, rng):
     return path[:-1], u, float(path[-1])
 
 
-def serial_threshold_chunks(state, params, cfg, count: int, rng):
-    """Yield each chunk's thresholds, drawing every chunk in line.
+def serial_draws(state, params, cfg, count: int, rng):
+    """Yield each chunk's (drifts, u), drawing every chunk in line.
 
     Chunks of up to pulses._CHUNK_PULSES pulses, each one _draw_steps call
-    from the drift the previous chunk ended on, with the reset condition
-    checked on every pulse.  Advances state.drift and state.clock once
-    exhausted.
+    from the drift the previous chunk ended on.  Advances state.drift and
+    state.clock once exhausted.
     """
-    exposure = cfg.width * cfg.sample_offset
     drift = state.drift
-    done = 0
-    while done < count:
+    for done in range(0, count, pulses._CHUNK_PULSES):
         m = min(pulses._CHUNK_PULSES, count - done)
         drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
+        yield drifts, u
+    state.drift = drift
+    state.clock = state.clock + count * cfg.period
+
+
+def serial_threshold_chunks(state, params, cfg, count: int, rng):
+    """Yield each chunk's thresholds from serial_draws.
+
+    The reset condition is checked on every pulse.
+    """
+    exposure = cfg.width * cfg.sample_offset
+    for drifts, u in serial_draws(state, params, cfg, count, rng):
         if not np.all(params.i_valley + drifts > 0.0):
             raise ModelRangeError("valley at or below zero current")
         yield _switch_thresholds(params, drifts, u, exposure)
-        done += m
-    state.drift = drift
-    state.clock = state.clock + count * cfg.period
 
 
 def serial_acquire(state, params, cfg, count: int, rng):
@@ -709,3 +718,27 @@ def serial_closed_loop(state, params, cfg, ctrl, count: int, rng):
     bits = np.concatenate(bits).astype(np.uint8)
     state.branch = Branch.H if bits[-1] else Branch.L
     return bits, np.array(ratios), np.array(amplitudes)
+
+
+# ---------------------------------------------------------------- truth replay
+
+
+def true_switch_probabilities(state, params, cfg, count: int, rng, amplitudes=None, window=None):
+    """Each pulse's true switch probability and switch uniform, (p, u).
+
+    Replays a run of `count` pulses from fresh streams of its seed and a
+    copy of its starting state: the drift comes from serial_draws, chunk by
+    chunk as acquire_bits draws it, and p from switch_probability at the
+    pulse's amplitude.  That amplitude is cfg.amplitude, or for a closed loop
+    its returned `amplitudes`, each held over a window of `window` pulses.
+    Advances `state` in place.
+    """
+    drifts, u = map(np.concatenate, zip(*serial_draws(state, params, cfg, count, rng)))
+    amplitude = cfg.amplitude if amplitudes is None else np.repeat(amplitudes, window)[:count]
+    return switch_probability(params, amplitude, drifts, cfg.width * cfg.sample_offset), u
+
+
+def block_min_entropy(p, n: int) -> np.ndarray:
+    """True min-entropy of each whole n-pulse block: sum of -log2 max(p, 1 - p)."""
+    h = -np.log2(np.maximum(p, 1.0 - p))
+    return h[: h.size // n * n].reshape(-1, n).sum(axis=1)

@@ -666,6 +666,9 @@ class TestUsageErrors:
             "overlapping_m = 70\n",  # used to give P = nan
             "overlapping_m = 2000\n",  # used to raise OverflowError
             "overlapping_m = 20\noverlapping_block_len = 19\n",
+            "overlapping_m = 58\n",  # an empty occurrence class used to give P = nan
+            "overlapping_m = 49\noverlapping_block_len = 49\n",
+            "overlapping_m = 1\noverlapping_block_len = 4000\n",
             "universal_q = -5\n",  # used to fail in a numpy broadcast
             "universal_l = 17\n",  # used to fail only once the battery ran
             "longest_run_m = 9\n",  # used to fail only once the battery ran

@@ -14,6 +14,7 @@ from rtdrng.nist.statistical_tests import (
     TestParams,
     aperiodic_template_values,
     approximate_entropy_test,
+    chi_square_p,
     block_frequency_test,
     cumulative_sums_test,
     fft_test,
@@ -36,6 +37,13 @@ PARAMS = TestParams()
 
 def random_bits(n, seed, p=0.5):
     return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+
+
+class TestChiSquare:
+    def test_hand_worked_statistic(self):
+        # chi2 = (100 + 0 + 100) / 20 = 10 over 3 classes: igamc(1, 5) = exp(-5)
+        got = chi_square_p(np.array([10, 20, 30]), np.full(3, 20.0))
+        assert got == pytest.approx(math.exp(-5.0), rel=1e-12)
 
 
 class TestParamResolution:
@@ -204,6 +212,25 @@ class TestRank:
         want = igamc(1.0, chi2 / 2.0)
         assert rank_test(bits, PARAMS).pvalues[0] == pytest.approx(want, abs=1e-12)
 
+    def test_every_rank_class_counted(self):
+        bits = random_bits(60 * 1024, 15)
+        # ten matrices of rank 1 and one of rank 31 beside the random ones
+        bits[: 10 * 1024] = np.tile(random_bits(32, 16), 10 * 32)
+        bits[10 * 1024 : 11 * 1024 - 32] = random_bits(31 * 32, 17)
+        bits[11 * 1024 - 32 : 11 * 1024] = bits[11 * 1024 - 64 : 11 * 1024 - 32]
+        ranks = [
+            oracles.gf2_rank_oracle(bits[j * 1024 : (j + 1) * 1024].reshape(32, 32))
+            for j in range(60)
+        ]
+        counts = [ranks.count(32), ranks.count(31), sum(r <= 30 for r in ranks)]
+        assert counts[2] >= 10 and counts[1] >= 1
+        probs = [oracles.rank_class_probability(32, r) for r in (32, 31)]
+        probs.append(1 - probs[0] - probs[1])
+        chi2 = sum((c - 60 * q) ** 2 / (60 * q) for c, q in zip(counts, probs))
+        assert rank_test(bits, PARAMS).pvalues[0] == pytest.approx(
+            igamc(1.0, chi2 / 2.0), rel=1e-12, abs=1e-300
+        )
+
     def test_structured_matrices_fail(self):
         bits = np.tile(random_bits(32, 14), 48 * 32)  # identical rows everywhere
         assert rank_test(bits, PARAMS).pvalues[0] < 1e-10
@@ -331,6 +358,14 @@ class TestOverlappingTemplate:
     def test_random_stream_sane(self):
         bits = random_bits(1032 * 200, 22)
         assert overlapping_template_test(bits, PARAMS).pvalues[0] > 1e-4
+
+    @pytest.mark.parametrize("m, block_len", [(1, 2980), (49, 50), (57, 1032), (62, 1032)])
+    def test_edge_geometries_that_load_give_a_pvalue(self, m, block_len):
+        # each sits beside a geometry rejected at load: (1, 2981), (49, 49), (58, 1032)
+        params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
+        bits = random_bits(20_000, 23)
+        p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
+        assert 0.0 <= p <= 1.0
 
 
 class TestUniversal:
