@@ -78,10 +78,10 @@ def _out_path(args, cfg: PipelineConfig, default_name: str) -> Path:
 
 
 def _write_tsv(path, header: list[str], rows) -> None:
+    # one line template and one join for the table; "{}" formats a cell as str() does
+    line = "\t".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(cell) for cell in row) + "\n")
+        fh.write(line.format(*header) + "".join([line.format(*row) for row in rows]))
 
 
 def cmd_generate(args) -> int:

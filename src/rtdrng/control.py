@@ -89,9 +89,9 @@ def run_closed_loop(
     holds.  The thresholds do not depend on the amplitude, so the windows
     are one acquire_bits call of `count` pulses whose reader compares each
     window's slice against the current command, counting its ones as they
-    arrive (a window may straddle chunks); the bits equal one acquire_bits
-    call per window, and the device state and streams end where
-    acquire_bits of `count` pulses leaves them.
+    arrive (a window may straddle blocks and chunks); the bits equal one
+    acquire_bits call per window, and the device state and streams end
+    where acquire_bits of `count` pulses leaves them.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

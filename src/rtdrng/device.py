@@ -254,46 +254,44 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
     return decay, scatter
 
 
-def _fill(rng: Streams, u: np.ndarray, z: np.ndarray) -> None:
-    """Draw u.size steps: switch uniforms into u, drift normals into z[:u.size]."""
-    rng.switch.random(out=u)
-    rng.drift.standard_normal(out=z[: u.size])
-
-
 def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drift: float):
     """The one drift walk, dt ms a step: each chunk in turn as (u, drifts, drift).
 
     u holds the chunk's switch uniforms, drifts the drift entering each step
     and drift the drift after the chunk.  The walk starts from `drift`, and
     each chunk is scanned (_drift_scan) from the previous chunk's end, so
-    other chunk sizes agree within the scan's bound, not bit for bit.  Chunk
-    0 is drawn in line.  While chunk k is scanned and used, a thread fills
-    chunk k + 1 into the other of two reused buffer pairs, each sized by its
-    first chunk, as no later chunk is larger; it is joined before the next
-    yield or close, and its exception is raised here.  So one thread draws
-    at a time, nothing past the last chunk, and the streams end where
-    drawing each chunk in line leaves them.
+    other chunk sizes agree within the scan's bound, not bit for bit.  The
+    calling thread draws each chunk's switch uniforms, into one reused
+    buffer, just before it scans the chunk, and chunk 0's drift normals
+    before that.  While chunk k is drawn, scanned and used, a thread fills
+    chunk k + 1's drift normals, the larger of the two draws, into the other
+    of two reused buffers, each sized by its first chunk, as no later chunk
+    is larger; it is joined before the next yield or close, and its
+    exception is raised here.  So one thread draws at a time, nothing past
+    the last chunk, and the streams end where drawing each chunk in line
+    leaves them.
     """
     decay, scatter = _walk_terms(params, dt)
-    pairs = [(np.empty(m), np.empty(_scan_size(m, decay))) for m in sizes[:2]]
+    u = np.empty(sizes[0])
+    normals = [np.empty(_scan_size(m, decay)) for m in sizes[:2]]
     caught = []
 
-    def fill(u, z):
+    def fill(z):
         try:
-            _fill(rng, u, z)
+            rng.drift.standard_normal(out=z)
         except BaseException as exc:  # raised again in the caller's thread below
             caught.append(exc)
 
-    _fill(rng, *pairs[0])
+    rng.drift.standard_normal(out=normals[0][: sizes[0]])
     for k, m in enumerate(sizes):
         ahead = None
         if k + 1 < len(sizes):
-            u, z = pairs[(k + 1) % 2]
-            ahead = threading.Thread(target=fill, args=(u[: sizes[k + 1]], z), name="rtdrng-draws")
+            z = normals[(k + 1) % 2][: sizes[k + 1]]
+            ahead = threading.Thread(target=fill, args=(z,), name="rtdrng-draws")
             ahead.start()
-        u, z = pairs[k % 2]
         try:
-            path = _drift_scan(z, m, decay, scatter, drift)
+            rng.switch.random(out=u[:m])
+            path = _drift_scan(normals[k % 2], m, decay, scatter, drift)
             drift = float(path[-1])
             yield u[:m], path[:-1], drift
         finally:
@@ -330,13 +328,14 @@ def sweep_branches(
 
     A group holds at most _CHUNK_PULSES steps, one sweep at least.  _drawn
     gives each group's switch uniforms and drift path, walked in one scan
-    over the group's sweeps laid end to end, and draws the next group's on a
-    thread while this one is latched and used, so rng must not be drawn from
-    elsewhere until the iterator is exhausted or closed; closing it joins
-    the thread.  The set/reset latch runs once over the same rows, each led
-    by an entry for the start point: that entry is forced only when `start`
-    lies outside the drift-shifted window, and otherwise keeps the branch
-    the previous row ended on (the state's branch for the first row).
+    over the group's sweeps laid end to end, and draws the next group's drift
+    normals on a thread while this one is latched and used, so rng must not
+    be drawn from elsewhere until the iterator is exhausted or closed;
+    closing it joins the thread.  The set/reset latch runs once over the
+    same rows, each led by an entry for the start point: that entry is
+    forced only when `start` lies outside the drift-shifted window, and
+    otherwise keeps the branch the previous row ended on (the state's
+    branch for the first row).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")

@@ -21,8 +21,11 @@ import numpy as np
 
 from .bits import BitStream, _Packer
 
-# float32 input bytes hashed per GEMM; a chunk holds at least one block
-_CHUNK_BYTES = 8 << 20
+# bytes of one chunk's working set (float32 input, float32 sums, uint32
+# sums and uint8 parity: 4n + 9l a block), at least one block.  Every GEMM
+# reads the whole hash matrix again, so the budget trades memory against
+# re-reading it (README, Memory)
+_CHUNK_BYTES = 4 << 20
 
 
 class InsufficientEntropyError(ValueError):
@@ -99,11 +102,14 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     Output length is floor(len/n) * l; a trailing partial block is dropped.
     The GF(2) matrix product runs through float32 BLAS, a chunk of blocks at
     a time: each chunk is unpacked from the packed input into one reused
-    float32 buffer of about _CHUNK_BYTES, multiplied into one reused sums
-    buffer, and its parities are packed onto the output before the next
-    chunk is read.  Block sums stay at or below n <= 2^24, so the float32
-    arithmetic and the uint32 cast are exact, and the working set does not
-    grow with the input.
+    float32 buffer, multiplied into one reused sums buffer, cast to
+    uint32, and its parities, taken into a uint8 buffer (numpy packs uint8
+    far faster than uint32), are packed onto the output before the next
+    chunk is read.  The four buffers together take about _CHUNK_BYTES,
+    4n + 9l bytes a block, so the chunk's rows shrink as l grows.  Block
+    sums stay at or below n <= 2^24, so the float32 arithmetic and the
+    uint32 cast are exact, and the working set does not grow with the
+    input.
     """
     if cfg.l is None:
         raise ValueError("extraction requires a fixed l; see choose_block_params")
@@ -115,17 +121,18 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
         raise ValueError(f"input shorter than one block of {n} bits")
     windows = np.lib.stride_tricks.sliding_window_view(cfg.seed, n)[:l]
     hash_t = windows.astype(np.float32).T
-    rows = min(n_blocks, max(1, _CHUNK_BYTES // (4 * n)))
+    rows = min(n_blocks, max(1, _CHUNK_BYTES // (4 * n + 9 * l)))
     blocks = np.empty((rows, n), dtype=np.float32)
     sums = np.empty((rows, l), dtype=np.float32)
-    parity = np.empty((rows, l), dtype=np.uint32)
+    counts = np.empty((rows, l), dtype=np.uint32)
+    parity = np.empty((rows, l), dtype=np.uint8)
     out = _Packer(n_blocks * l)
     for lo in range(0, n_blocks, rows):
         m = min(rows, n_blocks - lo)
         np.copyto(blocks[:m], bits._unpack(lo * n, (lo + m) * n).reshape(m, n))
         np.matmul(blocks[:m], hash_t, out=sums[:m])
-        np.copyto(parity[:m], sums[:m], casting="unsafe")
-        np.bitwise_and(parity[:m], 1, out=parity[:m])
+        np.copyto(counts[:m], sums[:m], casting="unsafe")
+        np.bitwise_and(counts[:m], 1, out=parity[:m], casting="unsafe")
         out.append(parity[:m].reshape(-1))
     return out.stream()
 

@@ -379,9 +379,9 @@ def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
 
 
 def _overlapping_probabilities(eta: float, k: int) -> list[float]:
-    # compound-Poisson occurrence-count law used when no exact table applies
-    pi = [math.exp(-eta)]
-    for u in range(1, k):
+    # compound-Poisson occurrence-count law used when no exact table applies:
+    # classes 0..k-1, then k or more
+    def term(u):
         total = 0.0
         for runs in range(1, u + 1):
             total += math.exp(
@@ -393,9 +393,16 @@ def _overlapping_probabilities(eta: float, k: int) -> list[float]:
                 - math.lgamma(runs)
                 - math.lgamma(u - runs + 1)
             )
-        pi.append(total)
-    pi.append(1.0 - sum(pi))
-    return pi
+        return total
+
+    pi = [math.exp(-eta)] + [term(u) for u in range(1, k)]
+    top = 1.0 - sum(pi)
+    if top < 2.0**-20:
+        # 1 - sum cancels to rounding residue here, and eta is small, so the
+        # tail's terms fall by about half per class: 64 of them reach well
+        # below the double spacing of their sum
+        top = sum(term(u) for u in range(k, k + 64))
+    return pi + [top]
 
 
 def _overlapping_law(m: int, block_len: int) -> tuple[float, ...]:

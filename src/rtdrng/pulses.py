@@ -19,13 +19,17 @@ and its drift, scanned a chunk at a time, agrees within the scan's 1e-12
 bound.  The scalar per-pulse reference lives in tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
-runs with its own reader) takes _CHUNK_PULSES pulses at a time.  While the
-calling thread scans chunk k's drift, checks the reset condition and reads
-its bits, a short-lived thread draws chunk k + 1 (device._drawn); both numpy
-fills release the GIL, so on two cores the draws and the scan overlap.  A
-one-chunk call, and every trace, starts no thread.  The bits and the
-streams' positions equal those of drawing each chunk in line (the serial
-chunk loop in tests/oracles.py).
+runs with its own reader) takes _CHUNK_PULSES pulses at a time.  The
+calling thread draws chunk k's switch uniforms, scans its drift, checks the
+reset condition and reads its bits, while a short-lived thread draws chunk
+k + 1's drift normals (device._drawn); numpy's fills release the GIL, so
+on two cores the two threads overlap.  A one-chunk call, and
+every trace, starts no thread.  A chunk's thresholds are made and read
+_BLOCK_PULSES pulses at a time, so each of their float64 temporaries stays
+at 256 KiB, within one core's L2; a reader's window may straddle blocks as
+it straddles chunks.  The bits and the streams' positions equal those of
+drawing each chunk in line and reading it whole (the serial chunk loop in
+tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from .device import (
     ModelRangeError,
     Streams,
 )
+
+# pulses per block of a chunk whose thresholds are made and read together
+_BLOCK_PULSES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,14 @@ def acquire_bits(
     """Collect `count` bits from successive pulses; `state` threads through.
 
     Each bit is cfg.amplitude > its pulse's switching threshold, unless
-    read(thresholds, bits) writes each chunk's bits (the closed loop's reader).
-    Chunks of up to _CHUNK_PULSES pulses and their drift path come from
-    device._drawn, drawn one ahead on a thread; each is reset-checked, read
-    into a reused bool buffer and packed, so the working set is bounded by
-    the chunk, not by `count`.  The draws are closed, and their thread
-    joined, before the call returns or raises; the state advances in place
-    only once every chunk has been read.
+    read(thresholds, bits) writes each block's bits (the closed loop's
+    reader).  Chunks of up to _CHUNK_PULSES pulses and their drift path come
+    from device._drawn, whose thread draws the next chunk's drift normals;
+    each chunk is reset-checked whole, then its thresholds are made and read
+    _BLOCK_PULSES at a time into a reused bool buffer, which is packed, so
+    the working set is bounded by the chunk, not by `count`.  The draws are
+    closed, and their thread joined, before the call returns or raises; the
+    state advances in place only once every chunk has been read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -137,9 +145,10 @@ def acquire_bits(
     try:
         for u, drifts, drift in draws:
             _require_reset(params, drifts)
-            thresholds = _switch_thresholds(params, drifts, u, exposure)
             bits = buf[: u.size]
-            read(thresholds, bits)
+            for lo in range(0, u.size, _BLOCK_PULSES):
+                hi = lo + _BLOCK_PULSES
+                read(_switch_thresholds(params, drifts[lo:hi], u[lo:hi], exposure), bits[lo:hi])
             out.append(bits)
     finally:
         draws.close()

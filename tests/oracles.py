@@ -15,12 +15,12 @@ acquire_bits and next_amplitude.
 
 The serial chunk references are the exception: they are a reference for the
 scheduling of acquisition, not for its arithmetic.  They run the chunk loop
-with every draw in line (_draw_steps, on the package's own _fill and
-_drift_scan) and through _switch_thresholds, so acquisition must match them
-bit for bit.  The truth replay (true_switch_probabilities, block_min_entropy)
-is built on the same in-line draws: it gives each pulse's true switch
-probability from a run's own draws, the ground truth for entropy and
-extraction claims.
+with every draw in line (_draw_steps, on the package's own _drift_scan) and
+through _switch_thresholds, a whole chunk at once, so acquisition must
+match them bit for bit.  The truth replay (true_switch_probabilities,
+block_min_entropy) is built on the same in-line draws: it gives each
+pulse's true switch probability from a run's own draws, the ground truth
+for entropy and extraction claims.
 """
 
 import math
@@ -35,7 +35,6 @@ from rtdrng.device import (
     DeviceState,
     ModelRangeError,
     _drift_scan,
-    _fill,
     _scan_size,
     _switch_thresholds,
     _walk_terms,
@@ -651,17 +650,19 @@ def closed_loop_oracle(state, params, cfg, ctrl, count, rng):
 def _draw_steps(params, drift: float, count: int, dt: float, rng):
     """Draw `count` successive steps of dt ms in line, starting from `drift`.
 
-    The in-line serial draw: _fill draws each step's switch uniform from
-    rng.switch and its drift normal from rng.drift, as device._drawn does a
-    chunk ahead, and _drift_scan runs the exact discretisation of the
-    mean-reverting walk; with drift_sigma = 0 it only decays.  Returns
+    The in-line serial draw: each step's switch uniform comes from
+    rng.switch and its drift normal from rng.drift, as device._drawn draws
+    them (the normals a chunk ahead, on its thread), and _drift_scan runs
+    the exact discretisation of the mean-reverting walk; with drift_sigma
+    = 0 it only decays.  Returns
     (drifts, u, final): the drift entering each step, the switch uniforms
     and the drift after the last step.
     """
     decay, scatter = _walk_terms(params, dt)
     u = np.empty(count)
     z = np.empty(_scan_size(count, decay))
-    _fill(rng, u, z)
+    rng.switch.random(out=u)
+    rng.drift.standard_normal(out=z[:count])
     path = _drift_scan(z, count, decay, scatter, drift)
     return path[:-1], u, float(path[-1])
 

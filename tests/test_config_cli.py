@@ -168,6 +168,19 @@ def test_field_without_parser_rejected():
         _stage_keys(Stage)
 
 
+def test_tsv_cells_written_as_str(tmp_path):
+    from rtdrng.cli import _write_tsv
+
+    path = tmp_path / "table.tsv"
+    rows = [(0, 0.1, "x"), (12, 1e-17, ""), (-3, 1.515, "1.500000")]
+    _write_tsv(path, ["window", "value", "text"], iter(rows))
+    assert path.read_bytes() == (
+        b"window\tvalue\ttext\n0\t0.1\tx\n12\t1e-17\t\n-3\t1.515\t1.500000\n"
+    )
+    _write_tsv(path, ["window", "value", "text"], [])
+    assert path.read_bytes() == b"window\tvalue\ttext\n"
+
+
 class TestSidecar:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "x.meta"
@@ -666,8 +679,6 @@ class TestUsageErrors:
             "overlapping_m = 70\n",  # used to give P = nan
             "overlapping_m = 2000\n",  # used to raise OverflowError
             "overlapping_m = 20\noverlapping_block_len = 19\n",
-            "overlapping_m = 58\n",  # an empty occurrence class used to give P = nan
-            "overlapping_m = 49\noverlapping_block_len = 49\n",
             "overlapping_m = 1\noverlapping_block_len = 4000\n",
             "universal_q = -5\n",  # used to fail in a numpy broadcast
             "universal_l = 17\n",  # used to fail only once the battery ran

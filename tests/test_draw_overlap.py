@@ -1,13 +1,13 @@
 """Acquisition and sweeps with a thread drawing ahead, against drawing in line.
 
-While chunk k is scanned and read (or group k of lockstep sweeps is
-latched), a short-lived thread draws chunk k + 1's switch uniforms and drift
-normals, so the bits, the final device state and the streams' positions
-must equal those of the loop that draws every chunk in line
-(oracles.serial_threshold_chunks; test_stepping checks lockstep sweeps
-against chained sweep_current calls), a one-chunk call must start no
-thread, and no thread may outlive a call, whether it returns, raises or is
-abandoned.
+While chunk k's switch uniforms are drawn and the chunk is scanned and read
+(or group k of lockstep sweeps is latched), a short-lived thread draws chunk
+k + 1's drift normals, so the bits, the final device state and the
+streams' positions must equal those of the loop that draws every chunk in
+line (oracles.serial_threshold_chunks; test_stepping checks lockstep
+sweeps against chained sweep_current calls), a one-chunk call must start
+no thread, and no thread may outlive a call, whether it returns, raises or
+is abandoned.
 """
 
 import sys
@@ -65,18 +65,18 @@ def starts(monkeypatch):
     return names
 
 
-class _FailingSwitch:
-    """A switch stream whose second fill raises, on whichever thread makes it."""
+class _FailingDrift:
+    """A drift stream whose second fill raises, on whichever thread makes it."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.fills = []
 
-    def random(self, out):
+    def standard_normal(self, out):
         self.fills.append(threading.current_thread().name)
         if len(self.fills) == 2:
             raise RuntimeError("second fill failed")
-        return self._rng.random(out=out)
+        return self._rng.standard_normal(out=out)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.008, 0.03])
@@ -171,21 +171,22 @@ def test_no_thread_outlives_an_abandoned_loop(monkeypatch):
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
-    # chunk 0 is drawn in line and chunk 1 on the helper, which fails
+    # chunk 0's drift normals are drawn in line and chunk 1's on the helper,
+    # which fails
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
     monkeypatch.setattr(device, "_CHUNK_PULSES", GROUP * STEPS)
     before = threading.active_count()
-    switch = _FailingSwitch(4)
-    broken = Streams(switch=switch, drift=np.random.default_rng(4))
+    drift = _FailingDrift(4)
+    broken = Streams(switch=np.random.default_rng(4), drift=drift)
     with pytest.raises(RuntimeError, match="second fill failed"):
         acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * CHUNK, broken)
-    assert switch.fills == [threading.current_thread().name, "rtdrng-draws"]
-    switch = _FailingSwitch(4)
-    broken = Streams(switch=switch, drift=np.random.default_rng(4))
+    assert drift.fills == [threading.current_thread().name, "rtdrng-draws"]
+    drift = _FailingDrift(4)
+    broken = Streams(switch=np.random.default_rng(4), drift=drift)
     _, groups = sweep_branches(*RAMP, REPEATS, broken)
     with pytest.raises(RuntimeError, match="second fill failed"):
         list(groups)
-    assert switch.fills == [threading.current_thread().name, "rtdrng-draws"]
+    assert drift.fills == [threading.current_thread().name, "rtdrng-draws"]
     assert threading.active_count() == before
     assert _no_helper_alive()
 

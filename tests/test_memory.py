@@ -69,6 +69,19 @@ def test_extract(monkeypatch):
     assert_growth_within(peaks, (256 - 64) * l // 8)
 
 
+@pytest.mark.parametrize("l", [10, 990])
+def test_extract_chunk_fits_its_budget(l):
+    # the chunk's float32 input, float32 and uint32 sums and uint8 parity
+    # share one budget, so a wide output takes fewer rows; beside them live
+    # only the float32 hash matrix, the packed output and a chunk's bits
+    # unpacked a byte each (n of every 4n + 9l budgeted bytes)
+    n, blocks = 1000, 2000
+    cfg = ExtractorConfig(n=n, l=l, seed=random_stream(n + l - 1, 1).to_array())
+    peak = traced_peak(extract, random_stream(blocks * n, 2), cfg)
+    budget = extractor._CHUNK_BYTES
+    assert peak <= budget + 4 * n * l + blocks * l // 8 + budget // 4 + SLACK, (peak, budget)
+
+
 def test_acquire_bits(monkeypatch):
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
     peaks = [
@@ -141,22 +154,51 @@ def test_read_bits_holds_one_payload(tmp_path, length):
     assert traced_peak(read_bits, path) <= length // 8 + SLACK
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_sweep_stage_peak_rss(tmp_path):
-    # a fresh process, so this session's own allocations do not count.  Its
-    # ru_maxrss would: exec keeps the spawning process's high-water mark,
-    # while VmHWM belongs to the new address space.  The 3M rows take about
-    # 66 MB as text; holding every line until the end peaked at 103 MB
+def _fresh_peak_mb(code, *args):
+    """VmHWM, in MB, of a fresh interpreter that imports rtdrng from src/ and runs `code`.
+
+    A fresh process, so this session's own allocations do not count.  Its
+    ru_maxrss would: exec keeps the spawning process's high-water mark,
+    while VmHWM belongs to the new address space.
+    """
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from rtdrng.cli import main; "
-        "argv = ['sweep', '--repeats', '10000', '--steps', '300', '--out-dir', sys.argv[2]]; "
-        "assert main(argv) == 0; "
+        f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
         "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(SRC), str(tmp_path)],
+        [sys.executable, "-c", code, str(SRC), *map(str, args)],
         capture_output=True, text=True, check=True,
     )
-    peak_mb = int(out.stdout.split()[-2]) / 1024  # VmHWM is in kB
+    return int(out.stdout.split()[-2]) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_extract_stage_peak_rss(tmp_path):
+    # l = 912, drift_feedback's auto width: rows sized by 8 MiB of float32
+    # input alone would add 15 MiB of sums and parity, about 32 MB above the
+    # import alone on this input
+    write_bits(tmp_path / "raw.bits", random_stream(4_000_000, 6))
+    (tmp_path / "x.ini").write_text("[extractor]\nmode = fixed\nn = 1000\nl = 912\n")
+    imported = _fresh_peak_mb("import rtdrng.cli")
+    stage = _fresh_peak_mb(
+        "from rtdrng.cli import main; "
+        "argv = ['extract', '--config', sys.argv[2] + '/x.ini', '--in', sys.argv[2] + '/raw.bits', "
+        "'--out', sys.argv[2] + '/out.bits']; assert main(argv) == 0",
+        tmp_path,
+    )
+    assert stage - imported <= 20, (stage, imported)
+    assert len(read_bits(tmp_path / "out.bits")) == 4000 * 912
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sweep_stage_peak_rss(tmp_path):
+    # the 3M rows take about 66 MB as text; holding every line until the end
+    # peaked at 103 MB
+    peak_mb = _fresh_peak_mb(
+        "from rtdrng.cli import main; "
+        "argv = ['sweep', '--repeats', '10000', '--steps', '300', '--out-dir', sys.argv[2]]; "
+        "assert main(argv) == 0",
+        tmp_path,
+    )
     assert peak_mb < 80, peak_mb
     assert (tmp_path / "sweeps.tsv").stat().st_size > 60 << 20

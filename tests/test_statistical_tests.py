@@ -361,11 +361,58 @@ class TestOverlappingTemplate:
 
     @pytest.mark.parametrize("m, block_len", [(1, 2980), (49, 50), (57, 1032), (62, 1032)])
     def test_edge_geometries_that_load_give_a_pvalue(self, m, block_len):
-        # each sits beside a geometry rejected at load: (1, 2981), (49, 49), (58, 1032)
+        # (1, 2980) sits beside (1, 2981), rejected at load: e^-eta underflows
+        # class 0 there
         params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
         bits = random_bits(20_000, 23)
         p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("m, block_len", [(49, 49), (58, 1032)])
+    def test_tail_class_geometries_load(self, m, block_len):
+        # rejected at load while the top class was 1 - sum(pi), which cancels
+        # to 0 here; its summed tail is small but positive
+        from rtdrng.nist.statistical_tests import _overlapping_law
+
+        params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
+        assert _overlapping_law(m, block_len)[-1] > 0.0
+        bits = random_bits(20_000, 23)
+        p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
+        assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("m", range(55, 63))
+    def test_law_against_mpmath_where_the_tail_cancels(self, m):
+        # 1 - sum(pi) reads rounding residue here (0 at m = 58, 1.1e-16 at
+        # m = 59-62 against a true 5.3e-17 down to 6.6e-18)
+        import mpmath
+
+        from rtdrng.nist.statistical_tests import _overlapping_law
+
+        with mpmath.workdps(60):
+            eta = mpmath.mpf(1032 - m + 1) / 2**m / 2
+
+            def cls(u):
+                return sum(
+                    mpmath.exp(-eta) * eta**r / mpmath.factorial(r)
+                    * mpmath.binomial(u - 1, r - 1) / mpmath.mpf(2) ** u
+                    for r in range(1, u + 1)
+                )
+
+            want = [mpmath.exp(-eta)] + [cls(u) for u in range(1, 5)]
+            want = [float(w) for w in want + [1 - sum(want)]]
+        got = _overlapping_law(m, 1032)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "m, block_len", [(2, 10), (3, 2000), (9, 2000), (10, 1032), (24, 1032)]
+    )
+    def test_top_class_is_the_remainder_where_the_tail_is_wide(self, m, block_len):
+        # a top class of 2^-20 or more is 1 - sum(pi), bit for bit
+        from rtdrng.nist.statistical_tests import _overlapping_law
+
+        law = _overlapping_law(m, block_len)
+        assert law[-1] >= 2.0**-20
+        assert law[-1] == 1.0 - sum(law[:-1])
 
 
 class TestUniversal:
