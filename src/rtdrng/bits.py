@@ -19,6 +19,22 @@ _HEADER = struct.Struct("<8sQ")
 _CHUNK_BITS = 1 << 20
 
 
+def _bit_array(values, what: str = "bits") -> np.ndarray:
+    """``values`` as uint8, refused unless each is exactly 0 or 1 (bool passes).
+
+    The check comes before the cast, which would wrap 256 to 0, -255 to 1
+    and truncate 0.5 to 0.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        bad = arr.size and (arr.min() < 0 or arr.max() > 1)
+    else:
+        bad = not np.all((arr == 0) | (arr == 1))
+    if bad:
+        raise ValueError(f"{what} must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 class BitFileError(ValueError):
     """Malformed bitstream file."""
 
@@ -44,11 +60,9 @@ class BitStream:
     @classmethod
     def from_array(cls, bits) -> "BitStream":
         """Build from a 0/1 array; first element becomes the first bit."""
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = _bit_array(bits)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
         return cls(np.packbits(arr), arr.size)
 
     def _unpack(self, start: int, stop: int) -> np.ndarray:

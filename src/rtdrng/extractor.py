@@ -9,6 +9,12 @@ l = floor(n * h_min - 2k)
 from a per-bit min-entropy estimate h_min keeps each output block within
 2^-k of uniform (leftover hashing).  One seed is reused across all blocks;
 callers control seed freshness.
+
+The map is evaluated exactly, with XOR only, by the method of four
+Russians: a table of the 256 XOR combinations of the seed's first eight
+shifts serves every byte of every block, because the Toeplitz structure
+turns block byte c's contribution into that table's rows read from byte c
+on.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitStream, _Packer
+from .bits import BitStream, _bit_array, _Packer
 
-# bytes of one chunk's working set (float32 input, float32 sums, uint32
-# sums and uint8 parity: 4n + 9l a block), at least one block.  Every GEMM
-# reads the whole hash matrix again, so the budget trades memory against
-# re-reading it (README, Memory)
+# bytes of one chunk's working set, at least one block: a block's packed
+# bytes, its output bytes and their gathered term, and its output unpacked
+# a byte a bit, plus the block unpacked and packed again where n is not a
+# multiple of 8 (README, Memory)
 _CHUNK_BYTES = 4 << 20
 
 
@@ -50,7 +56,7 @@ class ExtractorConfig:
             raise ValueError("n must be at least 1")
         if self.l is not None and not 0 < self.l < self.n:
             raise ValueError("require 0 < l < n")
-        # extract's float32 GEMM sums reach n; float32 is exact only to 2^24
+        # a fixed cap on n, checked without allocating; the XOR kernel needs none
         if self.n > 2**24:
             raise ValueError(f"n must be at most 2^24 = {2**24}")
         if self.epsilon_exponent < 1:
@@ -58,11 +64,9 @@ class ExtractorConfig:
         if self.seed is not None:
             if self.l is None:
                 raise ValueError("a seed needs a fixed l")
-            seed = np.asarray(self.seed, dtype=np.uint8)
+            seed = _bit_array(self.seed, "seed bits")
             if seed.ndim != 1 or seed.size != self.n + self.l - 1:
                 raise ValueError(f"seed must be exactly {self.n + self.l - 1} bits")
-            if seed.size and seed.max() > 1:
-                raise ValueError("seed bits must be 0 or 1")
             object.__setattr__(self, "seed", seed)
 
     def seed_fingerprint(self) -> str:
@@ -96,20 +100,41 @@ def choose_block_params(h_min: float, n: int, epsilon_exponent: int) -> int:
     return l
 
 
+def _shift_table(seed: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Row v: the XOR of the seed shifted left by b for each bit b set in byte v.
+
+    Bit b of v counts from the most significant, as packbits orders a
+    block's bits.  Each row is packed, ceil(n/8) + ceil(l/8) bytes, and the
+    seed reads as zero past its last bit.  Rows 2^k to 2^(k+1) - 1 are the
+    first 2^k rows XOR the shift of bit value 2^k, so the 256 rows take 8
+    vector XORs.
+    """
+    width = -(-n // 8) + -(-l // 8)
+    padded = np.zeros(8 * width + 7, dtype=np.uint8)
+    padded[: seed.size] = seed
+    table = np.zeros((256, width), dtype=np.uint8)
+    for k in range(8):
+        shifted = np.packbits(padded[7 - k : 7 - k + 8 * width])
+        np.bitwise_xor(table[: 1 << k], shifted, out=table[1 << k : 2 << k])
+    return table
+
+
 def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     """Hash every full n-bit block with the shared seed and concatenate.
 
     Output length is floor(len/n) * l; a trailing partial block is dropped.
-    The GF(2) matrix product runs through float32 BLAS, a chunk of blocks at
-    a time: each chunk is unpacked from the packed input into one reused
-    float32 buffer, multiplied into one reused sums buffer, cast to
-    uint32, and its parities, taken into a uint8 buffer (numpy packs uint8
-    far faster than uint32), are packed onto the output before the next
-    chunk is read.  The four buffers together take about _CHUNK_BYTES,
-    4n + 9l bytes a block, so the chunk's rows shrink as l grows.  Block
-    sums stay at or below n <= 2^24, so the float32 arithmetic and the
-    uint32 cast are exact, and the working set does not grow with the
-    input.
+    Output bit j of a block is the XOR over its set bits i of seed[i + j].
+    For the eight bits of block byte c, that is bit j of row v of the shift
+    table read from byte c on, v being the byte's value, so the block's
+    ceil(l/8) output bytes are the XOR of ceil(n/8) byte-aligned table
+    slices, one per block byte.  A chunk of blocks is hashed at a time: its
+    packed bytes (a view of the stream when n is a multiple of 8, else the
+    chunk repacked a block to a row with a zero tail) index each slice in
+    turn with one gather into a reused buffer, which is XORed into a reused
+    accumulator; the accumulated bytes are unpacked to l bits a block and
+    packed onto the output before the next chunk is read.  The arithmetic
+    is exact XOR, and the working set, about _CHUNK_BYTES plus the
+    32 (n + l)-byte table, does not grow with the input.
     """
     if cfg.l is None:
         raise ValueError("extraction requires a fixed l; see choose_block_params")
@@ -119,21 +144,28 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     n_blocks = len(bits) // n
     if n_blocks < 1:
         raise ValueError(f"input shorter than one block of {n} bits")
-    windows = np.lib.stride_tricks.sliding_window_view(cfg.seed, n)[:l]
-    hash_t = windows.astype(np.float32).T
-    rows = min(n_blocks, max(1, _CHUNK_BYTES // (4 * n + 9 * l)))
-    blocks = np.empty((rows, n), dtype=np.float32)
-    sums = np.empty((rows, l), dtype=np.float32)
-    counts = np.empty((rows, l), dtype=np.uint32)
-    parity = np.empty((rows, l), dtype=np.uint8)
+    in_bytes, out_bytes = -(-n // 8), -(-l // 8)
+    table = _shift_table(cfg.seed, n, l)
+    aligned = n % 8 == 0
+    per_block = in_bytes + 2 * out_bytes + l + (0 if aligned else n + in_bytes)
+    rows = min(n_blocks, max(1, _CHUNK_BYTES // per_block))
+    acc = np.empty((rows, out_bytes), dtype=np.uint8)
+    term = np.empty((rows, out_bytes), dtype=np.uint8)
     out = _Packer(n_blocks * l)
     for lo in range(0, n_blocks, rows):
         m = min(rows, n_blocks - lo)
-        np.copyto(blocks[:m], bits._unpack(lo * n, (lo + m) * n).reshape(m, n))
-        np.matmul(blocks[:m], hash_t, out=sums[:m])
-        np.copyto(counts[:m], sums[:m], casting="unsafe")
-        np.bitwise_and(counts[:m], 1, out=parity[:m], casting="unsafe")
-        out.append(parity[:m].reshape(-1))
+        if aligned:
+            block_bytes = bits._packed[lo * in_bytes : (lo + m) * in_bytes].reshape(m, in_bytes)
+        else:
+            block_bytes = np.packbits(bits._unpack(lo * n, (lo + m) * n).reshape(m, n), axis=1)
+        # uint8 indices are always in range; mode="clip" gathers straight
+        # into out=, where the default mode would buffer it
+        hashed, part = acc[:m], term[:m]
+        np.take(table[:, :out_bytes], block_bytes[:, 0], axis=0, out=hashed, mode="clip")
+        for c in range(1, in_bytes):
+            np.take(table[:, c : c + out_bytes], block_bytes[:, c], axis=0, out=part, mode="clip")
+            hashed ^= part
+        out.append(np.unpackbits(hashed, axis=1, count=l).reshape(-1))
     return out.stream()
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ..bits import _bit_array
 from .gf2 import column_complexities
 
 _GROUP_BYTES = 3 << 20  # byte-per-bit rows in one Berlekamp-Massey pass
@@ -165,7 +166,7 @@ def as_sequence(bits) -> _Sequence:
     """The holder of ``bits``: itself, or a one-sequence group of its 0/1 array."""
     if isinstance(bits, _Sequence):
         return bits
-    arr = bits.to_array() if hasattr(bits, "to_array") else np.asarray(bits, dtype=np.uint8)
+    arr = bits.to_array() if hasattr(bits, "to_array") else _bit_array(bits)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("bits must be a nonempty one-dimensional sequence")
     return _Group(lambda i: arr, 1, arr.size).sequence(0)

@@ -162,8 +162,8 @@ def toeplitz_hash_oracle(seed, block, l):
 def seeded_hash_block(seed, block, l: int):
     """Hash one n-bit block to l bits: out[j] = parity(seed[j:j+n] & block).
 
-    The per-block reference for the chunked extract GEMM, as an int64 product
-    over the seed's sliding windows.
+    The per-block reference for extract's chunked table kernel, as an int64
+    product over the seed's sliding windows.
     """
     seed = np.asarray(seed, dtype=np.uint8)
     block = np.asarray(block, dtype=np.uint8)

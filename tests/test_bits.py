@@ -31,6 +31,16 @@ class TestBitStream:
         with pytest.raises(ValueError):
             BitStream.from_array(np.array([0, 1, 2], dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [np.array([0, 256]), np.array([1, -255]), np.array([0.5, 1.0])])
+    def test_rejects_values_the_uint8_cast_would_hide(self, bad):
+        # 256 wraps to 0, -255 to 1 and 0.5 truncates to 0 under the cast
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitStream.from_array(bad)
+
+    def test_accepts_bool_int_and_float_zero_one(self):
+        for values in ([True, False, True], [1, 0, 1], np.array([1.0, 0.0, 1.0])):
+            assert BitStream.from_array(values).to_bytes() == b"\xa0"
+
     def test_rejects_dirty_padding(self):
         with pytest.raises(ValueError):
             BitStream(np.array([0xFF], dtype=np.uint8), 3)

@@ -27,6 +27,24 @@ def random_bits(n, seed, p=0.5):
     return (rng.random(n) < p).astype(np.uint8)
 
 
+def chunk_bytes(n, l, rows):
+    """A _CHUNK_BYTES under which extract hashes `rows` blocks a chunk.
+
+    A block is budgeted its packed bytes, two ceil(l/8)-byte buffers and l
+    unpacked output bits, and n + ceil(n/8) more to repack it where n is
+    not a multiple of 8.
+    """
+    in_bytes, out_bytes = -(-n // 8), -(-l // 8)
+    return rows * (in_bytes + 2 * out_bytes + l + (n + in_bytes if n % 8 else 0))
+
+
+def oracle_geometries():
+    for n in (2, 7, 8, 9, 13, 1000, 1001):
+        for l in sorted({1, 7, 8, n - 1}):
+            if l < n:
+                yield n, l
+
+
 class TestMinEntropy:
     def test_all_zeros(self):
         assert min_entropy_estimate(stream_of(np.zeros(1000))) == 0.0
@@ -122,7 +140,7 @@ class TestExtract:
             extract(stream_of(random_bits(63, 4)), cfg)
 
     def test_matches_per_block_hash(self):
-        # float32 matmul path against the integer single-block path
+        # the table kernel against the integer single-block path
         cfg = self.make_cfg(1000, 330)
         data = random_bits(5 * 1000 + 17, 5)
         out = extract(stream_of(data), cfg).to_array()
@@ -136,14 +154,63 @@ class TestExtract:
     def test_chunk_geometry_matches_per_block_hash(self, monkeypatch, n, l, rows):
         # odd n puts block starts mid-byte, odd l puts chunk outputs mid-byte;
         # 17 blocks leave a short last chunk, and a partial block trails
-        monkeypatch.setattr(extractor, "_CHUNK_BYTES", 4 * n * rows)
+        monkeypatch.setattr(extractor, "_CHUNK_BYTES", chunk_bytes(n, l, rows))
+        chunks = []
+
+        class CountingPacker(extractor._Packer):
+            def append(self, bits):
+                chunks.append(bits.size)
+                super().append(bits)
+
+        monkeypatch.setattr(extractor, "_Packer", CountingPacker)
         cfg = self.make_cfg(n, l, seed_seed=n + rows)
         data = random_bits(17 * n + n // 2, n)
         out = extract(stream_of(data), cfg).to_array()
         assert out.size == 17 * l
+        assert chunks == [rows * l] * (17 // rows) + [17 % rows * l] * (17 % rows > 0)
         for b in range(17):
             expected = seeded_hash_block(cfg.seed, data[b * n : (b + 1) * n], l)
             assert np.array_equal(out[b * l : (b + 1) * l], expected)
+
+    @pytest.mark.parametrize("n, l", list(oracle_geometries()))
+    def test_table_kernel_matches_oracles(self, monkeypatch, n, l):
+        # the blocks' full bytes first run through all 256 values; three
+        # blocks a chunk leave a short last chunk, and a partial block trails
+        rng = np.random.default_rng(1009 * n + l)
+        seed = rng.integers(0, 2, n + l - 1, dtype=np.uint8)
+        seed[-1] = 1
+        full = n // 8
+        sweep = -(-256 // full) if full else 0
+        blocks = sweep + 4
+        data = rng.integers(0, 2, blocks * n + n // 2, dtype=np.uint8)
+        values = np.resize(np.arange(256, dtype=np.uint8), (sweep, full))
+        data[: sweep * n].reshape(sweep, n)[:, : 8 * full] = np.unpackbits(values, axis=1)
+        monkeypatch.setattr(extractor, "_CHUNK_BYTES", chunk_bytes(n, l, 3))
+        out = extract(stream_of(data), ExtractorConfig(n=n, l=l, seed=seed)).to_array()
+        hashed, inputs = out.reshape(blocks, l), data[: blocks * n].reshape(blocks, n)
+        for b in range(blocks):
+            assert np.array_equal(hashed[b], seeded_hash_block(seed, inputs[b], l))
+        for b in (0, blocks - 1):
+            assert hashed[b].tolist() == toeplitz_hash_oracle(seed, inputs[b], l)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_kernel_property(self, data):
+        n = data.draw(st.integers(2, 80))
+        l = data.draw(st.integers(1, n - 1))
+        blocks = data.draw(st.integers(1, 9))
+        budget = data.draw(st.integers(1, chunk_bytes(n, l, 4)))
+        seed = np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=n + l - 1, max_size=n + l - 1)),
+            dtype=np.uint8,
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = rng.integers(0, 2, blocks * n + data.draw(st.integers(0, n - 1)), dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "_CHUNK_BYTES", budget)
+            out = extract(stream_of(bits), ExtractorConfig(n=n, l=l, seed=seed)).to_array()
+        expected = [seeded_hash_block(seed, bits[b * n : (b + 1) * n], l) for b in range(blocks)]
+        assert np.array_equal(out, np.concatenate(expected))
 
     def test_linearity_over_xor(self):
         cfg = self.make_cfg(128, 40)
@@ -254,7 +321,7 @@ class TestConfig:
             ExtractorConfig(n=100, l=100)
 
     def test_block_length_within_float32_exactness(self):
-        # the GEMM's partial sums reach n; float32 holds every integer to 2^24
+        # n is capped at 2^24, and checking the cap allocates nothing of size n
         tracemalloc.start()
         try:
             assert ExtractorConfig(n=2**24, l=1).n == 2**24
@@ -264,6 +331,15 @@ class TestConfig:
         assert peak < 1 << 16  # validation allocates nothing of size n
         with pytest.raises(ValueError, match="2\\^24"):
             ExtractorConfig(n=2**24 + 1, l=1)
+
+    @pytest.mark.parametrize("bad", [256, -255, 0.5])
+    def test_seed_values_checked_before_the_cast(self, bad):
+        # the uint8 cast would wrap 256 to 0 and -255 to 1, and truncate 0.5 to 0
+        seed = random_bits(129, 16).astype(type(bad))
+        seed[-1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            ExtractorConfig(n=100, l=30, seed=seed)
+        assert ExtractorConfig(n=100, l=30, seed=seed.astype(bool)).seed.dtype == np.uint8
 
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):

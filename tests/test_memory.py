@@ -62,7 +62,8 @@ def assert_growth_within(peaks, extra_output):
 
 def test_extract(monkeypatch):
     n, l = 1000, 330
-    monkeypatch.setattr(extractor, "_CHUNK_BYTES", 4 * n * 8)
+    # eight blocks a chunk: a block's bytes, two ceil(l/8)-byte buffers, l output bits
+    monkeypatch.setattr(extractor, "_CHUNK_BYTES", 8 * (n // 8 + 2 * -(-l // 8) + l))
     cfg = ExtractorConfig(n=n, l=l, seed=random_stream(n + l - 1, 1).to_array())
     inputs = [random_stream(blocks * n, blocks) for blocks in (64, 256)]
     peaks = [traced_peak(extract, stream, cfg) for stream in inputs]
@@ -71,15 +72,15 @@ def test_extract(monkeypatch):
 
 @pytest.mark.parametrize("l", [10, 990])
 def test_extract_chunk_fits_its_budget(l):
-    # the chunk's float32 input, float32 and uint32 sums and uint8 parity
-    # share one budget, so a wide output takes fewer rows; beside them live
-    # only the float32 hash matrix, the packed output and a chunk's bits
-    # unpacked a byte each (n of every 4n + 9l budgeted bytes)
+    # the chunk's accumulated and gathered output bytes and its unpacked
+    # output share one budget, so a wide output takes fewer rows; beside
+    # them live only the 256-row shift table, 32 (n + l) bytes, and the
+    # packed output
     n, blocks = 1000, 2000
     cfg = ExtractorConfig(n=n, l=l, seed=random_stream(n + l - 1, 1).to_array())
     peak = traced_peak(extract, random_stream(blocks * n, 2), cfg)
     budget = extractor._CHUNK_BYTES
-    assert peak <= budget + 4 * n * l + blocks * l // 8 + budget // 4 + SLACK, (peak, budget)
+    assert peak <= budget + 32 * (n + l) + blocks * l // 8 + SLACK, (peak, budget)
 
 
 def test_acquire_bits(monkeypatch):

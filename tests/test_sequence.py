@@ -191,3 +191,11 @@ class TestGroups:
         assert as_sequence(BitStream.from_array(bits)).bits.tolist() == bits.tolist()
         with pytest.raises(ValueError):
             as_sequence(np.zeros((2, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [256, -255, 0.5])
+    def test_holder_rejects_values_the_uint8_cast_would_hide(self, bad):
+        bits = random_bits(1000, 8).astype(type(bad))
+        bits[500] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_sequence(bits)
+        assert as_sequence(bits.astype(bool)).bits.dtype == np.uint8
