@@ -287,6 +287,35 @@ def oracle_overlapping_count(bits, template) -> int:
     return sum(1 for i in range(len(bits) - m + 1) if bits[i : i + m] == template)
 
 
+def oracle_overlapping_law_enumerated(m: int, block_len: int) -> np.ndarray:
+    """Occurrence classes 0..4 and 5+ of m ones over all 2^M blocks, as fractions."""
+    blocks = (np.arange(2**block_len)[:, None] >> np.arange(block_len)[::-1]) & 1
+    ones = np.cumsum(np.pad(blocks, ((0, 0), (1, 0))), axis=1)
+    hits = np.count_nonzero(ones[:, m:] - ones[:, :-m] == m, axis=1)
+    return np.bincount(np.minimum(hits, 5), minlength=6) / 2.0**block_len
+
+
+def oracle_overlapping_law_counts(m: int, block_len: int) -> list[float]:
+    """The same classes from integer counts of bit strings, one bit at a time.
+
+    A string is tracked by its current run of ones (capped at m) and its
+    occurrences so far (capped at 5); the counts are Python ints, divided
+    by 2^M only at the end.
+    """
+    counts = {(0, 0): 1}
+    for _ in range(block_len):
+        grown: dict[tuple[int, int], int] = {}
+        for (run, hits), k in counts.items():
+            grown[0, hits] = grown.get((0, hits), 0) + k
+            key = (min(run + 1, m), min(hits + (run + 1 >= m), 5))
+            grown[key] = grown.get(key, 0) + k
+        counts = grown
+    classes = [0] * 6
+    for (_, hits), k in counts.items():
+        classes[hits] += k
+    return [k / 2**block_len for k in classes]
+
+
 def oracle_universal_fn(bits, length: int, q: int, k: int) -> float:
     bits = [int(b) for b in bits]
     table: dict[int, int] = {}

@@ -680,6 +680,8 @@ class TestUsageErrors:
             "overlapping_m = 2000\n",  # used to raise OverflowError
             "overlapping_m = 20\noverlapping_block_len = 19\n",
             "overlapping_m = 1\noverlapping_block_len = 4000\n",
+            "overlapping_m = 1\noverlapping_block_len = 1075\n",  # 2^-1075 underflows
+            "overlapping_m = 49\noverlapping_block_len = 49\n",  # one window a block
             "universal_q = -5\n",  # used to fail in a numpy broadcast
             "universal_l = 17\n",  # used to fail only once the battery ran
             "longest_run_m = 9\n",  # used to fail only once the battery ran

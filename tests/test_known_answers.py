@@ -12,7 +12,11 @@ Known divergences from the printed values, where the counts still agree:
 - OverlappingTemplate: the counts nu = (329, 164, 150, 111, 78, 136) are
   the standard's, but this code's P-value is 0.159027, from the corrected
   pi table.  The printed 0.110434 (chi^2 8.966) fits the older Poisson pi
-  (0.367879, ...): with those, the same counts give 0.110431.
+  (0.367879, ...): with those, the same counts give 0.110431.  The exact
+  law, which this code computes at every other geometry, gives 0.159037
+  here; it differs from the six-digit table by up to 4.5e-7 a class.  So
+  the table stays at the standard geometry, and with it agreement with
+  the NIST suite's output.
 - LinearComplexity at M = 1000: nu = (11, 31, 116, 501, 258, 57, 26) is the
   standard's.  This code's P-value is 0.844738 against a printed 0.845406.
   Rounding pi to the printed digits does not explain the gap: it gives

@@ -19,9 +19,8 @@ from rtdrng.nist.sequence import as_sequence, battery_sequences, window_values
 from rtdrng.nist.special import igamc
 from rtdrng.nist.statistical_tests import (
     _MAX_WINDOW_BITS,
-    _OVERLAPPING_PI_STANDARD,
     TestParams,
-    _overlapping_probabilities,
+    _overlapping_law,
     overlapping_template_test,
 )
 
@@ -122,7 +121,7 @@ class TestWalk:
 
 
 class TestOverlappingBlocks:
-    @pytest.mark.parametrize("m, block_len", [(9, 1032), (3, 50), (4, 7)])
+    @pytest.mark.parametrize("m, block_len", [(9, 1032), (3, 50), (4, 12)])
     def test_pvalue_from_per_block_oracle_counts(self, m, block_len):
         bits = random_bits(block_len * 60 + block_len // 2, m)
         bits[: block_len * 3] = 1  # some blocks past the top class
@@ -132,10 +131,7 @@ class TestOverlappingBlocks:
         for j in range(n_blocks):
             block = bits[j * block_len : (j + 1) * block_len]
             freq[min(oracles.oracle_overlapping_count(block, [1] * m), 5)] += 1
-        if (m, block_len) == (9, 1032):
-            pi = _OVERLAPPING_PI_STANDARD
-        else:
-            pi = _overlapping_probabilities((block_len - m + 1) / 2.0**m / 2.0, 5)
+        pi = _overlapping_law(m, block_len)
         chi2 = sum((freq[i] - n_blocks * pi[i]) ** 2 / (n_blocks * pi[i]) for i in range(6))
         got = overlapping_template_test(bits, params).pvalues[0]
         assert got == pytest.approx(igamc(2.5, chi2 / 2.0), rel=1e-12, abs=1e-300)

@@ -340,16 +340,16 @@ class TestOverlappingTemplate:
         assert got == w
 
     def test_standard_pi_values_consistent(self):
-        from rtdrng.nist.statistical_tests import _OVERLAPPING_PI_STANDARD
+        # the printed table is the exact law rounded to its six digits
+        from rtdrng.nist.statistical_tests import (
+            _OVERLAPPING_PI_STANDARD,
+            _exact_overlapping_law,
+            _overlapping_law,
+        )
 
-        assert sum(_OVERLAPPING_PI_STANDARD) == pytest.approx(1.0, abs=2e-6)
-
-    def test_formula_fallback_close_to_table(self):
-        from rtdrng.nist.statistical_tests import _overlapping_probabilities
-
-        pi = _overlapping_probabilities(1.0, 5)
-        assert sum(pi) == pytest.approx(1.0, abs=1e-12)
-        assert pi[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert _overlapping_law(9, 1032) is _OVERLAPPING_PI_STANDARD
+        exact = np.asarray(_exact_overlapping_law(9, 1032))
+        assert np.all(np.abs(np.asarray(_OVERLAPPING_PI_STANDARD) - exact) < 5e-7)
 
     def test_all_ones_stream_fails(self):
         bits = np.ones(1032 * 40, dtype=np.uint8)
@@ -359,19 +359,19 @@ class TestOverlappingTemplate:
         bits = random_bits(1032 * 200, 22)
         assert overlapping_template_test(bits, PARAMS).pvalues[0] > 1e-4
 
-    @pytest.mark.parametrize("m, block_len", [(1, 2980), (49, 50), (57, 1032), (62, 1032)])
+    @pytest.mark.parametrize("m, block_len", [(1, 1074), (57, 1032), (62, 1032)])
     def test_edge_geometries_that_load_give_a_pvalue(self, m, block_len):
-        # (1, 2980) sits beside (1, 2981), rejected at load: e^-eta underflows
+        # (1, 1074) sits beside (1, 1075), rejected at load: 2^-M underflows
         # class 0 there
         params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
         bits = random_bits(20_000, 23)
         p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
         assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("m, block_len", [(49, 49), (58, 1032)])
+    @pytest.mark.parametrize("m, block_len", [(58, 1032)])
     def test_tail_class_geometries_load(self, m, block_len):
         # rejected at load while the top class was 1 - sum(pi), which cancels
-        # to 0 here; its summed tail is small but positive
+        # to 0 here; as its own mass it is small but positive
         from rtdrng.nist.statistical_tests import _overlapping_law
 
         params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
@@ -380,39 +380,39 @@ class TestOverlappingTemplate:
         p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
         assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("m", range(55, 63))
-    def test_law_against_mpmath_where_the_tail_cancels(self, m):
-        # 1 - sum(pi) reads rounding residue here (0 at m = 58, 1.1e-16 at
-        # m = 59-62 against a true 5.3e-17 down to 6.6e-18)
-        import mpmath
+    @pytest.mark.parametrize("m, block_len", [(49, 49), (49, 50), (1, 1075), (1, 2980)])
+    def test_empty_class_rejected(self, m, block_len):
+        # one or two windows a block leave no room for five occurrences; at
+        # m = 1, class 0 is 2^-M, below the smallest double past 1074 bits
+        with pytest.raises(ValueError, match="probability 0"):
+            TestParams(overlapping_m=m, overlapping_block_len=block_len)
 
-        from rtdrng.nist.statistical_tests import _overlapping_law
+    @pytest.mark.parametrize("block_len", range(1, 15))
+    def test_law_equals_enumeration(self, block_len):
+        # every class is a dyadic fraction, exact in a double at this size
+        from rtdrng.nist.statistical_tests import _exact_overlapping_law
 
-        with mpmath.workdps(60):
-            eta = mpmath.mpf(1032 - m + 1) / 2**m / 2
+        for m in range(1, block_len + 1):
+            want = oracles.oracle_overlapping_law_enumerated(m, block_len)
+            assert np.array_equal(_exact_overlapping_law(m, block_len), want), m
 
-            def cls(u):
-                return sum(
-                    mpmath.exp(-eta) * eta**r / mpmath.factorial(r)
-                    * mpmath.binomial(u - 1, r - 1) / mpmath.mpf(2) ** u
-                    for r in range(1, u + 1)
-                )
+    @pytest.mark.parametrize("m", [1, 3, 9, 13, 16])
+    def test_law_equals_enumeration_at_16_bits(self, m):
+        from rtdrng.nist.statistical_tests import _exact_overlapping_law
 
-            want = [mpmath.exp(-eta)] + [cls(u) for u in range(1, 5)]
-            want = [float(w) for w in want + [1 - sum(want)]]
-        got = _overlapping_law(m, 1032)
+        want = oracles.oracle_overlapping_law_enumerated(m, 16)
+        assert np.array_equal(_exact_overlapping_law(m, 16), want)
+
+    @pytest.mark.parametrize("m, block_len", [(9, 1032), (40, 1000), (58, 1032), (62, 1032)])
+    def test_law_against_integer_counts(self, m, block_len):
+        # at m >= 58 the old 1 - sum(pi) read rounding residue (0 at m = 58);
+        # the top class here is its own mass
+        from rtdrng.nist.statistical_tests import _exact_overlapping_law
+
+        want = oracles.oracle_overlapping_law_counts(m, block_len)
+        got = _exact_overlapping_law(m, block_len)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize(
-        "m, block_len", [(2, 10), (3, 2000), (9, 2000), (10, 1032), (24, 1032)]
-    )
-    def test_top_class_is_the_remainder_where_the_tail_is_wide(self, m, block_len):
-        # a top class of 2^-20 or more is 1 - sum(pi), bit for bit
-        from rtdrng.nist.statistical_tests import _overlapping_law
-
-        law = _overlapping_law(m, block_len)
-        assert law[-1] >= 2.0**-20
-        assert law[-1] == 1.0 - sum(law[:-1])
+        assert got[-1] > 0.0
 
 
 class TestUniversal:
@@ -587,7 +587,10 @@ class TestDispatch:
     def test_widest_overlapping_window_allowed(self):
         # one bit wider is rejected at load (test_config_cli)
         TestParams(overlapping_m=62)
-        TestParams(overlapping_m=20, overlapping_block_len=20)
+        TestParams(overlapping_m=20, overlapping_block_len=24)
+        # a block shorter than m + 4 bits cannot hold five occurrences
+        with pytest.raises(ValueError, match="probability 0"):
+            TestParams(overlapping_m=20, overlapping_block_len=23)
 
     def test_too_short_raises(self):
         bits = random_bits(64, 34)
