@@ -100,11 +100,10 @@ def cmd_generate(args) -> int:
             ("ratio", "ratio", ratios),
             ("amplitude", "amplitude_ma", amplitudes),
         ):
-            _write_tsv(
-                out.with_name(f"{out.name}.{suffix}.tsv"),
-                ["window", column],
-                ((w, f"{v:.6f}") for w, v in enumerate(values.tolist())),
-            )
+            # each value formatted once, one pass a row: _write_tsv's bytes for "{:.6f}" cells
+            rows = map("{}\t{:.6f}\n".format, range(len(values)), values.tolist())
+            with open(out.with_name(f"{out.name}.{suffix}.tsv"), "w", encoding="utf-8") as fh:
+                fh.write(f"window\t{column}\n" + "".join(rows))
     else:
         stream = acquire_bits(state, cfg.device, cfg.pulse, args.count, rng)
     write_bits(out, stream)
@@ -416,12 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 # glibc mallopt parameters, and the values main sets them to
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _TRIM_BYTES = 256 << 20
 _MMAP_BYTES = 32 << 20
 
 
 def _keep_freed_memory() -> None:
-    """Let the C heap keep what a stage frees, where glibc's ``mallopt`` exists.
+    """Let the C heap keep what a stage frees, in one arena, where glibc's ``mallopt`` exists.
 
     The test stage allocates and frees the same arrays for every sequence
     (the FFT's input, output and pocketfft scratch, the walk, the runs).
@@ -431,8 +431,11 @@ def _keep_freed_memory() -> None:
     heap, and up to 256 MiB of free heap stays mapped.  Both are set:
     setting either turns off glibc's dynamic mmap threshold, so the trim
     threshold alone would leave every array above 128 KiB a fresh
-    ``mmap``.  The policy is the program's, so it is set here and not when
-    the package is imported.
+    ``mmap``.  Every thread allocates from the one main arena: the battery's
+    spectral helper would otherwise keep the transform's memory in an arena
+    of its own, beside what the calling thread's tests keep in theirs, where
+    one heap lets each reuse what the other freed.  The policy is the
+    program's, so it is set here and not when the package is imported.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -442,6 +445,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ three-sigma binomial lower bound on the pass proportion.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +21,63 @@ from .statistical_tests import TEST_ORDER, TestId, TestParams, TestResult, chi_s
 TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASSING SEQUENCES"
 
 
-# The spectral transform is the battery's largest working set, so it runs
-# first, before the sequence's holder keeps its walk and windows.  Serial
-# reads the widest windows at the standard parameters, so it runs before
-# the other window tests: the holder builds those windows and their counts
-# once, and a sequence too short for Serial fails before anything is counted.
-_EARLY = (TestId.FFT,) + TEST_ORDER[: TEST_ORDER.index(TestId.NonOverlappingTemplate)]
-_RUN_ORDER = tuple(dict.fromkeys(_EARLY + (TestId.Serial,) + TEST_ORDER))
+# The spectral test runs on a helper thread, beside the tests whose working
+# sets are small (the walk's summary, built in chunks, is all they keep in
+# the sequence's holder); the others wait for it.  So the transform's
+# working set, the battery's largest, meets at most one of their
+# temporaries, never the holder's windows or LinearComplexity's group rows.
+# Serial reads the widest windows at the standard parameters, so it runs
+# before the other window tests: the holder builds those windows and their
+# counts once, and a sequence too short for Serial fails before anything is
+# counted.
+_BESIDE_SPECTRAL = (
+    TestId.Frequency,
+    TestId.BlockFrequency,
+    TestId.CumulativeSums,
+    TestId.Runs,
+    TestId.LongestRun,
+    TestId.Rank,
+    TestId.RandomExcursions,
+    TestId.RandomExcursionsVariant,
+)
+_AFTER_SPECTRAL = tuple(
+    test
+    for test in dict.fromkeys((TestId.Serial,) + TEST_ORDER)
+    if test not in _BESIDE_SPECTRAL + (TestId.FFT,)
+)
 
 
 def run_battery(bits, params: TestParams) -> list[TestResult]:
     """All fifteen tests on one sequence, in canonical report order.
 
     The tests share one holder of the sequence, so the derivations several
-    of them read are built once.
+    of them read are built once.  The spectral test runs on a helper thread
+    (``rtdrng-spectral``) while this thread runs ``_BESIDE_SPECTRAL``; the
+    helper is joined before anything else runs or is raised, and its
+    exception, if any, is raised here ahead of this thread's.
     """
     seq = as_sequence(bits)
-    results = {test: run_test(test, params, seq) for test in _RUN_ORDER}
+    seq.bits  # unpacked here, so that only one thread ever builds it
+    results: dict[TestId, TestResult] = {}
+    caught: list[BaseException] = []
+
+    def spectral():
+        try:
+            results[TestId.FFT] = run_test(TestId.FFT, params, seq)
+        except BaseException as exc:  # raised again in the caller's thread below
+            caught.append(exc)
+
+    helper = threading.Thread(target=spectral, name="rtdrng-spectral")
+    helper.start()
+    try:
+        for test in _BESIDE_SPECTRAL:
+            results[test] = run_test(test, params, seq)
+    finally:
+        helper.join()
+        if caught:
+            raise caught[0]
+    for test in _AFTER_SPECTRAL:
+        results[test] = run_test(test, params, seq)
     return [results[test] for test in TEST_ORDER]
 
 

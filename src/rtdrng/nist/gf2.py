@@ -76,9 +76,9 @@ def gf2_ranks(matrices) -> np.ndarray:
     if stack.ndim != 3:
         raise ValueError("matrices must be a three-dimensional stack")
     n_mats, n_rows, n_cols = stack.shape
-    padded = np.zeros((n_mats, n_rows, -(-n_cols // 64) * 64), dtype=np.uint8)
-    padded[:, :, :n_cols] = stack
-    rows = np.packbits(padded, axis=2).view(">u8").astype(np.uint64)
+    packed = np.zeros((n_mats, n_rows, -(-n_cols // 64) * 8), dtype=np.uint8)
+    packed[:, :, : -(-n_cols // 8)] = np.packbits(stack, axis=2)
+    rows = packed.view(">u8").astype(np.uint64)
     rank = np.zeros(n_mats, dtype=np.int64)
     index = np.arange(n_mats)
     for col in range(n_cols):

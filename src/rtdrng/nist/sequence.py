@@ -1,11 +1,11 @@
 """Per-sequence derivations the tests share, and groups of sequences.
 
 Several tests read the same derivations of a sequence.  The cumulative
-sums and both excursion tests read the +/-1 walk.  Both template tests,
-Universal, ApEn and Serial read the value of the bit window at every
-position, and ApEn and Serial count those values.  A ``_Sequence``
-computes each derivation on first request and keeps it for the tests that
-follow.  Each test asks only for the window width it reads; the holder
+sums and both excursion tests read a summary of the +/-1 walk.  Both
+template tests, Universal, ApEn and Serial read the value of the bit
+window at every position, and ApEn and Serial count those values.  A
+``_Sequence`` computes each derivation on first request and keeps it for
+the tests that follow.  Each test asks only for the window width it reads; the holder
 keeps the widest windows and counts asked for so far and serves narrower
 ones from them, so the battery runs Serial (16 bits at the standard
 parameters) before the other window tests, and builds its windows and
@@ -20,7 +20,7 @@ bit, which bounds the lockstep state whatever the sequence count.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from ..bits import _bit_array
 from .gf2 import column_complexities
 
 _GROUP_BYTES = 3 << 20  # byte-per-bit rows in one Berlekamp-Massey pass
+_WALK_CHUNK = 1 << 14  # steps of the walk summed at a time
+_NEAR = 9  # the farthest walk state an excursion test reads
 _MAX_WIDTH = 63  # widest window an int64 holds
 
 
@@ -69,6 +71,16 @@ def window_values(bits: np.ndarray, width: int) -> np.ndarray:
     return out[:n]
 
 
+class _Walk(NamedTuple):
+    """What CumulativeSums and both excursion tests read of the cumulative +/-1 walk."""
+
+    low: int  # smallest partial sum
+    high: int  # largest partial sum
+    total: int  # the last partial sum
+    cycles: int  # J: the returns to zero, plus one unless the walk ends there
+    near: np.ndarray  # int8: every partial sum within _NEAR of zero, in walk order
+
+
 class _Sequence:
     """One sequence and the derivations its tests share, each built on first use."""
 
@@ -76,7 +88,7 @@ class _Sequence:
         self._bits: np.ndarray | None = None
         self._group = group
         self._row = row
-        self._walk: tuple[np.ndarray, int] | None = None
+        self._walk: _Walk | None = None
         self._windows: tuple[np.ndarray, int] | None = None
         self._counts: list[np.ndarray] = []  # the widest counts asked for, then their folds
 
@@ -90,15 +102,29 @@ class _Sequence:
             self._bits = self._group.row(self._row)
         return self._bits
 
-    def walk(self) -> tuple[np.ndarray, int]:
-        """Cumulative +/-1 walk (int32 below 2^31 bits) and its cycle count J."""
+    def walk(self) -> _Walk:
+        """The summary of the cumulative +/-1 walk.
+
+        The walk is summed _WALK_CHUNK steps at a time, each chunk carried
+        on from the last partial sum, and only the summary is kept: one byte
+        a step within _NEAR of zero, where the whole walk took four.
+        """
         if self._walk is None:
-            walk = self.bits.astype(np.int32 if self.bits.size < 2**31 else np.int64)
-            walk <<= 1
-            walk -= 1
-            np.add.accumulate(walk, out=walk)  # in the walk's own dtype
-            j = int(np.count_nonzero(walk == 0)) + (0 if walk[-1] == 0 else 1)
-            self._walk = (walk, j)
+            bits = self.bits
+            low, high, total = bits.size, -bits.size, 0
+            near = []
+            for start in range(0, bits.size, _WALK_CHUNK):
+                sums = bits[start : start + _WALK_CHUNK].astype(np.int64)
+                sums <<= 1
+                sums -= 1
+                sums[0] += total
+                np.add.accumulate(sums, out=sums)
+                low, high = min(low, int(sums.min())), max(high, int(sums.max()))
+                total = int(sums[-1])
+                near.append(sums[(sums >= -_NEAR) & (sums <= _NEAR)].astype(np.int8))
+            near = np.concatenate(near)
+            cycles = int(np.count_nonzero(near == 0)) + (0 if total == 0 else 1)
+            self._walk = _Walk(low, high, total, cycles, near)
         return self._walk
 
     def windows(self, width: int) -> tuple[np.ndarray, int]:

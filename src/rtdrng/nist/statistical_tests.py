@@ -67,6 +67,8 @@ _EXCURSION_MIN_CYCLES = 500
 
 _MAX_WINDOW_BITS = 62  # widest overlapping-template window accepted
 
+_RUN_CHUNK_BITS = 1 << 14  # block bits a longest-run scan reads at a time
+
 
 class SequenceTooShortError(ValueError):
     """Sequence below the test's practical minimum length."""
@@ -225,19 +227,32 @@ def _cusum_pvalue(z: float, n: int) -> float:
         return 1.0
     root = math.sqrt(n)
     total = 1.0
-    for k in range(int(math.floor((-n / z + 1) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
+    t = z / root
+    for k in _cdf_terms(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4), t, -1, 1):
         total -= normal_cdf((4 * k + 1) * z / root) - normal_cdf((4 * k - 1) * z / root)
-    for k in range(int(math.floor((-n / z - 3) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
+    for k in _cdf_terms(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4), t, 1, 3):
         total += normal_cdf((4 * k + 3) * z / root) - normal_cdf((4 * k + 1) * z / root)
     return min(max(total, 0.0), 1.0)
+
+
+def _cdf_terms(lo: int, hi: int, t: float, a: int, b: int) -> range:
+    """The k in [lo, hi] whose term Phi((4k + b)t) - Phi((4k + a)t), a < b, may be nonzero.
+
+    normal_cdf is exactly 1.0 from 8.5 up and exactly 0.0 from -40 down, so
+    a term with both arguments on one side of [-40, 8.5] is 1.0 - 1.0 or
+    0.0 - 0.0, and leaving it out leaves the sum exact.  The bounds keep one
+    k of slack on each side against rounding.
+    """
+    first = max(lo, math.floor((-40.0 / t - b) / 4))
+    return range(first, min(hi, math.ceil((8.5 / t - a) / 4)) + 1)
 
 
 def cumulative_sums_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     _require(n, 2, "cumulative sums test")
-    walk, _ = seq.walk()
-    lo, hi, total = int(walk.min()), int(walk.max()), int(walk[-1])
+    walk = seq.walk()
+    lo, hi, total = walk.low, walk.high, walk.total
     z_fwd = float(max(hi, -lo))
     # the backward sums are total - S_k for k = 0..n-1, with S_0 = 0
     z_bwd = float(max(abs(total), total - lo, hi - total))
@@ -265,17 +280,21 @@ def runs_test(bits, params: TestParams) -> TestResult:
 def _longest_runs(blocks: np.ndarray) -> np.ndarray:
     """Longest run of ones in every row of an (N, M) 0/1 block matrix.
 
-    Each row is zero-padded on both sides, so no run in the flattened
-    array crosses a row boundary.
+    Rows are scanned about _RUN_CHUNK_BITS bits at a time (one row at
+    least), each zero-padded on both sides, so no run in a chunk's flattened
+    array crosses a row boundary, and its int64 run bounds stay small.
     """
     n_blocks, m = blocks.shape
-    padded = np.zeros((n_blocks, m + 2), dtype=np.int8)
-    padded[:, 1:-1] = blocks
-    d = np.diff(padded.ravel())
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
+    rows = max(1, _RUN_CHUNK_BITS // (m + 2))
+    padded = np.zeros((min(rows, n_blocks), m + 2), dtype=np.int8)
     longest = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (m + 2), ends - starts)
+    for first in range(0, n_blocks, rows):
+        chunk = blocks[first : first + rows]
+        padded[: len(chunk), 1:-1] = chunk
+        d = np.diff(padded[: len(chunk)].ravel())
+        starts = np.flatnonzero(d == 1)
+        ends = np.flatnonzero(d == -1)
+        np.maximum.at(longest[first : first + rows], starts // (m + 2), ends - starts)
     return longest
 
 
@@ -323,8 +342,8 @@ def fft_test(bits, params: TestParams) -> TestResult:
     arr = seq.bits
     n = arr.size
     _require(n, 1000, "spectral test")
-    x = 2.0 * arr - 1.0
-    moduli = np.abs(np.fft.rfft(x)[: n // 2])
+    # the +/-1 signal is a temporary, freed before the moduli are taken
+    moduli = np.abs(np.fft.rfft(2.0 * arr - 1.0)[: n // 2])
     threshold = math.sqrt(_LOG_ALPHA_SPECTRAL * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(moduli < threshold))
@@ -488,17 +507,19 @@ def random_excursions_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     _require(n, 10_000, "random excursions test")
-    walk, j = seq.walk()
+    walk = seq.walk()
+    j = walk.cycles
     labels = tuple(f"x={x:+d}" for x in _EXCURSION_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(
             TestId.RandomExcursions, (math.nan,) * len(labels), labels, applicable=False
         )
-    where = np.flatnonzero((walk >= -4) & (walk <= 4) & (walk != 0))
-    states = walk[where]
+    # every zero of the walk is near it, so a visit's cycle is the zeros before it there
+    zeros_before = np.cumsum(walk.near == 0)
+    visit = (walk.near >= -4) & (walk.near <= 4) & (walk.near != 0)
+    states = walk.near[visit]
     state_idx = np.where(states < 0, states + 4, states + 3)
-    cycle_idx = np.searchsorted(np.flatnonzero(walk == 0), where)  # zeros before each visit
-    flat = cycle_idx * 8 + state_idx
+    flat = zeros_before[visit] * 8 + state_idx
     visits = np.bincount(flat, minlength=j * 8).reshape(-1, 8)[:j]
     pvalues = []
     for col, x in enumerate(_EXCURSION_STATES):
@@ -519,14 +540,14 @@ def random_excursions_variant_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     _require(n, 10_000, "random excursions variant test")
-    walk, j = seq.walk()
+    walk = seq.walk()
+    j = walk.cycles
     labels = tuple(f"x={x:+d}" for x in _VARIANT_STATES)
     if j < max(_EXCURSION_MIN_CYCLES, 0.005 * math.sqrt(n)):
         return TestResult(
             TestId.RandomExcursionsVariant, (math.nan,) * len(labels), labels, applicable=False
         )
-    clipped = walk[(walk >= -9) & (walk <= 9)]
-    counts = np.bincount(clipped + 9, minlength=19)
+    counts = np.bincount(walk.near + 9, minlength=19)  # the walk's visits to -9..9
     pvalues = []
     for x in _VARIANT_STATES:
         xi = int(counts[x + 9])

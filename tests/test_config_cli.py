@@ -234,6 +234,34 @@ class TestGenerateCommand:
         assert len(ratio) == len(amplitude) == 1 + 10  # ceil(950 / 100) windows
         assert read_sidecar(tmp_path / "c.bits.meta")["controller"] == "on"
 
+    def test_trace_tables_match_the_cell_writer(self, tmp_path, monkeypatch):
+        # generate formats each value once per row; the bytes are those of the
+        # table writer the sweep stage uses, given "{:.6f}" cells
+        import rtdrng.cli as cli
+
+        loops = []
+        run_closed_loop = cli.run_closed_loop
+
+        def recording(*args):
+            loops.append(run_closed_loop(*args))
+            return loops[-1]
+
+        monkeypatch.setattr(cli, "run_closed_loop", recording)
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[device]\ndrift_sigma = 0.03\n[controller]\nwindow = 50\n[run]\nseed = 4\n")
+        out = tmp_path / "raw.bits"
+        assert run_cli("generate", "--config", cfg, "--count", 20_001, "--out", out) == 0
+        (_, ratios, amplitudes), = loops
+        for suffix, column, values in (
+            ("ratio", "ratio", ratios),
+            ("amplitude", "amplitude_ma", amplitudes),
+        ):
+            want = tmp_path / f"want.{suffix}.tsv"
+            cells = ((w, f"{v:.6f}") for w, v in enumerate(values.tolist()))
+            cli._write_tsv(want, ["window", column], cells)
+            assert (tmp_path / f"raw.bits.{suffix}.tsv").read_bytes() == want.read_bytes()
+        assert len(ratios) == 401
+
     @pytest.mark.parametrize("count", [1000, 1001])
     def test_ratio_table_matches_the_written_stream(self, tmp_path, capsys, count):
         # the loop draws exactly --count pulses; a last window of one pulse

@@ -203,3 +203,25 @@ def test_sweep_stage_peak_rss(tmp_path):
     )
     assert peak_mb < 80, peak_mb
     assert (tmp_path / "sweeps.tsv").stat().st_size > 60 << 20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_test_stage_peak_rss(tmp_path):
+    # the spectral transform (about 24 MB at 1M bits with pocketfft's
+    # scratch) is the stage's peak; its helper thread overlaps only tests
+    # whose working sets are small, in the one heap arena cli.main keeps.
+    # With the transform on the calling thread the stage read 35.2 MB above
+    # the import alone; the bound is that + 5 %.  With the helper it reads
+    # 36.1 MB; beside the whole battery it read about 50 MB, and in an
+    # arena of its own 46 MB.
+    write_bits(tmp_path / "in.bits", random_stream(6_000_000, 7))
+    imported = _fresh_peak_mb("import rtdrng.cli")
+    stage = _fresh_peak_mb(
+        "from rtdrng.cli import main; "
+        "argv = ['test', '--in', sys.argv[2] + '/in.bits', '--sequences', '6', "
+        "'--sequence-length', '1000000', '--out-dir', sys.argv[2]]; "
+        "assert main(argv) in (0, 1)",
+        tmp_path,
+    )
+    assert stage - imported <= 35.2 * 1.05, (stage, imported)
+    assert (tmp_path / "report.json").is_file()

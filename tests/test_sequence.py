@@ -106,18 +106,33 @@ class TestWindowValues:
         check_windows(7)
 
 
+def check_walk(bits):
+    # the summary against the partial sums, one Python int at a time
+    sums = oracles.oracle_walk(bits)
+    walk = as_sequence(bits).walk()
+    assert (walk.low, walk.high, walk.total) == (min(sums), max(sums), sums[-1])
+    assert walk.cycles == oracles.oracle_walk_cycles(bits)[0]
+    assert walk.near.dtype == np.int8
+    assert walk.near.tolist() == [s for s in sums if abs(s) <= 9]
+
+
 class TestWalk:
     @pytest.mark.parametrize("n", [1, 2, 17, 1000])
     def test_partial_sums_and_cycles(self, n):
-        bits = random_bits(n, 40 + n)
-        walk, j = as_sequence(bits).walk()
-        assert walk.dtype == np.int32
-        assert walk.tolist() == oracles.oracle_walk(bits)
-        assert j == oracles.oracle_walk_cycles(bits)[0]
+        check_walk(random_bits(n, 40 + n))
 
     def test_returns_to_zero_at_the_end(self):
         bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
-        assert as_sequence(bits).walk()[1] == oracles.oracle_walk_cycles(bits)[0] == 3
+        assert as_sequence(bits).walk().cycles == oracles.oracle_walk_cycles(bits)[0] == 3
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunks_carry_the_walk(self, monkeypatch, chunk):
+        # a biased stretch leaves [-9, 9] and a later one comes back across zero
+        monkeypatch.setattr(sequence_module, "_WALK_CHUNK", chunk)
+        rng = np.random.default_rng(41)
+        bits = np.concatenate([rng.random(300) < 0.7, rng.random(700) < 0.35]).astype(np.uint8)
+        check_walk(bits)
+        assert max(map(abs, oracles.oracle_walk(bits))) > 20
 
 
 class TestOverlappingBlocks:

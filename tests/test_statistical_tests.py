@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from rtdrng.nist.sequence import as_sequence
-from rtdrng.nist.special import igamc
+from rtdrng.nist.special import igamc, normal_cdf
 from rtdrng.nist.statistical_tests import (
     SequenceTooShortError,
     TEST_ORDER,
@@ -113,6 +113,25 @@ class TestCumulativeSums:
         assert result.pvalues[0] == pytest.approx(oracles.oracle_cusum_p(z_f, n), abs=1e-10)
         assert result.pvalues[1] == pytest.approx(oracles.oracle_cusum_p(z_b, n), abs=1e-10)
         assert result.labels == ("forward", "backward")
+
+    def test_pvalue_hex_equal_to_the_full_sum(self):
+        # _cusum_pvalue leaves out the terms whose normal_cdf pair is 1.0 - 1.0
+        # or 0.0 - 0.0; the oracle sums every k.  z = n puts k = 0's arguments
+        # on both sides of [-40, 8.5], and z near sqrt(n) leaves the most
+        # terms that are neither.
+        from rtdrng.nist.statistical_tests import _cusum_pvalue
+
+        assert normal_cdf(8.5) == 1.0
+        assert normal_cdf(-40.0) == 0.0
+        cases = 0
+        for n in (100, 101, 1000, 9999, 550_000, 1_000_000, 10_000_000):
+            root = math.isqrt(n)
+            small = {1, 2, 3} if n <= 10_000 else set()  # the oracle takes O(n / z) terms
+            for z in sorted(small | {root // 10, root - 1, root, root + 1, 2 * root, n // 2, n}):
+                want = min(max(oracles.oracle_cusum_p(z, n), 0.0), 1.0)
+                assert _cusum_pvalue(float(z), n).hex() == want.hex(), (z, n)
+                cases += 1
+        assert cases > 50
 
     def test_drifting_stream_fails_forward(self):
         bits = np.concatenate([random_bits(2000, 6, 0.7), random_bits(2000, 7, 0.5)])
