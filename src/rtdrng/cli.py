@@ -84,6 +84,28 @@ def _write_tsv(path, header: list[str], rows) -> None:
         fh.write(line.format(*header) + "".join([line.format(*row) for row in rows]))
 
 
+# rows of a per-window table formatted and written together
+_TABLE_ROWS = 1 << 12
+
+
+def _write_window_tables(out: Path, ratios: np.ndarray, amplitudes: np.ndarray) -> None:
+    """Write the closed loop's per-window ratio and amplitude tables beside `out`.
+
+    Each value is formatted once, one pass a row, into _write_tsv's bytes
+    for "{:.6f}" cells, and the rows are written _TABLE_ROWS at a time, so
+    the text held at once does not grow with the window count.
+    """
+    for suffix, column, values in (
+        ("ratio", "ratio", ratios),
+        ("amplitude", "amplitude_ma", amplitudes),
+    ):
+        with open(out.with_name(f"{out.name}.{suffix}.tsv"), "w", encoding="utf-8") as fh:
+            fh.write(f"window\t{column}\n")
+            for lo in range(0, len(values), _TABLE_ROWS):
+                block = values[lo : lo + _TABLE_ROWS].tolist()
+                fh.write("".join(map("{}\t{:.6f}\n".format, range(lo, lo + len(block)), block)))
+
+
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     if args.count < 1:
@@ -96,14 +118,7 @@ def cmd_generate(args) -> int:
         stream, ratios, amplitudes = run_closed_loop(
             state, cfg.device, cfg.pulse, cfg.controller, args.count, rng
         )
-        for suffix, column, values in (
-            ("ratio", "ratio", ratios),
-            ("amplitude", "amplitude_ma", amplitudes),
-        ):
-            # each value formatted once, one pass a row: _write_tsv's bytes for "{:.6f}" cells
-            rows = map("{}\t{:.6f}\n".format, range(len(values)), values.tolist())
-            with open(out.with_name(f"{out.name}.{suffix}.tsv"), "w", encoding="utf-8") as fh:
-                fh.write(f"window\t{column}\n" + "".join(rows))
+        _write_window_tables(out, ratios, amplitudes)
     else:
         stream = acquire_bits(state, cfg.device, cfg.pulse, args.count, rng)
     write_bits(out, stream)

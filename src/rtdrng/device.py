@@ -38,10 +38,16 @@ _MS_PER_S = 1000.0
 _SCAN_ROW = 2048
 _SCAN_SPAN = 2.0**-64
 
-# steps per bulk draw: a chunk of pulses in pulses.acquire_bits, each holding
-# about 40 bytes of temporaries, or a group of sweeps in sweep_branches (a
-# trace draws in one chunk); also the bits per pulses.window_fractions chunk
+# steps per bulk drift draw: a chunk of pulses in pulses.acquire_bits or of
+# sweeps in sweep_branches (a trace draws in one chunk), each step one
+# float64 of the chunk's normals, scanned in place into its drift path; also
+# the bits per pulses.window_fractions chunk
 _CHUNK_PULSES = 1 << 18
+
+# points per latch group of a sweep chunk (one sweep at least), whose switch
+# uniforms, thresholds and latch temporaries are made together: float64
+# temporaries of 256 KiB
+_LATCH_POINTS = 1 << 15
 
 # Default stochastic calibration: with a 1 ms pulse the switching
 # probability crosses 0.5 at 1.515 mA, so the two working amplitudes
@@ -199,23 +205,27 @@ def _scan_geometry(decay: float) -> tuple[np.ndarray, int]:
 
 
 def _scan_size(count: int, decay: float) -> int:
-    """Entries of the buffer _drift_scan runs `count` steps in: whole rows."""
+    """Entries of the buffer _drift_scan runs `count` steps in: one slot, then whole rows."""
     w = min(_scan_geometry(decay)[1], count)
-    return -(-count // w) * w
+    return 1 + -(-count // w) * w
 
 
 def _drift_scan(buf: np.ndarray, count: int, decay: float, scatter: float, drift: float):
-    """The drift walk over the normals z in buf[:count]: count + 1 drifts, `drift` first.
+    """The drift walk over the normals z in buf[1 : count + 1], in place: count + 1 drifts.
 
     buf is a contiguous float64 buffer of at least _scan_size(count, decay)
-    entries; the scan overwrites it.  Each step is drift' = decay * drift +
-    scatter * z.  The walk runs as a row scan, not one step at a time.  A
-    row of w steps is decay**j times a running sum of scatter * z * decay**-j
-    whose first term also carries decay times the drift entering the row;
-    those drifts come from a doubling scan over the rows' zero-start ends,
-    which stops once the carried power underflows to 0.  Powers of decay
-    come from np.multiply.accumulate, so the path takes only IEEE +, * and
-    one division per weight, whatever the numpy build.  It agrees with the
+    entries: a leading slot, which takes `drift`, then the normals and the
+    padding of the last row.  The path overwrites the normals, so the walk
+    allocates nothing the size of the chunk, and the returned view
+    buf[: count + 1] holds `drift` and each step's drift after it.  Each
+    step is drift' = decay * drift + scatter * z.  The walk runs as a row
+    scan, not one step at a time.  A row of w steps is decay**j times a
+    running sum of scatter * z * decay**-j whose first term also carries
+    decay times the drift entering the row; those drifts come from a
+    doubling scan over the rows' zero-start ends, which stops once the
+    carried power underflows to 0.  Powers of decay come from
+    np.multiply.accumulate, so the path takes only IEEE +, * and one
+    division per weight, whatever the numpy build.  It agrees with the
     sequential recurrence within 1e-12 of the path's magnitude (1.0e-13
     measured), and exactly on the first step, at decay 0 and at scatter 0
     from zero drift.
@@ -223,9 +233,9 @@ def _drift_scan(buf: np.ndarray, count: int, decay: float, scatter: float, drift
     powers, w = _scan_geometry(decay)
     w = min(w, count)
     rows = -(-count // w)
-    z = buf[: rows * w].reshape(rows, w)
+    z = buf[1 : 1 + rows * w].reshape(rows, w)
     # the padding past `count` holds z = 0 and is never read
-    buf[count : rows * w] = 0.0
+    buf[1 + count : 1 + rows * w] = 0.0
     z *= scatter / powers[:w]
     # lead[r] = decay * (the drift entering row r), scanned from the rows'
     # zero-start ends; it joins the row's first term
@@ -238,12 +248,10 @@ def _drift_scan(buf: np.ndarray, count: int, decay: float, scatter: float, drift
         carry *= carry
         reach *= 2
     z[:, 0] += lead
-    out = np.empty(rows * w + 1)
-    out[0] = drift
-    path = out[1:].reshape(rows, w)
-    np.add.accumulate(z, axis=1, out=path)
-    path *= powers[:w]
-    return out[: count + 1]
+    np.add.accumulate(z, axis=1, out=z)
+    z *= powers[:w]
+    buf[0] = drift
+    return buf[: count + 1]
 
 
 def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
@@ -255,24 +263,24 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
 
 
 def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drift: float):
-    """The one drift walk, dt ms a step: each chunk in turn as (u, drifts, drift).
+    """The one drift walk, dt ms a step: each chunk's drift path in turn.
 
-    u holds the chunk's switch uniforms, drifts the drift entering each step
-    and drift the drift after the chunk.  The walk starts from `drift`, and
-    each chunk is scanned (_drift_scan) from the previous chunk's end, so
-    other chunk sizes agree within the scan's bound, not bit for bit.  The
-    calling thread draws each chunk's switch uniforms, into one reused
-    buffer, just before it scans the chunk, and chunk 0's drift normals
-    before that.  While chunk k is drawn, scanned and used, a thread fills
-    chunk k + 1's drift normals, the larger of the two draws, into the other
+    A chunk of m steps yields a view of m + 1 drifts: the drift entering
+    each step, then the drift after the chunk.  The walk starts from
+    `drift`, and each chunk is scanned (_drift_scan) in place from the
+    previous chunk's end, so other chunk sizes agree within the scan's
+    bound, not bit for bit.  Only the drift stream is drawn here: each
+    caller draws its own switch uniforms from rng.switch, as it uses them.
+    The calling thread draws chunk 0's drift normals in line.  While chunk k
+    is scanned and used, a thread fills chunk k + 1's normals into the other
     of two reused buffers, each sized by its first chunk, as no later chunk
     is larger; it is joined before the next yield or close, and its
-    exception is raised here.  So one thread draws at a time, nothing past
-    the last chunk, and the streams end where drawing each chunk in line
-    leaves them.
+    exception is raised here.  So one thread draws the drift at a time,
+    nothing past the last chunk, and the drift stream ends where drawing
+    each chunk in line leaves it.  A yielded path lives until the next
+    chunk is handed out.
     """
     decay, scatter = _walk_terms(params, dt)
-    u = np.empty(sizes[0])
     normals = [np.empty(_scan_size(m, decay)) for m in sizes[:2]]
     caught = []
 
@@ -282,18 +290,17 @@ def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drif
         except BaseException as exc:  # raised again in the caller's thread below
             caught.append(exc)
 
-    rng.drift.standard_normal(out=normals[0][: sizes[0]])
+    rng.drift.standard_normal(out=normals[0][1 : sizes[0] + 1])
     for k, m in enumerate(sizes):
         ahead = None
         if k + 1 < len(sizes):
-            z = normals[(k + 1) % 2][: sizes[k + 1]]
+            z = normals[(k + 1) % 2][1 : sizes[k + 1] + 1]
             ahead = threading.Thread(target=fill, args=(z,), name="rtdrng-draws")
             ahead.start()
         try:
-            rng.switch.random(out=u[:m])
             path = _drift_scan(normals[k % 2], m, decay, scatter, drift)
             drift = float(path[-1])
-            yield u[:m], path[:-1], drift
+            yield path
         finally:
             if ahead is not None:
                 ahead.join()
@@ -326,16 +333,20 @@ def sweep_branches(
     take the same draws, and the drift agrees within the drift scan's bound.
     The arguments are checked here, before anything is drawn.
 
-    A group holds at most _CHUNK_PULSES steps, one sweep at least.  _drawn
-    gives each group's switch uniforms and drift path, walked in one scan
-    over the group's sweeps laid end to end, and draws the next group's drift
+    The drift is drawn in chunks of at most _CHUNK_PULSES steps, one sweep
+    at least.  _drawn gives each chunk's drift path, walked in one scan over
+    the chunk's sweeps laid end to end, and draws the next chunk's drift
     normals on a thread while this one is latched and used, so rng must not
     be drawn from elsewhere until the iterator is exhausted or closed;
-    closing it joins the thread.  The set/reset latch runs once over the
-    same rows, each led by an entry for the start point: that entry is
-    forced only when `start` lies outside the drift-shifted window, and
-    otherwise keeps the branch the previous row ended on (the state's
-    branch for the first row).
+    closing it joins the thread.  A chunk is latched and yielded in groups
+    of at most _LATCH_POINTS points, one sweep at least: each group draws
+    its switch uniforms into one reused buffer, then makes its thresholds
+    and runs the set/reset latch once over its rows, each led by an entry
+    for the start point.  That entry is forced only when `start` lies
+    outside the drift-shifted window, and otherwise keeps the branch the
+    previous row ended on (the state's branch for a group's first row).
+    Before a group is yielded the state takes its end branch, clock and
+    drift, the chunk's end drift after its last group.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -350,15 +361,30 @@ def sweep_branches(
     return currents, _sweep_groups(params, start, currents, dt_per_step, repeats, rng, state)
 
 
+def _latch_groups(draws, steps: int, per_group: int):
+    """Each drift chunk of _drawn in groups of at most per_group sweeps.
+
+    Yields (drifts, drift): a group's rows of `steps` drifts entering each
+    point, and the drift after its last point.
+    """
+    for path in draws:
+        chunk = path[:-1].reshape(-1, steps)
+        for lo in range(0, chunk.shape[0], per_group):
+            hi = min(lo + per_group, chunk.shape[0])
+            yield chunk[lo:hi], float(path[hi * steps])
+
+
 def _sweep_groups(params, start, currents, dt, repeats, rng, state):
     steps = currents.size
-    per_group = max(1, _CHUNK_PULSES // steps)
-    sizes = [min(per_group, repeats - done) * steps for done in range(0, repeats, per_group)]
+    per_chunk = max(1, _CHUNK_PULSES // steps)
+    per_group = min(per_chunk, max(1, _LATCH_POINTS // steps))
+    sizes = [min(per_chunk, repeats - done) * steps for done in range(0, repeats, per_chunk)]
+    switch = np.empty(min(per_group, repeats) * steps)
     draws = _drawn(rng, params, dt, sizes, state.drift)
     try:
-        for u, drifts, drift in draws:
-            rows = u.size // steps
-            u, drifts = u.reshape(rows, steps), drifts.reshape(rows, steps)
+        for drifts, drift in _latch_groups(draws, steps, per_group):
+            rows = drifts.shape[0]
+            u = rng.switch.random(out=switch[: rows * steps]).reshape(rows, steps)
             thresholds = _switch_thresholds(params, drifts, u, dt)
             valleys = params.i_valley + drifts
             # entry 0 of each row pre-positions the branch for the starting bias
@@ -417,10 +443,11 @@ def sweep_current(
     """Ramp the bias current across `steps` points and record the response.
 
     Each point dwells dt_per_step at its current before the voltage is read,
-    mimicking an SMU staircase sweep.  Points draw and walk the drift like
-    pulses (_drawn); the branch is a set/reset latch: a point sets H when its
-    current exceeds the point's switching threshold, resets to L below the
-    drift-shifted valley and otherwise keeps the branch.  The recorded
+    mimicking an SMU staircase sweep.  Points walk the drift like pulses
+    (_drawn) and draw their switch uniforms in order; the branch is a
+    set/reset latch: a point sets H when its current exceeds the point's
+    switching threshold, resets to L below the drift-shifted valley and
+    otherwise keeps the branch.  The recorded
     switch current is the grid current for a stochastic L->H jump and the
     crossed threshold itself (peak or valley plus drift) for deterministic
     jumps.  If `state` is given it seeds the sweep and is advanced in place;

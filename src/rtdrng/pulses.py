@@ -13,21 +13,24 @@ threshold at each sub-step's exposure.
 Pulses, trace pulses and sweep points draw alike and walk one drift
 (device._drawn): each step takes its switch uniform from one stream and its
 drift-update normal from another, the two spawned children of the run's
-seed (device.streams).  Both of numpy's draws are stream-stable under
-batching, so a run split into other calls or chunks takes the same draws,
-and its drift, scanned a chunk at a time, agrees within the scan's 1e-12
-bound.  The scalar per-pulse reference lives in tests/oracles.py:run_pulse.
+seed (device.streams).  _drawn draws and scans the drift alone; each
+caller draws its own switch uniforms, in step order, as it uses them.  Both
+of numpy's draws are stream-stable under batching, so a run split into
+other calls or chunks takes the same draws, and its drift, scanned a chunk
+at a time, agrees within the scan's 1e-12 bound.  The scalar per-pulse
+reference lives in tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
 runs with its own reader) takes _CHUNK_PULSES pulses at a time.  The
-calling thread draws chunk k's switch uniforms, scans its drift, checks the
-reset condition and reads its bits, while a short-lived thread draws chunk
-k + 1's drift normals (device._drawn); numpy's fills release the GIL, so
-on two cores the two threads overlap.  A one-chunk call, and
-every trace, starts no thread.  A chunk's thresholds are made and read
-_BLOCK_PULSES pulses at a time, so each of their float64 temporaries stays
-at 256 KiB, within one core's L2; a reader's window may straddle blocks as
-it straddles chunks.  The bits and the streams' positions equal those of
+calling thread scans chunk k's drift in place, checks the reset condition,
+and draws its switch uniforms and reads its bits, while a short-lived
+thread draws chunk k + 1's drift normals (device._drawn); numpy's fills
+release the GIL, so on two cores the two threads overlap.  A one-chunk
+call, and every trace, starts no thread.  A chunk's switch uniforms are
+drawn, and its thresholds made and read, _BLOCK_PULSES pulses at a time,
+so the uniforms' reused buffer and each float64 temporary stay at 256 KiB,
+within one core's L2; a reader's window may straddle blocks as it
+straddles chunks.  The bits and the streams' positions equal those of
 drawing each chunk in line and reading it whole (the serial chunk loop in
 tests/oracles.py).
 """
@@ -128,11 +131,12 @@ def acquire_bits(
     read(thresholds, bits) writes each block's bits (the closed loop's
     reader).  Chunks of up to _CHUNK_PULSES pulses and their drift path come
     from device._drawn, whose thread draws the next chunk's drift normals;
-    each chunk is reset-checked whole, then its thresholds are made and read
-    _BLOCK_PULSES at a time into a reused bool buffer, which is packed, so
-    the working set is bounded by the chunk, not by `count`.  The draws are
-    closed, and their thread joined, before the call returns or raises; the
-    state advances in place only once every chunk has been read.
+    each chunk is reset-checked whole.  Then, _BLOCK_PULSES pulses at a time,
+    a block's switch uniforms are drawn into one reused buffer, just before
+    its thresholds are made and read into a reused bool buffer, which is
+    packed; so the working set is bounded by the chunk, not by `count`.  The
+    draws are closed, and their thread joined, before the call returns or
+    raises; the state advances in place only once every chunk has been read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -140,16 +144,20 @@ def acquire_bits(
     exposure = cfg.width * cfg.sample_offset
     sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
     buf = np.empty(sizes[0], dtype=bool)
+    switch = np.empty(min(_BLOCK_PULSES, sizes[0]))
     out = _Packer(count)
     draws = _drawn(rng, params, cfg.period, sizes, state.drift)
     try:
-        for u, drifts, drift in draws:
+        for path in draws:
+            drifts = path[:-1]
             _require_reset(params, drifts)
-            bits = buf[: u.size]
-            for lo in range(0, u.size, _BLOCK_PULSES):
-                hi = lo + _BLOCK_PULSES
-                read(_switch_thresholds(params, drifts[lo:hi], u[lo:hi], exposure), bits[lo:hi])
+            bits = buf[: drifts.size]
+            for lo in range(0, drifts.size, _BLOCK_PULSES):
+                hi = min(lo + _BLOCK_PULSES, drifts.size)
+                u = rng.switch.random(out=switch[: hi - lo])
+                read(_switch_thresholds(params, drifts[lo:hi], u, exposure), bits[lo:hi])
             out.append(bits)
+            drift = float(path[-1])
     finally:
         draws.close()
     state.drift = drift
@@ -172,13 +180,16 @@ def trace_pulses(
     acquisition, and an on-sample t ms into the pulse reads H when the
     amplitude exceeds the pulse's switching threshold for an exposure of t,
     so a mid-pulse L->H switch appears as one upward step between the LOW
-    and HIGH levels.  The last on-sample is read at exactly the width: at
-    sample_offset = 1 it is acquire_bits's bit.  The passed state is
-    advanced in place.
+    and HIGH levels.  The trace's switch uniforms are drawn in one call and
+    its drift walked as one chunk.  The last on-sample is read at exactly
+    the width: at sample_offset = 1 it is acquire_bits's bit.  The passed
+    state is advanced in place.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    [(u, drifts, drift)] = _drawn(rng, params, cfg.period, [n_pulses], state.drift)
+    u = rng.switch.random(n_pulses)
+    [path] = _drawn(rng, params, cfg.period, [n_pulses], state.drift)
+    drifts, drift = path[:-1], float(path[-1])
     _require_reset(params, drifts)
     n_off = max(1, round(cfg.off_time / cfg.substep))
     n_on = max(1, round(cfg.width / cfg.substep))

@@ -680,8 +680,9 @@ def _draw_steps(params, drift: float, count: int, dt: float, rng):
     """Draw `count` successive steps of dt ms in line, starting from `drift`.
 
     The in-line serial draw: each step's switch uniform comes from
-    rng.switch and its drift normal from rng.drift, as device._drawn draws
-    them (the normals a chunk ahead, on its thread), and _drift_scan runs
+    rng.switch and its drift normal from rng.drift, as acquisition draws
+    them (the uniforms a block at a time, the normals a chunk ahead on
+    device._drawn's thread), and _drift_scan runs
     the exact discretisation of the mean-reverting walk; with drift_sigma
     = 0 it only decays.  Returns
     (drifts, u, final): the drift entering each step, the switch uniforms
@@ -691,7 +692,8 @@ def _draw_steps(params, drift: float, count: int, dt: float, rng):
     u = np.empty(count)
     z = np.empty(_scan_size(count, decay))
     rng.switch.random(out=u)
-    rng.drift.standard_normal(out=z[:count])
+    # the normals follow the scan buffer's leading slot, which takes `drift`
+    rng.drift.standard_normal(out=z[1 : count + 1])
     path = _drift_scan(z, count, decay, scatter, drift)
     return path[:-1], u, float(path[-1])
 

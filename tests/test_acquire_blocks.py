@@ -1,12 +1,13 @@
 """Acquisition read in blocks inside each chunk, against whole chunks read in line.
 
-acquire_bits makes and reads a chunk's thresholds _BLOCK_PULSES pulses at a
-time.  At every block size, open and closed loop must equal the serial
-chunk loop (oracles.serial_acquire, oracles.serial_closed_loop), which
-reads each chunk whole: the bits, the closed loop's ratios and amplitudes
-(its windows straddle blocks and chunks), the end state and both streams'
-next draws.  A reset failure or a reader failure part-way into a chunk must
-leave the state as it was and no draw thread alive.
+acquire_bits draws a chunk's switch uniforms, and makes and reads its
+thresholds, _BLOCK_PULSES pulses at a time.  At every block size, open and
+closed loop must equal the serial chunk loop (oracles.serial_acquire,
+oracles.serial_closed_loop), which draws and reads each chunk whole: the
+bits, the closed loop's ratios and amplitudes (its windows straddle blocks
+and chunks), the end state and both streams' next draws.  A reset failure
+or a reader failure part-way into a chunk must leave the state as it was
+and no draw thread alive.
 """
 
 import threading

@@ -1,8 +1,8 @@
 """Acquisition and sweeps with a thread drawing ahead, against drawing in line.
 
-While chunk k's switch uniforms are drawn and the chunk is scanned and read
-(or group k of lockstep sweeps is latched), a short-lived thread draws chunk
-k + 1's drift normals, so the bits, the final device state and the
+While chunk k is scanned and read, its switch uniforms drawn a block at a
+time (or chunk k of lockstep sweeps is latched), a short-lived thread draws
+chunk k + 1's drift normals, so the bits, the final device state and the
 streams' positions must equal those of the loop that draws every chunk in
 line (oracles.serial_threshold_chunks; test_stepping checks lockstep
 sweeps against chained sweep_current calls), a one-chunk call must start

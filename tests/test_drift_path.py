@@ -36,9 +36,10 @@ def _row_width(decay):
 
 
 def _scan(z, decay, scatter, drift):
-    # _drift_scan over the given normals, in a buffer of the size it scans
+    # _drift_scan over the given normals, in a buffer of the size it scans,
+    # after the leading slot that takes the entering drift
     buf = np.empty(_scan_size(z.size, decay))
-    buf[: z.size] = z
+    buf[1 : z.size + 1] = z
     return _drift_scan(buf, z.size, decay, scatter, drift)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import rtdrng.bits as bits_module
+import rtdrng.cli as cli
 import rtdrng.extractor as extractor
 import rtdrng.nist.sequence as sequence_module
 import rtdrng.pulses as pulses
@@ -101,6 +102,23 @@ def test_closed_loop(monkeypatch):
     ]
     # packed bits plus a float64 ratio and amplitude per window
     assert_growth_within(peaks, 600 * 100 // 8 + 600 * 16)
+
+
+def test_window_tables(tmp_path):
+    # the closed loop's per-window tables are written a block of rows at a
+    # time: only the ratio and amplitude arrays grow with the window count.
+    # Both counts end on blocks of five-digit window numbers, whose lines are
+    # the longest either writes.
+    def tables(windows):
+        rng = np.random.default_rng(windows)
+        ratios, amplitudes = rng.random(windows), rng.random(windows)
+        amplitudes += 1.5
+        cli._write_window_tables(tmp_path / "raw.bits", ratios, amplitudes)
+
+    counts = (3 * cli._TABLE_ROWS, 12 * cli._TABLE_ROWS)
+    peaks = [traced_peak(tables, windows) for windows in counts]
+    assert_growth_within(peaks, 2 * 8 * (counts[1] - counts[0]))
+    assert len((tmp_path / "raw.bits.ratio.tsv").read_text().splitlines()) == 1 + counts[1]
 
 
 def test_window_fractions(monkeypatch):
@@ -189,6 +207,42 @@ def test_extract_stage_peak_rss(tmp_path):
     )
     assert stage - imported <= 20, (stage, imported)
     assert len(read_bits(tmp_path / "out.bits")) == 4000 * 912
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_closed_loop_generate_stage_peak_rss(tmp_path):
+    # drift_feedback's device and window over 8000 windows.  The drift path
+    # is scanned in place in its normals buffer and the switch uniforms are
+    # drawn a block at a time: about 8.3 MB above the import alone.  A 2 MiB
+    # path allocated per chunk beside a 2 MiB chunk of uniforms read 14.0 MB.
+    (tmp_path / "x.ini").write_text(
+        "[device]\ndrift_sigma = 0.03\n[controller]\nwindow = 500\n[run]\nseed = 1\n"
+    )
+    imported = _fresh_peak_mb("import rtdrng.cli")
+    stage = _fresh_peak_mb(
+        "from rtdrng.cli import main; "
+        "argv = ['generate', '--config', sys.argv[2] + '/x.ini', '--count', '4000000', "
+        "'--out', sys.argv[2] + '/raw.bits']; assert main(argv) == 0",
+        tmp_path,
+    )
+    assert stage - imported <= 11, (stage, imported)
+    assert len(read_bits(tmp_path / "raw.bits")) == 4_000_000
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_sweep_stage_peak_rss_above_import(tmp_path):
+    # drift_feedback's 1000 sweeps of 300 points: two drift chunks, latched
+    # and written in groups of 109 sweeps, about 6.5 MB above the import
+    # alone; latching and writing each chunk whole read 19.5 MB
+    imported = _fresh_peak_mb("import rtdrng.cli")
+    stage = _fresh_peak_mb(
+        "from rtdrng.cli import main; "
+        "argv = ['sweep', '--repeats', '1000', '--steps', '300', '--out-dir', sys.argv[2]]; "
+        "assert main(argv) == 0",
+        tmp_path,
+    )
+    assert stage - imported <= 12, (stage, imported)
+    assert len((tmp_path / "switch_currents.tsv").read_text().splitlines()) == 1 + 1000
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
