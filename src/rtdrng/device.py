@@ -262,26 +262,38 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
     return decay, scatter
 
 
-def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drift: float):
-    """The one drift walk, dt ms a step: each chunk's drift path in turn.
+def _drawn(rng, params, dt, count, drift, chunk, block, check=None):
+    """The one draw loop of `count` steps of dt ms: (drifts, u, drift_after) per block.
 
-    A chunk of m steps yields a view of m + 1 drifts: the drift entering
-    each step, then the drift after the chunk.  The walk starts from
-    `drift`, and each chunk is scanned (_drift_scan) in place from the
-    previous chunk's end, so other chunk sizes agree within the scan's
-    bound, not bit for bit.  Only the drift stream is drawn here: each
-    caller draws its own switch uniforms from rng.switch, as it uses them.
-    The calling thread draws chunk 0's drift normals in line.  While chunk k
-    is scanned and used, a thread fills chunk k + 1's normals into the other
-    of two reused buffers, each sized by its first chunk, as no later chunk
-    is larger; it is joined before the next yield or close, and its
-    exception is raised here.  So one thread draws the drift at a time,
-    nothing past the last chunk, and the drift stream ends where drawing
-    each chunk in line leaves it.  A yielded path lives until the next
-    chunk is handed out.
+    Pulses, sweep points and trace pulses all draw here.  Each step takes
+    its switch uniform from rng.switch and its drift normal from rng.drift.
+    The steps go in chunks of at most `chunk` and each chunk in blocks of at
+    most `block`, which never straddle a chunk.  A block yields the drift
+    entering each of its steps, their switch uniforms and the drift after
+    its last step.
+
+    The drift walks from `drift`, and each chunk's path is scanned
+    (_drift_scan) in place from the previous chunk's end, so other chunk
+    sizes agree within the scan's bound, not bit for bit.  check(drifts),
+    if given, sees each chunk's whole path (the drift entering each step)
+    before any of its blocks is handed out, and raises to reject it.  Each
+    block's uniforms are then drawn into one reused buffer of min(block,
+    chunk, count) floats just before it is yielded.  The uniforms are
+    stream-stable, so they equal one draw of all `count`.
+
+    The calling thread draws chunk 0's drift normals in line.  While chunk
+    k is scanned and used, a thread named rtdrng-draws fills chunk k + 1's
+    normals into the other of two reused buffers, each sized by its first
+    chunk, as no later chunk is larger; a one-chunk run starts none.  The
+    thread is joined before chunk k + 1 is scanned and when the generator
+    closes, and its exception is raised here.  Nothing is drawn past the
+    last step, so both streams end where drawing each chunk in line leaves
+    them.  A yielded block's arrays live until the next block is handed out.
     """
     decay, scatter = _walk_terms(params, dt)
+    sizes = [min(chunk, count - lo) for lo in range(0, count, chunk)]
     normals = [np.empty(_scan_size(m, decay)) for m in sizes[:2]]
+    switch = np.empty(min(block, sizes[0]))
     caught = []
 
     def fill(z):
@@ -299,8 +311,12 @@ def _drawn(rng: Streams, params: DeviceParams, dt: float, sizes: list[int], drif
             ahead.start()
         try:
             path = _drift_scan(normals[k % 2], m, decay, scatter, drift)
+            if check is not None:
+                check(path[:-1])
+            for i in range(0, m, block):
+                j = min(i + block, m)
+                yield path[i:j], rng.switch.random(out=switch[: j - i]), float(path[j])
             drift = float(path[-1])
-            yield path
         finally:
             if ahead is not None:
                 ahead.join()
@@ -333,20 +349,17 @@ def sweep_branches(
     take the same draws, and the drift agrees within the drift scan's bound.
     The arguments are checked here, before anything is drawn.
 
-    The drift is drawn in chunks of at most _CHUNK_PULSES steps, one sweep
-    at least.  _drawn gives each chunk's drift path, walked in one scan over
-    the chunk's sweeps laid end to end, and draws the next chunk's drift
-    normals on a thread while this one is latched and used, so rng must not
-    be drawn from elsewhere until the iterator is exhausted or closed;
-    closing it joins the thread.  A chunk is latched and yielded in groups
-    of at most _LATCH_POINTS points, one sweep at least: each group draws
-    its switch uniforms into one reused buffer, then makes its thresholds
-    and runs the set/reset latch once over its rows, each led by an entry
-    for the start point.  That entry is forced only when `start` lies
-    outside the drift-shifted window, and otherwise keeps the branch the
-    previous row ended on (the state's branch for a group's first row).
-    Before a group is yielded the state takes its end branch, clock and
-    drift, the chunk's end drift after its last group.
+    The sweeps are drawn end to end by _drawn, which gives the draw
+    contract: in chunks of at most _CHUNK_PULSES points and blocks (latch
+    groups) of at most _LATCH_POINTS points, each a whole number of sweeps,
+    one at least.  rng must not be drawn from elsewhere until the iterator
+    is exhausted or closed; closing it joins the draw thread.  Each group
+    makes its thresholds and runs the set/reset latch once over its rows,
+    each led by an entry for the start point.  That entry is forced only
+    when `start` lies outside the drift-shifted window, and otherwise keeps
+    the branch the previous row ended on (the state's branch for a group's
+    first row).  Before a group is yielded the state takes its end branch,
+    clock and drift.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -361,30 +374,16 @@ def sweep_branches(
     return currents, _sweep_groups(params, start, currents, dt_per_step, repeats, rng, state)
 
 
-def _latch_groups(draws, steps: int, per_group: int):
-    """Each drift chunk of _drawn in groups of at most per_group sweeps.
-
-    Yields (drifts, drift): a group's rows of `steps` drifts entering each
-    point, and the drift after its last point.
-    """
-    for path in draws:
-        chunk = path[:-1].reshape(-1, steps)
-        for lo in range(0, chunk.shape[0], per_group):
-            hi = min(lo + per_group, chunk.shape[0])
-            yield chunk[lo:hi], float(path[hi * steps])
-
-
 def _sweep_groups(params, start, currents, dt, repeats, rng, state):
     steps = currents.size
-    per_chunk = max(1, _CHUNK_PULSES // steps)
-    per_group = min(per_chunk, max(1, _LATCH_POINTS // steps))
-    sizes = [min(per_chunk, repeats - done) * steps for done in range(0, repeats, per_chunk)]
-    switch = np.empty(min(per_group, repeats) * steps)
-    draws = _drawn(rng, params, dt, sizes, state.drift)
+    # a chunk and a latch group are whole sweeps, one at least
+    chunk = max(1, _CHUNK_PULSES // steps) * steps
+    block = max(1, _LATCH_POINTS // steps) * steps
+    draws = _drawn(rng, params, dt, repeats * steps, state.drift, chunk, block)
     try:
-        for drifts, drift in _latch_groups(draws, steps, per_group):
-            rows = drifts.shape[0]
-            u = rng.switch.random(out=switch[: rows * steps]).reshape(rows, steps)
+        for drifts, u, drift in draws:
+            rows = drifts.size // steps
+            drifts, u = drifts.reshape(rows, steps), u.reshape(rows, steps)
             thresholds = _switch_thresholds(params, drifts, u, dt)
             valleys = params.i_valley + drifts
             # entry 0 of each row pre-positions the branch for the starting bias

@@ -56,7 +56,8 @@ class ExtractorConfig:
             raise ValueError("n must be at least 1")
         if self.l is not None and not 0 < self.l < self.n:
             raise ValueError("require 0 < l < n")
-        # a fixed cap on n, checked without allocating; the XOR kernel needs none
+        # a fixed cap on n, checked without allocating: it keeps extract's
+        # 256-row shift table, 32 (n + l) bytes, under 1 GiB
         if self.n > 2**24:
             raise ValueError(f"n must be at most 2^24 = {2**24}")
         if self.epsilon_exponent < 1:

@@ -10,33 +10,24 @@ p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
 therefore needs no sub-stepping, and a time-resolved trace reads the same
 threshold at each sub-step's exposure.
 
-Pulses, trace pulses and sweep points draw alike and walk one drift
-(device._drawn): each step takes its switch uniform from one stream and its
-drift-update normal from another, the two spawned children of the run's
-seed (device.streams).  _drawn draws and scans the drift alone; each
-caller draws its own switch uniforms, in step order, as it uses them.  Both
-of numpy's draws are stream-stable under batching, so a run split into
-other calls or chunks takes the same draws, and its drift, scanned a chunk
-at a time, agrees within the scan's 1e-12 bound.  The scalar per-pulse
-reference lives in tests/oracles.py:run_pulse.
+Pulses, trace pulses and sweep points all draw through device._drawn,
+whose docstring gives the draw contract: each step takes its switch
+uniform from one stream and its drift-update normal from another, the two
+spawned children of the run's seed (device.streams).  The scalar
+per-pulse reference lives in tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
-runs with its own reader) takes _CHUNK_PULSES pulses at a time.  The
-calling thread scans chunk k's drift in place, checks the reset condition,
-and draws its switch uniforms and reads its bits, while a short-lived
-thread draws chunk k + 1's drift normals (device._drawn); numpy's fills
-release the GIL, so on two cores the two threads overlap.  A one-chunk
-call, and every trace, starts no thread.  A chunk's switch uniforms are
-drawn, and its thresholds made and read, _BLOCK_PULSES pulses at a time,
-so the uniforms' reused buffer and each float64 temporary stay at 256 KiB,
-within one core's L2; a reader's window may straddle blocks as it
-straddles chunks.  The bits and the streams' positions equal those of
-drawing each chunk in line and reading it whole (the serial chunk loop in
-tests/oracles.py).
+runs with its own reader) draws chunks of _CHUNK_PULSES pulses and reads
+them in blocks of _BLOCK_PULSES, so the uniforms and each float64
+temporary stay at 256 KiB, within one core's L2; a reader's window may
+straddle blocks as it straddles chunks.  The bits and the streams'
+positions equal those of drawing each chunk in line and reading it whole
+(the serial chunk loop in tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,35 +120,28 @@ def acquire_bits(
 
     Each bit is cfg.amplitude > its pulse's switching threshold, unless
     read(thresholds, bits) writes each block's bits (the closed loop's
-    reader).  Chunks of up to _CHUNK_PULSES pulses and their drift path come
-    from device._drawn, whose thread draws the next chunk's drift normals;
-    each chunk is reset-checked whole.  Then, _BLOCK_PULSES pulses at a time,
-    a block's switch uniforms are drawn into one reused buffer, just before
-    its thresholds are made and read into a reused bool buffer, which is
-    packed; so the working set is bounded by the chunk, not by `count`.  The
-    draws are closed, and their thread joined, before the call returns or
-    raises; the state advances in place only once every chunk has been read.
+    reader).  The pulses come from device._drawn (see there) in chunks of
+    up to _CHUNK_PULSES pulses, each reset-checked whole, and blocks of up
+    to _BLOCK_PULSES, each read into one reused bool buffer and packed; so
+    the working set is bounded by the chunk, not by `count`.  The draws are
+    closed, and their thread joined, before the call returns or raises; the
+    state advances in place only once every block has been read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
     exposure = cfg.width * cfg.sample_offset
-    sizes = [min(_CHUNK_PULSES, count - done) for done in range(0, count, _CHUNK_PULSES)]
-    buf = np.empty(sizes[0], dtype=bool)
-    switch = np.empty(min(_BLOCK_PULSES, sizes[0]))
+    buf = np.empty(min(_BLOCK_PULSES, _CHUNK_PULSES, count), dtype=bool)
     out = _Packer(count)
-    draws = _drawn(rng, params, cfg.period, sizes, state.drift)
+    check = functools.partial(_require_reset, params)
+    draws = _drawn(
+        rng, params, cfg.period, count, state.drift, _CHUNK_PULSES, _BLOCK_PULSES, check
+    )
     try:
-        for path in draws:
-            drifts = path[:-1]
-            _require_reset(params, drifts)
+        for drifts, u, drift in draws:
             bits = buf[: drifts.size]
-            for lo in range(0, drifts.size, _BLOCK_PULSES):
-                hi = min(lo + _BLOCK_PULSES, drifts.size)
-                u = rng.switch.random(out=switch[: hi - lo])
-                read(_switch_thresholds(params, drifts[lo:hi], u, exposure), bits[lo:hi])
+            read(_switch_thresholds(params, drifts, u, exposure), bits)
             out.append(bits)
-            drift = float(path[-1])
     finally:
         draws.close()
     state.drift = drift
@@ -180,17 +164,17 @@ def trace_pulses(
     acquisition, and an on-sample t ms into the pulse reads H when the
     amplitude exceeds the pulse's switching threshold for an exposure of t,
     so a mid-pulse L->H switch appears as one upward step between the LOW
-    and HIGH levels.  The trace's switch uniforms are drawn in one call and
-    its drift walked as one chunk.  The last on-sample is read at exactly
-    the width: at sample_offset = 1 it is acquire_bits's bit.  The passed
-    state is advanced in place.
+    and HIGH levels.  The trace is one chunk and one block of
+    device._drawn, so it starts no thread.  The last on-sample is read at
+    exactly the width: at sample_offset = 1 it is acquire_bits's bit.  The
+    passed state is advanced in place.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
-    u = rng.switch.random(n_pulses)
-    [path] = _drawn(rng, params, cfg.period, [n_pulses], state.drift)
-    drifts, drift = path[:-1], float(path[-1])
-    _require_reset(params, drifts)
+    check = functools.partial(_require_reset, params)
+    [(drifts, u, drift)] = _drawn(
+        rng, params, cfg.period, n_pulses, state.drift, n_pulses, n_pulses, check
+    )
     n_off = max(1, round(cfg.off_time / cfg.substep))
     n_on = max(1, round(cfg.width / cfg.substep))
     dt_on = cfg.width / n_on

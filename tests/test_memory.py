@@ -247,15 +247,19 @@ def test_sweep_stage_peak_rss_above_import(tmp_path):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_sweep_stage_peak_rss(tmp_path):
-    # the 3M rows take about 66 MB as text; holding every line until the end
-    # peaked at 103 MB
-    peak_mb = _fresh_peak_mb(
+    # ten times the repeats of the test above, under the same bound: the
+    # stage's peak does not grow with the repeats, about 9.5 MB above the
+    # import alone.  The 3M rows take about 66 MB as text; holding every
+    # line until the end peaked at 103 MB, and latching each drift chunk
+    # whole read 21.7 MB above the import.
+    imported = _fresh_peak_mb("import rtdrng.cli")
+    stage = _fresh_peak_mb(
         "from rtdrng.cli import main; "
         "argv = ['sweep', '--repeats', '10000', '--steps', '300', '--out-dir', sys.argv[2]]; "
         "assert main(argv) == 0",
         tmp_path,
     )
-    assert peak_mb < 80, peak_mb
+    assert stage - imported <= 12, (stage, imported)
     assert (tmp_path / "sweeps.tsv").stat().st_size > 60 << 20
 
 

@@ -1,9 +1,10 @@
 """The sweep latch run in sub-groups of a drift chunk, against the whole chunk at once.
 
-sweep_branches draws and scans the drift a chunk of at most _CHUNK_PULSES
-points at a time, then draws the switch uniforms, makes the thresholds and
-runs the latch over at most _LATCH_POINTS points (one sweep at least) at a
-time.  Latching a whole chunk at once is the reference.  At groups of one
+sweep_branches takes its draws from device._drawn, whose docstring gives
+the draw contract, in chunks of at most _CHUNK_PULSES points and latch
+groups of at most _LATCH_POINTS points (one sweep at least), and makes the
+thresholds and runs the latch a group at a time.  Latching a whole chunk at
+once is the reference.  At groups of one
 sweep, seven sweeps and more than a chunk, every sweep's branch rows and
 switch current, the state at each chunk's end and at the end (branch,
 drift, clock) and both streams' next draws must be exactly the
