@@ -25,13 +25,7 @@ from .extractor import (
     extract,
     min_entropy_estimate,
 )
-from .pulses import (
-    PulseConfig,
-    PulseTrace,
-    acquire_bits,
-    trace_pulses,
-    window_fractions,
-)
+from .pulses import PulseConfig, acquire_bits, window_fractions
 
 __version__ = "0.1.0"
 
@@ -60,9 +54,7 @@ __all__ = [
     "extract",
     "min_entropy_estimate",
     "PulseConfig",
-    "PulseTrace",
     "acquire_bits",
-    "trace_pulses",
     "window_fractions",
     "__version__",
 ]

@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, sweep, extract, test, report.
 
-Every output file gets a key=value metadata sidecar sufficient to re-run its
-producing stage.  Exit codes: 0 success/pass, 1 statistical failure (suite
-below threshold, insufficient extractable entropy), 2 usage or configuration
-error, 3 I/O or malformed-file error.
+Every output file gets a key=value metadata sidecar that records what re-runs
+its producing stage (an INI seed_hex only by fingerprint).  Exit codes: 0
+success/pass, 1 statistical failure (suite below threshold, insufficient
+extractable entropy), 2 usage or configuration error, 3 I/O or
+malformed-file error.
 """
 
 from __future__ import annotations
@@ -198,6 +199,7 @@ def cmd_sweep(args) -> int:
         "dt_per_step_ms": args.dt,
         "start_ma": start,
         "stop_ma": stop,
+        "bins": args.bins,
         "seed": cfg.seed,
         "switches_recorded": int(observed.size),
     }
@@ -289,6 +291,7 @@ def cmd_test(args) -> int:
             "rows": len(report.rows),
             "rows_failing": failing,
             "overall_pass": report.overall_pass,
+            **_flatten("suite", params),
         },
     )
     verdict = "PASS" if report.overall_pass else "FAIL"

@@ -39,9 +39,9 @@ _SCAN_ROW = 2048
 _SCAN_SPAN = 2.0**-64
 
 # steps per bulk drift draw: a chunk of pulses in pulses.acquire_bits or of
-# sweeps in sweep_branches (a trace draws in one chunk), each step one
-# float64 of the chunk's normals, scanned in place into its drift path; also
-# the bits per pulses.window_fractions chunk
+# sweeps in sweep_branches, each step one float64 of the chunk's normals,
+# scanned in place into its drift path; also the bits per
+# pulses.window_fractions chunk
 _CHUNK_PULSES = 1 << 18
 
 # points per latch group of a sweep chunk (one sweep at least), whose switch
@@ -265,10 +265,10 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
 def _drawn(rng, params, dt, count, drift, chunk, block, check=None):
     """The one draw loop of `count` steps of dt ms: (drifts, u, drift_after) per block.
 
-    Pulses, sweep points and trace pulses all draw here.  Each step takes
-    its switch uniform from rng.switch and its drift normal from rng.drift.
-    The steps go in chunks of at most `chunk` and each chunk in blocks of at
-    most `block`, which never straddle a chunk.  A block yields the drift
+    Pulses and sweep points both draw here.  Each step takes its switch
+    uniform from rng.switch and its drift normal from rng.drift.  The steps
+    go in chunks of at most `chunk` and each chunk in blocks of at most
+    `block`, which never straddle a chunk.  A block yields the drift
     entering each of its steps, their switch uniforms and the drift after
     its last step.
 

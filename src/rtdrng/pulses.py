@@ -7,14 +7,13 @@ the hazard is constant during a pulse, each pulse has a random L->H
 switching threshold, a function of its switch uniform and the drift only,
 and the bit is exactly `amplitude > threshold`: a Bernoulli draw with
 p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
-therefore needs no sub-stepping, and a time-resolved trace reads the same
-threshold at each sub-step's exposure.
+therefore needs no sub-stepping.
 
-Pulses, trace pulses and sweep points all draw through device._drawn,
-whose docstring gives the draw contract: each step takes its switch
-uniform from one stream and its drift-update normal from another, the two
-spawned children of the run's seed (device.streams).  The scalar
-per-pulse reference lives in tests/oracles.py:run_pulse.
+Pulses and sweep points both draw through device._drawn, whose docstring
+gives the draw contract: each step takes its switch uniform from one
+stream and its drift-update normal from another, the two spawned children
+of the run's seed (device.streams).  The scalar per-pulse reference lives
+in tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
 runs with its own reader) draws chunks of _CHUNK_PULSES pulses and reads
@@ -36,9 +35,7 @@ import numpy as np
 from .bits import BitStream, _Packer
 from .device import (
     _CHUNK_PULSES,
-    _branch_voltage_unchecked,
     _drawn,
-    _elapsed,
     _switch_thresholds,
     Branch,
     DeviceParams,
@@ -56,15 +53,13 @@ class PulseConfig:
     """Amplitude (mA), width (ms), duty cycle and sampling rule of a train.
 
     sample_offset is the fraction of the pulse width at which the voltage is
-    read (1.0 = end of pulse, the SMU protocol).  substep is the integration
-    step used for time-resolved traces, defaulting to width/100.
+    read (1.0 = end of pulse, the SMU protocol).
     """
 
     amplitude: float = 1.50
     width: float = 1.0
     duty_cycle: float = 0.5
     sample_offset: float = 1.0
-    substep: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.amplitude < math.inf:
@@ -75,27 +70,11 @@ class PulseConfig:
             raise ValueError("duty_cycle must be in (0, 1)")
         if not 0.0 < self.sample_offset <= 1.0:
             raise ValueError("sample_offset must be in (0, 1]")
-        if self.substep is None:
-            object.__setattr__(self, "substep", self.width / 100.0)
-        if not 0.0 < self.substep <= self.width:
-            raise ValueError("substep must be in (0, width]")
 
     @property
     def period(self) -> float:
         """Full pulse period in ms (on phase plus off phase)."""
         return self.width / self.duty_cycle
-
-    @property
-    def off_time(self) -> float:
-        return self.period - self.width
-
-
-@dataclass(frozen=True)
-class PulseTrace:
-    """Time-resolved voltage samples across one or more pulse periods."""
-
-    times: np.ndarray
-    voltages: np.ndarray
 
 
 def _require_reset(params: DeviceParams, drift) -> None:
@@ -150,51 +129,6 @@ def acquire_bits(
     return out.stream()
 
 
-def trace_pulses(
-    state: DeviceState,
-    params: DeviceParams,
-    cfg: PulseConfig,
-    n_pulses: int,
-    rng: Streams,
-) -> PulseTrace:
-    """Oscilloscope-style voltage trace over n_pulses periods.
-
-    The voltage is sampled every substep: zero during the off phase and the
-    occupied branch's voltage during the on phase.  Each pulse draws as in
-    acquisition, and an on-sample t ms into the pulse reads H when the
-    amplitude exceeds the pulse's switching threshold for an exposure of t,
-    so a mid-pulse L->H switch appears as one upward step between the LOW
-    and HIGH levels.  The trace is one chunk and one block of
-    device._drawn, so it starts no thread.  The last on-sample is read at
-    exactly the width: at sample_offset = 1 it is acquire_bits's bit.  The
-    passed state is advanced in place.
-    """
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be at least 1")
-    check = functools.partial(_require_reset, params)
-    [(drifts, u, drift)] = _drawn(
-        rng, params, cfg.period, n_pulses, state.drift, n_pulses, n_pulses, check
-    )
-    n_off = max(1, round(cfg.off_time / cfg.substep))
-    n_on = max(1, round(cfg.width / cfg.substep))
-    dt_on = cfg.width / n_on
-    exposures = np.linspace(dt_on, cfg.width, n_on)
-    high = cfg.amplitude > _switch_thresholds(
-        params, drifts[:, None], np.broadcast_to(u[:, None], (n_pulses, n_on)), exposures
-    )
-    voltages = np.zeros((n_pulses, n_off + n_on))
-    voltages[:, n_off:] = np.where(
-        high,
-        _branch_voltage_unchecked(params, Branch.H, cfg.amplitude),
-        _branch_voltage_unchecked(params, Branch.L, cfg.amplitude),
-    )
-    dwells = np.concatenate((np.full(n_off, cfg.off_time / n_off), np.full(n_on, dt_on)))
-    times = _elapsed(state.clock, np.tile(dwells, n_pulses))
-    state.branch = Branch.H if high[-1, -1] else Branch.L
-    state.drift, state.clock = drift, float(times[-1])
-    return PulseTrace(times=times, voltages=voltages.ravel())
-
-
 def window_fractions(bits: BitStream, window: int) -> np.ndarray:
     """Ones-fraction of each disjoint window of `window` bits.
 
@@ -217,8 +151,6 @@ def window_fractions(bits: BitStream, window: int) -> np.ndarray:
 
 __all__ = [
     "PulseConfig",
-    "PulseTrace",
     "acquire_bits",
-    "trace_pulses",
     "window_fractions",
 ]

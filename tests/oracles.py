@@ -5,8 +5,8 @@ summation) and shares no code with the package's vectorized paths.  The
 device stepping references (hazard, step_device, drift_step, run_pulse) draw
 as the package does, from the stream pair of rtdrng.device.streams: a step's
 switch uniform is one scalar rng.switch.random() and its drift normal one
-scalar rng.drift.standard_normal().  The sweep and trace references are built
-on them with one DeviceState per step; ar1_oracle steps the drift
+scalar rng.drift.standard_normal().  The sweep reference is built on them
+with one DeviceState per step; ar1_oracle steps the drift
 recurrence alone, one Python float at a time.  The closed forms are
 switch_probability, the L->H probability of one exposure elementwise over
 arrays, and switch_current_distribution, a sweep's first-switch point built
@@ -220,6 +220,34 @@ def oracle_longest_runs(bits, m: int):
             best = max(best, run)
         out.append(best)
     return out
+
+
+def runs_at_most_counts(block_len: int, k: int) -> int:
+    """How many block_len-bit strings have no run of ones longer than k.
+
+    A string ends in t ones (t <= k) after a 0 that closes a shorter valid
+    string, or is all ones: a(n) = sum of a(n - t - 1) over t <= min(k, n - 1),
+    plus 1 when n <= k, with a(0) = 1; a running sum keeps each step O(1).
+    """
+    counts = [1]
+    sums = [0, 1]  # sums[i] = a(0) + ... + a(i - 1)
+    for n in range(1, block_len + 1):
+        a = sums[n] - sums[max(0, n - k - 1)] + (n <= k)
+        counts.append(a)
+        sums.append(sums[-1] + a)
+    return counts[block_len]
+
+
+def longest_run_class_law(block_len: int, lo: int, hi: int) -> list[float]:
+    """P(longest run <= lo), P(= lo + 1), ..., P(>= hi) in block_len fair bits, exactly.
+
+    Counts are Python ints; each class's count is divided by 2^M once, so
+    every probability is correctly rounded.
+    """
+    at_most = [runs_at_most_counts(block_len, k) for k in range(lo, hi)]
+    counts = [at_most[0]] + [b - a for a, b in zip(at_most, at_most[1:])]
+    counts.append(2**block_len - at_most[-1])
+    return [c / 2**block_len for c in counts]
 
 
 def oracle_cusum_z(bits, backward: bool) -> int:
@@ -612,42 +640,6 @@ def sweep_current_oracle(params, start, stop, steps, dt_per_step, rng, state=Non
     if state is not None:
         _copy_state(state, work)
     return currents, voltages, switch_current
-
-
-def trace_pulses_oracle(state, params, cfg, n_pulses, rng):
-    """Pulse-train voltage trace, one pulse and one sub-step at a time.
-
-    Each pulse draws as run_pulse does; the off sub-steps step the branch at
-    zero current, and each on sub-step reads the branch after the on-time
-    elapsed so far.  Returns (times, voltages) and advances `state` in place.
-    """
-    n_off = max(1, round(cfg.off_time / cfg.substep))
-    dt_off = cfg.off_time / n_off
-    n_on = max(1, round(cfg.width / cfg.substep))
-    dt_on = cfg.width / n_on
-    work = DeviceState()
-    _copy_state(work, state)
-    times = []
-    volts = []
-    t = work.clock
-    for _ in range(n_pulses):
-        u = rng.switch.random()
-        branch = work.branch
-        for _ in range(n_off):
-            branch = next_branch(params, branch, work.drift, 0.0, dt_off, u)
-            t += dt_off
-            times.append(t)
-            volts.append(0.0)
-        for j in range(1, n_on + 1):
-            branch = next_branch(params, branch, work.drift, cfg.amplitude, j * dt_on, u)
-            t += dt_on
-            times.append(t)
-            volts.append(_branch_voltage(params, branch, cfg.amplitude))
-        work = drift_step(work, params, cfg.period, rng)
-        work.branch = branch
-    work.clock = t
-    _copy_state(state, work)
-    return np.asarray(times), np.asarray(volts)
 
 
 # ---------------------------------------------------------------- bias control

@@ -98,7 +98,6 @@ _NON_DEFAULTS = {
     ("pulse", "width"): "0.5",
     ("pulse", "duty_cycle"): "0.25",
     ("pulse", "sample_offset"): "0.5",
-    ("pulse", "substep"): "0.002",
     ("controller", "setpoint"): "0.45",
     ("controller", "window"): "100",
     ("controller", "gain"): "0.1",
@@ -317,6 +316,12 @@ class TestSweepCommand:
         assert run_cli("sweep", "--repeats", 2, flag, value, "--out-dir", tmp_path) == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_sidecar_records_bins(self, tmp_path):
+        code = run_cli("sweep", "--repeats", 3, "--steps", 50, "--bins", 7, "--out-dir", tmp_path)
+        assert code == 0
+        assert read_sidecar(tmp_path / "sweep.meta")["bins"] == "7"
+        assert len((tmp_path / "switch_hist.tsv").read_text().strip().split("\n")) == 1 + 7
+
     def test_reverse_switches_at_valley(self, tmp_path):
         cfg = tmp_path / "pipeline.ini"
         cfg.write_text("[device]\ndrift_sigma = 0\n")
@@ -430,6 +435,26 @@ class TestTestCommand:
         assert stage(tmp_path / "without") == want
         assert opened == [None]
         assert sorted(want[1]) == ["report.json", "report.tsv", "test.meta"]
+
+    def test_sidecar_records_the_suite(self, tmp_path):
+        # a non-standard battery's sidecar names every suite field it ran with
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[suite]\noverlapping_m = 10\nblock_frequency_m = 200\n")
+        raw = tmp_path / "raw.bits"
+        rng = np.random.default_rng(16)
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 400_000).astype(np.uint8)))
+        code = run_cli(
+            "test", "--config", cfg, "--in", raw, "--sequences", 1,
+            "--sequence-length", 400_000, "--out-dir", tmp_path,
+        )
+        assert code in (0, 1)  # the sidecar is written whatever the verdict
+        meta = read_sidecar(tmp_path / "test.meta")
+        assert meta["suite.overlapping_m"] == "10"
+        assert meta["suite.block_frequency_m"] == "200"
+        params = dataclasses.replace(load_config(cfg).suite, n=400_000, sequences=1)
+        assert {k: v for k, v in meta.items() if k.startswith("suite.")} == {
+            f"suite.{f.name}": str(getattr(params, f.name)) for f in dataclasses.fields(params)
+        }
 
     def test_all_zeros_fail_with_exit_one(self, tmp_path):
         # 4 sequences so the three-sigma bound is above zero and can bite
@@ -579,6 +604,13 @@ class TestUsageErrors:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[device]\nbogus = 1\n")
         assert run_cli("generate", "--config", cfg, "--count", 8, "--out", tmp_path / "x.bits") == 2
+
+    def test_removed_substep_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[pulse]\nsubstep = 0.01\n")
+        assert run_cli("generate", "--config", cfg, "--count", 8, "--out", tmp_path / "x.bits") == 2
+        assert "unknown key [pulse] substep" in capsys.readouterr().err
+        assert not (tmp_path / "x.bits").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

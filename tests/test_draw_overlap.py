@@ -31,7 +31,7 @@ from rtdrng.device import (
     sweep_branches,
     sweep_current,
 )
-from rtdrng.pulses import PulseConfig, acquire_bits, trace_pulses
+from rtdrng.pulses import PulseConfig, acquire_bits
 
 CHUNK = 257
 CFG = PulseConfig(amplitude=1.515, width=1.0)
@@ -196,14 +196,6 @@ def test_one_thread_start_per_chunk_after_the_first(monkeypatch, starts, count):
     monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
     acquire_bits(DeviceState(), DeviceParams(), CFG, count, streams(5))
     assert starts == ["rtdrng-draws"] * (-(-count // CHUNK) - 1)
-
-
-def test_trace_starts_no_thread(monkeypatch, starts):
-    # a trace draws all its pulses as one chunk, in line, whatever the chunk size
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4)
-    monkeypatch.setattr(device, "_CHUNK_PULSES", 4)
-    trace_pulses(DeviceState(), DeviceParams(), CFG, 3 * 4 + 1, streams(5))
-    assert starts == []
 
 
 def test_sweep_starts_one_thread_per_group_after_the_first(monkeypatch, starts):

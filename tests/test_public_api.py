@@ -32,6 +32,8 @@ REMOVED = {
         "BranchRangeError",
         "sweep_switch_probabilities",
         "_switch_probability",
+        "PulseTrace",
+        "trace_pulses",
     ],
     "rtdrng.device": [
         "iv_current",
@@ -42,6 +44,7 @@ REMOVED = {
     ],
     "rtdrng.nist": ["erfc", "berlekamp_massey", "gf2_rank", "aperiodic_templates"],
     "rtdrng.nist.gf2": ["berlekamp_massey", "gf2_rank"],
+    "rtdrng.pulses": ["PulseTrace", "trace_pulses"],
 }
 
 
@@ -67,10 +70,11 @@ def test_removed_members_are_gone():
     from rtdrng.device import SweepTrace
     from rtdrng.nist.battery import SuiteReport
     from rtdrng.nist.gf2 import __all__ as gf2_all
-    from rtdrng.pulses import PulseTrace
+    from rtdrng.pulses import PulseConfig
 
     assert not hasattr(BitStream, "from_bytes")
     assert not hasattr(SweepTrace, "points")
-    assert not hasattr(PulseTrace, "samples")
+    assert not hasattr(PulseConfig(), "off_time")
+    assert not hasattr(PulseConfig(), "substep")
     assert not hasattr(SuiteReport, "pvalue_fraction_below_alpha")
     assert "linear_complexities" not in gf2_all

@@ -17,7 +17,6 @@ from rtdrng.device import (
 from rtdrng.pulses import (
     PulseConfig,
     acquire_bits,
-    trace_pulses,
     window_fractions,
 )
 
@@ -30,9 +29,7 @@ class TestPulseConfig:
     def test_defaults(self):
         assert CFG.duty_cycle == 0.5
         assert CFG.sample_offset == 1.0
-        assert CFG.substep == pytest.approx(0.01)
         assert CFG.period == pytest.approx(2.0)
-        assert CFG.off_time == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,8 +38,6 @@ class TestPulseConfig:
             PulseConfig(amplitude=1.0, width=1.0, duty_cycle=1.0)
         with pytest.raises(ValueError):
             PulseConfig(amplitude=1.0, width=1.0, sample_offset=1.5)
-        with pytest.raises(ValueError):
-            PulseConfig(amplitude=1.0, width=1.0, substep=2.0)
 
 
 class TestHardBounds:
@@ -154,51 +149,13 @@ class TestAcquire:
         assert means[-1] > means[0]
 
 
-class TestTrace:
-    def test_low_amplitude_never_leaves_low(self):
-        cfg = PulseConfig(amplitude=0.9 * P.i_valley, width=1.0)
-        trace = trace_pulses(DeviceState(), P0, cfg, 20, streams(2))
-        low = 0.9 * P.i_valley * P.v_peak / P.i_peak
-        assert set(np.round(trace.voltages, 9)) <= {0.0, round(low, 9)}
-
-    def test_voltages_in_branch_ranges(self):
-        trace = trace_pulses(DeviceState(), P, CFG, 50, streams(3))
-        v = trace.voltages
-        in_l = (v >= 0.0) & (v <= P.v_peak + 1e-9)
-        in_h = v >= P.v_valley - 1e-9
-        assert np.all(in_l | in_h)
-
-    def test_times_strictly_increasing(self):
-        trace = trace_pulses(DeviceState(), P, CFG, 10, streams(4))
-        assert np.all(np.diff(trace.times) > 0)
-
-    def test_intra_pulse_transition_appears(self):
-        # over 100 pulses at the working point some pulse switches mid-flight
-        trace = trace_pulses(DeviceState(), P0, CFG, 100, streams(6))
-        low = 1.50 * P.v_peak / P.i_peak
-        high = P.v_valley + (1.50 - P.i_valley) / P.g_high
-        samples_per_period = round(CFG.period / CFG.substep)
-        n_on = round(CFG.width / CFG.substep)
-        found = False
-        v = trace.voltages
-        for k in range(100):
-            on_phase = v[k * samples_per_period + (samples_per_period - n_on) : (k + 1) * samples_per_period]
-            has_low = np.any(np.isclose(on_phase, low))
-            has_high = np.any(np.isclose(on_phase, high))
-            if has_low and has_high:
-                found = True
-                break
-        assert found
-
-
 @pytest.mark.parametrize(
     "drive",
     [
         lambda state, rng: acquire_bits(state, P0, CFG, 1, rng),
         lambda state, rng: acquire_bits(state, P0, CFG, 10, rng),
-        lambda state, rng: trace_pulses(state, P0, CFG, 10, rng),
     ],
-    ids=["one_pulse", "acquire_bits", "trace_pulses"],
+    ids=["one_pulse", "acquire_bits"],
 )
 def test_drift_below_zero_valley_rejected(drive):
     # the off phase resets to L only while the valley threshold stays above 0 mA
@@ -212,9 +169,8 @@ def test_drift_below_zero_valley_rejected(drive):
     [
         lambda state, rng: acquire_bits(state, P, CFG, 1000, rng),
         lambda state, rng: sweep_current(P, 0.0, 1.86, 300, 1.0, rng, state=state),
-        lambda state, rng: trace_pulses(state, P, CFG, 10, rng),
     ],
-    ids=["acquire_bits", "sweep_current", "trace_pulses"],
+    ids=["acquire_bits", "sweep_current"],
 )
 def test_nan_drift_rejected(drive):
     with pytest.raises(ValueError, match="drift must be finite"):

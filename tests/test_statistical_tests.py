@@ -8,6 +8,7 @@ import oracles
 from rtdrng.nist.sequence import as_sequence
 from rtdrng.nist.special import igamc, normal_cdf
 from rtdrng.nist.statistical_tests import (
+    _LONGEST_RUN_TABLES,
     SequenceTooShortError,
     TEST_ORDER,
     TestId,
@@ -201,6 +202,35 @@ class TestLongestRun:
         chi2 = sum((freq[i] - 100 * pi[i]) ** 2 / (100 * pi[i]) for i in range(6))
         want = igamc(2.5, chi2 / 2.0)
         assert longest_run_test(bits, PARAMS).pvalues[0] == pytest.approx(want, abs=1e-12)
+
+    def test_run_length_law_matches_enumeration(self):
+        # every M <= 16: count the blocks of all 2^M strings with each longest run
+        for m in range(1, 17):
+            blocks = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+            run = best = np.zeros(2**m, dtype=np.int64)
+            for col in blocks.T:
+                run = (run + 1) * col
+                best = np.maximum(best, run)
+            seen = np.cumsum(np.bincount(best, minlength=m + 1))
+            assert [oracles.runs_at_most_counts(m, k) for k in range(m + 1)] == seen.tolist()
+
+    @pytest.mark.parametrize("m, tol", [(8, 0.0), (128, 5e-10)])
+    def test_printed_table_matches_the_exact_law(self, m, tol):
+        # measured: M = 8 is exact, and M = 128 is off by at most 3.47e-10
+        (lo, hi), pi = _LONGEST_RUN_TABLES[m]
+        law = oracles.longest_run_class_law(m, lo, hi)
+        assert np.max(np.abs(np.subtract(pi, law))) <= tol
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the printed M = 10^4 table is off by up to 1.57e-3: "
+        "class 0 reads 0.0882 against an exact 0.086632",
+    )
+    def test_printed_table_at_ten_thousand_matches_the_exact_law(self):
+        # to the table's printed precision, half a unit in its fourth decimal
+        (lo, hi), pi = _LONGEST_RUN_TABLES[10_000]
+        law = oracles.longest_run_class_law(10_000, lo, hi)
+        assert np.max(np.abs(np.subtract(pi, law))) <= 5e-5
 
     def test_long_runs_fail(self):
         bits = np.zeros(12_800, dtype=np.uint8)

@@ -1,7 +1,7 @@
-"""The sweep latch, the closed-form trace and the array kernel against references.
+"""The sweep latch and the array kernel against references.
 
-sweep_current and trace_pulses draw every step in bulk and decide branches
-from switching thresholds; the oracles step the same model one DeviceState
+sweep_current draws every step in bulk and decides branches from
+switching thresholds; the oracles step the same model one DeviceState
 and one scalar uniform at a time, so every voltage, time, branch and grid
 switch current must agree bit for bit.  The drift, and a switch current on
 the drift-shifted peak or valley, agree within the drift scan's bound.
@@ -23,7 +23,6 @@ from oracles import (
     switch_probability,
     switching_hazard,
     sweep_current_oracle,
-    trace_pulses_oracle,
 )
 import rtdrng.device as device
 from rtdrng.device import (
@@ -35,7 +34,7 @@ from rtdrng.device import (
     sweep_branches,
     sweep_current,
 )
-from rtdrng.pulses import PulseConfig, acquire_bits, trace_pulses
+from rtdrng.pulses import PulseConfig, acquire_bits
 
 SIGMAS = (0.0, 0.03)
 TOP = 1.2 * 1.55
@@ -192,34 +191,6 @@ def test_lockstep_checks_arguments_before_drawing():
     with pytest.raises(ValueError, match="finite"):
         sweep_branches(DeviceParams(), 0.0, math.nan, 10, 1.0, 5, rng)
     assert rng.switch.random() == streams(0).switch.random()
-
-
-@pytest.mark.parametrize("sigma", SIGMAS)
-def test_trace_matches_step_device_oracle(sigma):
-    params = DeviceParams(drift_sigma=sigma)
-    cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.05)
-    rng, ref_rng = streams(8), streams(8)
-    state, ref_state = DeviceState(), DeviceState()
-    for _ in range(5):
-        got = trace_pulses(state, params, cfg, 20, rng)
-        times, voltages = trace_pulses_oracle(ref_state, params, cfg, 20, ref_rng)
-        assert np.array_equal(got.times, times)
-        assert np.array_equal(got.voltages, voltages)
-    _assert_same_state(state, ref_state, sigma)
-
-
-def test_trace_last_on_sample_is_acquired_bit():
-    params = DeviceParams(drift_sigma=0.03)
-    cfg = PulseConfig(amplitude=1.515, width=1.0, substep=0.03)
-    n_pulses = 400
-    state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
-    trace = trace_pulses(state, params, cfg, n_pulses, streams(9))
-    bits = acquire_bits(ref_state, params, cfg, n_pulses, streams(9)).to_array()
-    high = params.v_valley + (cfg.amplitude - params.i_valley) / params.g_high
-    last_on = trace.voltages.reshape(n_pulses, -1)[:, -1]
-    assert np.array_equal(last_on == high, bits.astype(bool))
-    assert 0.2 < bits.mean() < 0.8
-    assert (state.branch, state.drift) == (ref_state.branch, ref_state.drift)
 
 
 @pytest.mark.parametrize("drift", [0.0, 0.03, -0.05])
