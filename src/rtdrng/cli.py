@@ -50,7 +50,8 @@ def _sha256(path) -> str:
 
 
 def _flatten(prefix: str, obj) -> dict:
-    return {f"{prefix}.{f.name}": getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    # a None field (a length-dependent default) is left out: no INI key parses "None"
+    return {f"{prefix}.{k}": v for k, v in dataclasses.asdict(obj).items() if v is not None}
 
 
 def _load_config(args) -> PipelineConfig:

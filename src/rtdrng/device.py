@@ -38,16 +38,14 @@ _MS_PER_S = 1000.0
 _SCAN_ROW = 2048
 _SCAN_SPAN = 2.0**-64
 
-# steps per bulk drift draw: a chunk of pulses in pulses.acquire_bits or of
-# sweeps in sweep_branches, each step one float64 of the chunk's normals,
-# scanned in place into its drift path; also the bits per
-# pulses.window_fractions chunk
+# steps per chunk of _drawn, each step one float64 of the chunk's normals,
+# scanned in place into its drift path
 _CHUNK_PULSES = 1 << 18
 
-# points per latch group of a sweep chunk (one sweep at least), whose switch
-# uniforms, thresholds and latch temporaries are made together: float64
-# temporaries of 256 KiB
-_LATCH_POINTS = 1 << 15
+# steps per block of a chunk, whose switch uniforms and thresholds are made
+# and read together (a block of bits, or a sweep's latch group): float64
+# temporaries of 256 KiB, within one core's L2
+_BLOCK_PULSES = 1 << 15
 
 # Default stochastic calibration: with a 1 ms pulse the switching
 # probability crosses 0.5 at 1.515 mA, so the two working amplitudes
@@ -262,24 +260,28 @@ def _walk_terms(params: DeviceParams, dt: float) -> tuple[float, float]:
     return decay, scatter
 
 
-def _drawn(rng, params, dt, count, drift, chunk, block, check=None):
-    """The one draw loop of `count` steps of dt ms: (drifts, u, drift_after) per block.
+def _drawn(rng, params, dt, count, drift, exposure, row=1, check=None):
+    """The one draw loop of `count` steps of dt ms: (drifts, thresholds, drift_after) per block.
 
     Pulses and sweep points both draw here.  Each step takes its switch
-    uniform from rng.switch and its drift normal from rng.drift.  The steps
-    go in chunks of at most `chunk` and each chunk in blocks of at most
-    `block`, which never straddle a chunk.  A block yields the drift
-    entering each of its steps, their switch uniforms and the drift after
-    its last step.
+    uniform from rng.switch and its drift normal from rng.drift, and its
+    switching threshold for an exposure of `exposure` ms comes from the
+    two (_switch_thresholds, called here only).  The steps go in chunks of
+    at most _CHUNK_PULSES and each chunk in blocks of at most
+    _BLOCK_PULSES, which never straddle a chunk; chunks and blocks are
+    whole rows of `row` steps, one row at least, so a pulse train (row 1)
+    takes the full sizes and a sweep of `row` points is never split.  A
+    block yields the drift entering each of its steps, their thresholds
+    and the drift after its last step.
 
     The drift walks from `drift`, and each chunk's path is scanned
     (_drift_scan) in place from the previous chunk's end, so other chunk
     sizes agree within the scan's bound, not bit for bit.  check(drifts),
     if given, sees each chunk's whole path (the drift entering each step)
     before any of its blocks is handed out, and raises to reject it.  Each
-    block's uniforms are then drawn into one reused buffer of min(block,
-    chunk, count) floats just before it is yielded.  The uniforms are
-    stream-stable, so they equal one draw of all `count`.
+    block's uniforms are then drawn into one reused buffer, the size of
+    the first block, just before its thresholds are made and yielded.  The
+    uniforms are stream-stable, so they equal one draw of all `count`.
 
     The calling thread draws chunk 0's drift normals in line.  While chunk
     k is scanned and used, a thread named rtdrng-draws fills chunk k + 1's
@@ -288,9 +290,12 @@ def _drawn(rng, params, dt, count, drift, chunk, block, check=None):
     thread is joined before chunk k + 1 is scanned and when the generator
     closes, and its exception is raised here.  Nothing is drawn past the
     last step, so both streams end where drawing each chunk in line leaves
-    them.  A yielded block's arrays live until the next block is handed out.
+    them.  A yielded block's drifts live until the next block is handed
+    out; its thresholds are the caller's alone.
     """
     decay, scatter = _walk_terms(params, dt)
+    chunk = max(1, _CHUNK_PULSES // row) * row
+    block = max(1, _BLOCK_PULSES // row) * row
     sizes = [min(chunk, count - lo) for lo in range(0, count, chunk)]
     normals = [np.empty(_scan_size(m, decay)) for m in sizes[:2]]
     switch = np.empty(min(block, sizes[0]))
@@ -315,7 +320,8 @@ def _drawn(rng, params, dt, count, drift, chunk, block, check=None):
                 check(path[:-1])
             for i in range(0, m, block):
                 j = min(i + block, m)
-                yield path[i:j], rng.switch.random(out=switch[: j - i]), float(path[j])
+                u = rng.switch.random(out=switch[: j - i])
+                yield path[i:j], _switch_thresholds(params, path[i:j], u, exposure), float(path[j])
             drift = float(path[-1])
         finally:
             if ahead is not None:
@@ -350,11 +356,10 @@ def sweep_branches(
     The arguments are checked here, before anything is drawn.
 
     The sweeps are drawn end to end by _drawn, which gives the draw
-    contract: in chunks of at most _CHUNK_PULSES points and blocks (latch
-    groups) of at most _LATCH_POINTS points, each a whole number of sweeps,
-    one at least.  rng must not be drawn from elsewhere until the iterator
-    is exhausted or closed; closing it joins the draw thread.  Each group
-    makes its thresholds and runs the set/reset latch once over its rows,
+    contract and sizes the chunks and blocks (latch groups) in whole
+    sweeps.  rng must not be drawn from elsewhere until the iterator is
+    exhausted or closed; closing it joins the draw thread.  Each group
+    takes its thresholds and runs the set/reset latch once over its rows,
     each led by an entry for the start point.  That entry is forced only
     when `start` lies outside the drift-shifted window, and otherwise keeps
     the branch the previous row ended on (the state's branch for a group's
@@ -376,15 +381,12 @@ def sweep_branches(
 
 def _sweep_groups(params, start, currents, dt, repeats, rng, state):
     steps = currents.size
-    # a chunk and a latch group are whole sweeps, one at least
-    chunk = max(1, _CHUNK_PULSES // steps) * steps
-    block = max(1, _LATCH_POINTS // steps) * steps
-    draws = _drawn(rng, params, dt, repeats * steps, state.drift, chunk, block)
+    # a sweep is a row of the draws: each latch group is whole sweeps
+    draws = _drawn(rng, params, dt, repeats * steps, state.drift, dt, steps)
     try:
-        for drifts, u, drift in draws:
+        for drifts, thresholds, drift in draws:
             rows = drifts.size // steps
-            drifts, u = drifts.reshape(rows, steps), u.reshape(rows, steps)
-            thresholds = _switch_thresholds(params, drifts, u, dt)
+            drifts, thresholds = drifts.reshape(rows, steps), thresholds.reshape(rows, steps)
             valleys = params.i_valley + drifts
             # entry 0 of each row pre-positions the branch for the starting bias
             # point: settling there is part of the sweep setup, not a switch

@@ -12,16 +12,15 @@ therefore needs no sub-stepping.
 Pulses and sweep points both draw through device._drawn, whose docstring
 gives the draw contract: each step takes its switch uniform from one
 stream and its drift-update normal from another, the two spawned children
-of the run's seed (device.streams).  The scalar per-pulse reference lives
-in tests/oracles.py:run_pulse.
+of the run's seed (device.streams), and _drawn hands out the thresholds a
+block at a time.  The scalar per-pulse reference lives in
+tests/oracles.py:run_pulse.
 
 Acquisition (acquire_bits, the one pulse-train loop, which the closed loop
-runs with its own reader) draws chunks of _CHUNK_PULSES pulses and reads
-them in blocks of _BLOCK_PULSES, so the uniforms and each float64
-temporary stay at 256 KiB, within one core's L2; a reader's window may
-straddle blocks as it straddles chunks.  The bits and the streams'
-positions equal those of drawing each chunk in line and reading it whole
-(the serial chunk loop in tests/oracles.py).
+runs with its own reader) reads each block of thresholds as _drawn sizes
+it; a reader's window may straddle blocks as it straddles chunks.  The
+bits and the streams' positions equal those of drawing each chunk in line
+and reading it whole (the serial chunk loop in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -32,20 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bits as _bits
 from .bits import BitStream, _Packer
-from .device import (
-    _CHUNK_PULSES,
-    _drawn,
-    _switch_thresholds,
-    Branch,
-    DeviceParams,
-    DeviceState,
-    ModelRangeError,
-    Streams,
-)
-
-# pulses per block of a chunk whose thresholds are made and read together
-_BLOCK_PULSES = 1 << 15
+from .device import _drawn, Branch, DeviceParams, DeviceState, ModelRangeError, Streams
 
 
 @dataclass(frozen=True)
@@ -99,27 +87,28 @@ def acquire_bits(
 
     Each bit is cfg.amplitude > its pulse's switching threshold, unless
     read(thresholds, bits) writes each block's bits (the closed loop's
-    reader).  The pulses come from device._drawn (see there) in chunks of
-    up to _CHUNK_PULSES pulses, each reset-checked whole, and blocks of up
-    to _BLOCK_PULSES, each read into one reused bool buffer and packed; so
-    the working set is bounded by the chunk, not by `count`.  The draws are
-    closed, and their thread joined, before the call returns or raises; the
-    state advances in place only once every block has been read.
+    reader).  The thresholds come from device._drawn (see there) a block
+    at a time, each chunk reset-checked whole; each block is read into one
+    reused bool buffer and packed, so the working set is bounded by the
+    chunk, not by `count`.  The draws are closed, and their thread joined,
+    before the call returns or raises; the state advances in place only
+    once every block has been read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
     exposure = cfg.width * cfg.sample_offset
-    buf = np.empty(min(_BLOCK_PULSES, _CHUNK_PULSES, count), dtype=bool)
     out = _Packer(count)
     check = functools.partial(_require_reset, params)
-    draws = _drawn(
-        rng, params, cfg.period, count, state.drift, _CHUNK_PULSES, _BLOCK_PULSES, check
-    )
+    draws = _drawn(rng, params, cfg.period, count, state.drift, exposure, check=check)
+    buf = None
     try:
-        for drifts, u, drift in draws:
-            bits = buf[: drifts.size]
-            read(_switch_thresholds(params, drifts, u, exposure), bits)
+        for _, thresholds, drift in draws:
+            if buf is None:  # the first block is the largest
+                buf = np.empty(thresholds.size, dtype=bool)
+            bits = buf[: thresholds.size]
+            read(thresholds, bits)
+            del thresholds  # freed before _drawn makes the next block's
             out.append(bits)
     finally:
         draws.close()
@@ -132,15 +121,16 @@ def acquire_bits(
 def window_fractions(bits: BitStream, window: int) -> np.ndarray:
     """Ones-fraction of each disjoint window of `window` bits.
 
-    Windows are unpacked about _CHUNK_PULSES bits at a time (at least one
-    window), so only the fractions grow with the stream.
+    Windows are unpacked about bits._CHUNK_BITS bits at a time (at least
+    one window), as BitStream.ones_fraction scans, so only the fractions
+    grow with the stream.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if len(bits) < window:
         raise ValueError("bit stream shorter than one window")
     n_windows = len(bits) // window
-    per_chunk = max(1, _CHUNK_PULSES // window)
+    per_chunk = max(1, _bits._CHUNK_BITS // window)
     fractions = np.empty(n_windows)
     for lo in range(0, n_windows, per_chunk):
         hi = min(lo + per_chunk, n_windows)

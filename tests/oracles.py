@@ -16,8 +16,9 @@ acquire_bits and next_amplitude.
 The serial chunk references are the exception: they are a reference for the
 scheduling of acquisition, not for its arithmetic.  They run the chunk loop
 with every draw in line (_draw_steps, on the package's own _drift_scan) and
-through _switch_thresholds, a whole chunk at once, so acquisition must
-match them bit for bit.  The truth replay (true_switch_probabilities,
+through _switch_thresholds a whole chunk at once, where device._drawn makes
+the thresholds a block at a time, so acquisition must match them bit for
+bit.  The truth replay (true_switch_probabilities,
 block_min_entropy) is built on the same in-line draws: it gives each
 pulse's true switch probability from a run's own draws, the ground truth
 for entropy and extraction claims.
@@ -28,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-import rtdrng.pulses as pulses
+import rtdrng.device as device
 from rtdrng.control import next_amplitude
 from rtdrng.device import (
     Branch,
@@ -693,13 +694,13 @@ def _draw_steps(params, drift: float, count: int, dt: float, rng):
 def serial_draws(state, params, cfg, count: int, rng):
     """Yield each chunk's (drifts, u), drawing every chunk in line.
 
-    Chunks of up to pulses._CHUNK_PULSES pulses, each one _draw_steps call
+    Chunks of up to device._CHUNK_PULSES pulses, each one _draw_steps call
     from the drift the previous chunk ended on.  Advances state.drift and
     state.clock once exhausted.
     """
     drift = state.drift
-    for done in range(0, count, pulses._CHUNK_PULSES):
-        m = min(pulses._CHUNK_PULSES, count - done)
+    for done in range(0, count, device._CHUNK_PULSES):
+        m = min(device._CHUNK_PULSES, count - done)
         drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
         yield drifts, u
     state.drift = drift

@@ -1,7 +1,7 @@
 """Acquisition read in blocks inside each chunk, against whole chunks read in line.
 
-acquire_bits draws a chunk's switch uniforms, and makes and reads its
-thresholds, _BLOCK_PULSES pulses at a time.  At every block size, open and
+acquire_bits reads a chunk's thresholds as device._drawn hands them out,
+device._BLOCK_PULSES pulses at a time.  At every block size, open and
 closed loop must equal the serial chunk loop (oracles.serial_acquire,
 oracles.serial_closed_loop), which draws and reads each chunk whole: the
 bits, the closed loop's ratios and amplitudes (its windows straddle blocks
@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-import rtdrng.pulses as pulses
+import rtdrng.device as device
 from oracles import serial_acquire, serial_closed_loop
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import Branch, DeviceParams, DeviceState, ModelRangeError, streams
@@ -31,8 +31,8 @@ PARAMS = DeviceParams(drift_sigma=0.03)
 
 @pytest.fixture(params=BLOCKS)
 def block(request, monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
-    monkeypatch.setattr(pulses, "_BLOCK_PULSES", request.param)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_BLOCK_PULSES", request.param)
     return request.param
 
 

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-import rtdrng.pulses as pulses
+import rtdrng.device as device
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import Branch, DeviceParams, DeviceState, ModelRangeError, streams
 from rtdrng.pulses import PulseConfig, acquire_bits
@@ -30,7 +30,7 @@ def _no_helper_alive():
 
 @pytest.mark.parametrize("failing_chunk", [0, len(SIZES) - 1])
 def test_reader_failure_leaves_state_and_no_thread(monkeypatch, failing_chunk):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     seen = []
 
     def read(thresholds, bits):
@@ -52,7 +52,7 @@ def test_reader_failure_leaves_state_and_no_thread(monkeypatch, failing_chunk):
 def test_reset_failure_leaves_state_and_no_thread(monkeypatch):
     # a fast, wide drift whose valley reaches 0 mA a few thousand pulses in
     # at seed 70: the first chunks are read and a later one fails
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     params = DeviceParams(drift_sigma=0.25, drift_tau=1.0)
     seen = []
 

@@ -2,8 +2,11 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.cli import build_parser, main
 from rtdrng.config import _SCHEMA, ConfigError, _stage_keys, default_config, load_config
+from rtdrng.nist import TestParams
 from rtdrng.pulses import window_fractions
 from rtdrng.sidecar import read_sidecar, write_sidecar
 
@@ -453,8 +457,29 @@ class TestTestCommand:
         assert meta["suite.block_frequency_m"] == "200"
         params = dataclasses.replace(load_config(cfg).suite, n=400_000, sequences=1)
         assert {k: v for k, v in meta.items() if k.startswith("suite.")} == {
-            f"suite.{f.name}": str(getattr(params, f.name)) for f in dataclasses.fields(params)
+            f"suite.{f.name}": str(getattr(params, f.name))
+            for f in dataclasses.fields(params)
+            if getattr(params, f.name) is not None
         }
+
+    def test_standard_sidecar_rebuilds_its_suite(self, tmp_path):
+        # a length-dependent (None) field is left out, so an INI made of the
+        # sidecar's suite entries loads back to the suite the run used
+        raw = tmp_path / "raw.bits"
+        rng = np.random.default_rng(17)
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 400_000).astype(np.uint8)))
+        code = run_cli(
+            "test", "--in", raw, "--sequences", 1, "--sequence-length", 400_000,
+            "--out-dir", tmp_path / "run",
+        )
+        assert code in (0, 1)
+        meta = read_sidecar(tmp_path / "run" / "test.meta")
+        assert "None" not in meta.values()
+        suite = {k[len("suite.") :]: v for k, v in meta.items() if k.startswith("suite.")}
+        suite["sequence_length"] = suite.pop("n")
+        ini = tmp_path / "rerun.ini"
+        ini.write_text("[suite]\n" + "".join(f"{k} = {v}\n" for k, v in suite.items()))
+        assert load_config(ini).suite == TestParams(n=400_000, sequences=1)
 
     def test_all_zeros_fail_with_exit_one(self, tmp_path):
         # 4 sequences so the three-sigma bound is above zero and can bite
@@ -816,3 +841,17 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_python_example_runs():
+    [code] = _readme_blocks("python")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=README.parent,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout in ("True\n", "False\n")

@@ -19,7 +19,6 @@ import pytest
 
 import rtdrng.control as control
 import rtdrng.device as device
-import rtdrng.pulses as pulses
 from oracles import serial_acquire, serial_closed_loop
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
@@ -82,7 +81,7 @@ class _FailingDrift:
 @pytest.mark.parametrize("sigma", [0.0, 0.008, 0.03])
 @pytest.mark.parametrize("count", COUNTS)
 def test_open_loop_matches_serial_chunks(monkeypatch, count, sigma):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     params = DeviceParams(drift_sigma=sigma)
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
     rng, ref = streams(80 + count), streams(80 + count)
@@ -96,7 +95,7 @@ def test_open_loop_matches_serial_chunks(monkeypatch, count, sigma):
 @pytest.mark.parametrize("count", COUNTS)
 def test_closed_loop_matches_serial_chunks(monkeypatch, count, sigma):
     # one-pulse windows: the command moves after every pulse
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     params = DeviceParams(drift_sigma=sigma)
     ctrl = default_controller(params, window=1)
     state, ref_state = DeviceState(drift=0.01), DeviceState(drift=0.01)
@@ -114,7 +113,7 @@ def test_closed_loop_matches_serial_chunks(monkeypatch, count, sigma):
 
 def test_whole_chunks_match_serial_chunks():
     # the chunk size acquisition runs at, over three and a bit chunks
-    count = 3 * pulses._CHUNK_PULSES + 5
+    count = 3 * device._CHUNK_PULSES + 5
     params = DeviceParams()
     state, ref_state = DeviceState(), DeviceState()
     rng, ref = streams(7), streams(7)
@@ -125,7 +124,7 @@ def test_whole_chunks_match_serial_chunks():
 
 
 def test_no_thread_outlives_a_call(monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     before = threading.active_count()
     acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * CHUNK + 5, streams(1))
     assert threading.active_count() == before
@@ -137,7 +136,7 @@ def test_no_thread_outlives_a_call(monkeypatch):
 def test_no_thread_outlives_a_reset_failure(monkeypatch):
     # a fast, wide drift whose valley reaches 0 mA a few thousand pulses in
     # at seed 70: the first chunk runs clean and a later one fails
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     params = DeviceParams(drift_sigma=0.25, drift_tau=1.0)
     acquire_bits(DeviceState(), params, CFG, CHUNK, streams(70))
     before = threading.active_count()
@@ -151,7 +150,7 @@ def test_no_thread_outlives_a_reset_failure(monkeypatch):
 
 
 def test_no_thread_outlives_an_abandoned_loop(monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     calls = []
 
     def refuse_late(ctrl, amplitude, ratio):
@@ -172,14 +171,13 @@ def test_no_thread_outlives_an_abandoned_loop(monkeypatch):
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
     # chunk 0's drift normals are drawn in line and chunk 1's on the helper,
-    # which fails
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    # which fails; one chunk of GROUP sweeps is as many pulses
     monkeypatch.setattr(device, "_CHUNK_PULSES", GROUP * STEPS)
     before = threading.active_count()
     drift = _FailingDrift(4)
     broken = Streams(switch=np.random.default_rng(4), drift=drift)
     with pytest.raises(RuntimeError, match="second fill failed"):
-        acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * CHUNK, broken)
+        acquire_bits(DeviceState(), DeviceParams(), CFG, 3 * GROUP * STEPS, broken)
     assert drift.fills == [threading.current_thread().name, "rtdrng-draws"]
     drift = _FailingDrift(4)
     broken = Streams(switch=np.random.default_rng(4), drift=drift)
@@ -193,7 +191,7 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_one_thread_start_per_chunk_after_the_first(monkeypatch, starts, count):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", CHUNK)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK)
     acquire_bits(DeviceState(), DeviceParams(), CFG, count, streams(5))
     assert starts == ["rtdrng-draws"] * (-(-count // CHUNK) - 1)
 
@@ -224,7 +222,7 @@ def test_concurrent_calls_under_fast_switching(monkeypatch):
     # more calls than cores, each with its own draw threads, with the
     # interpreter switching threads every microsecond: a fill that overlapped
     # its caller's use of the same buffers would change the bits
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 64)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", 64)
     count = 64 * 40 + 3
     expected = {
         seed: serial_acquire(DeviceState(), DeviceParams(), CFG, count, streams(seed))

@@ -20,9 +20,9 @@ import pytest
 
 import rtdrng.bits as bits_module
 import rtdrng.cli as cli
+import rtdrng.device as device
 import rtdrng.extractor as extractor
 import rtdrng.nist.sequence as sequence_module
-import rtdrng.pulses as pulses
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import DeviceParams, DeviceState, streams
@@ -85,7 +85,7 @@ def test_extract_chunk_fits_its_budget(l):
 
 
 def test_acquire_bits(monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", 4096)
     peaks = [
         traced_peak(acquire_bits, DeviceState(), P, CFG, count, streams(2))
         for count in (20_000, 80_000)
@@ -94,7 +94,7 @@ def test_acquire_bits(monkeypatch):
 
 
 def test_closed_loop(monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
+    monkeypatch.setattr(device, "_CHUNK_PULSES", 4096)
     ctrl = default_controller(P, window=100)
     peaks = [
         traced_peak(run_closed_loop, DeviceState(), P, CFG, ctrl, windows * 100, streams(3))
@@ -122,7 +122,7 @@ def test_window_tables(tmp_path):
 
 
 def test_window_fractions(monkeypatch):
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", 4096)
+    monkeypatch.setattr(bits_module, "_CHUNK_BITS", 4096)
     inputs = [random_stream(windows * 500, windows) for windows in (100, 400)]
     peaks = [traced_peak(window_fractions, stream, 500) for stream in inputs]
     assert_growth_within(peaks, 300 * 8)

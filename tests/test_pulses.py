@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rtdrng.device as device
 import rtdrng.pulses as pulses
 from oracles import drift_close, run_pulse, switch_probability
 from rtdrng.bits import BitStream
@@ -83,7 +84,7 @@ class TestScalarBatchEquivalence:
 
     def test_chunking_invisible(self, monkeypatch):
         full = acquire_bits(DeviceState(), P, CFG, 1500, streams(5))
-        monkeypatch.setattr(pulses, "_CHUNK_PULSES", 257)
+        monkeypatch.setattr(device, "_CHUNK_PULSES", 257)
         chunked = acquire_bits(DeviceState(), P, CFG, 1500, streams(5))
         assert full == chunked
 

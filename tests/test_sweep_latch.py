@@ -1,9 +1,10 @@
 """The sweep latch run in sub-groups of a drift chunk, against the whole chunk at once.
 
-sweep_branches takes its draws from device._drawn, whose docstring gives
-the draw contract, in chunks of at most _CHUNK_PULSES points and latch
-groups of at most _LATCH_POINTS points (one sweep at least), and makes the
-thresholds and runs the latch a group at a time.  Latching a whole chunk at
+sweep_branches takes its thresholds from device._drawn, whose docstring
+gives the draw contract, in chunks of at most _CHUNK_PULSES points and
+latch groups of at most _BLOCK_PULSES points, each whole sweeps (one sweep
+at least), and runs the latch a group at a time.  _BLOCK_PULSES is also
+acquisition's block, so one setting sizes both.  Latching a whole chunk at
 once is the reference.  At groups of one
 sweep, seven sweeps and more than a chunk, every sweep's branch rows and
 switch current, the state at each chunk's end and at the end (branch,
@@ -19,6 +20,7 @@ import pytest
 
 import rtdrng.device as device
 from rtdrng.device import Branch, DeviceParams, DeviceState, streams, sweep_branches, sweep_current
+from rtdrng.pulses import PulseConfig, acquire_bits
 
 STEPS, CHUNK_SWEEPS, REPEATS = 60, 23, 50
 TOP = 1.2 * 1.55
@@ -49,7 +51,7 @@ def _snapshot(state):
 def _run(monkeypatch, group, params, start, stop, branch, seed):
     """Rows, switches, group sizes, state at each yield, end state and rng of one run."""
     monkeypatch.setattr(device, "_CHUNK_PULSES", CHUNK_SWEEPS * STEPS)
-    monkeypatch.setattr(device, "_LATCH_POINTS", group * STEPS)
+    monkeypatch.setattr(device, "_BLOCK_PULSES", group * STEPS)
     state, rng = _start_state(branch), streams(seed)
     _, groups = sweep_branches(params, start, stop, STEPS, 1.0, REPEATS, rng, state)
     rows, switches, sizes, states = [], [], [], {}
@@ -113,7 +115,7 @@ def test_sweep_current_reads_its_one_group(monkeypatch, ramp, params, points):
     start, stop, branch = ramp
 
     def chained(latch_points):
-        monkeypatch.setattr(device, "_LATCH_POINTS", latch_points)
+        monkeypatch.setattr(device, "_BLOCK_PULSES", latch_points)
         state, rng = _start_state(branch), streams(23)
         traces = [sweep_current(params, start, stop, STEPS, 1.0, rng, state) for _ in range(3)]
         return traces, state, rng
@@ -130,3 +132,24 @@ def test_sweep_current_reads_its_one_group(monkeypatch, ramp, params, points):
     assert state == ref_state
     assert rng.switch.random() == ref_rng.switch.random()
     assert rng.drift.standard_normal() == ref_rng.drift.standard_normal()
+
+
+@pytest.mark.parametrize("block", [1, STEPS - 1, STEPS, 7 * STEPS + 5])
+def test_one_block_size_for_pulses_and_sweeps(monkeypatch, block):
+    # one setting sizes acquisition's blocks and a sweep's latch groups,
+    # which it rounds down to whole sweeps, one sweep at least
+    monkeypatch.setattr(device, "_BLOCK_PULSES", block)
+    params = DRIFTS["sigma0.03"]
+    seen = []
+
+    def read(thresholds, bits):
+        seen.append(thresholds.size)
+        bits[:] = False
+
+    acquire_bits(DeviceState(), params, PulseConfig(), 3 * block + 1, streams(24), read)
+    assert seen == [block, block, block, 1]
+    _, groups = sweep_branches(params, 0.0, TOP, STEPS, 1.0, REPEATS, streams(24))
+    per_group = max(1, block // STEPS)
+    assert [len(switches) for _, switches in groups] == [
+        min(per_group, REPEATS - lo) for lo in range(0, REPEATS, per_group)
+    ]

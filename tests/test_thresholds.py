@@ -9,7 +9,7 @@ draws all thresholds in bulk, must equal the per-window acquire_bits loop.
 import numpy as np
 import pytest
 
-import rtdrng.pulses as pulses
+import rtdrng.device as device
 from oracles import closed_loop_oracle, drift_close, drift_step, switch_probability
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
@@ -73,7 +73,7 @@ def test_threshold_leaves_uniforms_untouched():
 @pytest.mark.parametrize("window", [1, 100, 500, 777])
 def test_closed_loop_matches_per_window_oracle(monkeypatch, window, sigma, chunk):
     if chunk is not None:
-        monkeypatch.setattr(pulses, "_CHUNK_PULSES", chunk)
+        monkeypatch.setattr(device, "_CHUNK_PULSES", chunk)
     params = DeviceParams(drift_sigma=sigma)
     ctrl = default_controller(params, window=window)
     n_windows = max(3, 4000 // window)
@@ -112,7 +112,7 @@ def test_closed_loop_rejects_drift_crossing_below_zero_valley(monkeypatch):
     # in a chunk past the first
     params = DeviceParams(drift_sigma=0.25, drift_tau=1.0)
     crossing = _first_reset_failure(params, 70, 20_000)
-    monkeypatch.setattr(pulses, "_CHUNK_PULSES", min(257, crossing))
+    monkeypatch.setattr(device, "_CHUNK_PULSES", min(257, crossing))
     window = min(100, crossing)
     ctrl = default_controller(params, window=window)
     clean = crossing // window
