@@ -135,7 +135,7 @@ def write_bits(path, stream: BitStream) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, len(stream)))
-        fh.write(stream.to_bytes())
+        fh.write(stream._packed)  # the payload itself, not a copy
 
 
 def read_bits(path) -> BitStream:

@@ -49,6 +49,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _digests(out_dir: Path, names) -> dict:
+    # one sha256.<file> entry for each output the stage wrote into out_dir
+    return {f"sha256.{name}": _sha256(out_dir / name) for name in names}
+
+
 def _flatten(prefix: str, obj) -> dict:
     # a None field (a length-dependent default) is left out: no INI key parses "None"
     return {f"{prefix}.{k}": v for k, v in dataclasses.asdict(obj).items() if v is not None}
@@ -208,6 +213,8 @@ def cmd_sweep(args) -> int:
         meta["switch_mean_ma"] = float(observed.mean())
         meta["switch_std_ma"] = float(observed.std())
     meta.update(_flatten("device", cfg.device))
+    hist = ["switch_hist.tsv"] if observed.size else []
+    meta.update(_digests(out_dir, ["sweeps.tsv", "switch_currents.tsv", *hist]))
     write_sidecar(out_dir / "sweep.meta", meta)
     print(f"recorded {observed.size} switches over {args.repeats} sweeps in {out_dir}")
     return 0
@@ -293,6 +300,7 @@ def cmd_test(args) -> int:
             "rows_failing": failing,
             "overall_pass": report.overall_pass,
             **_flatten("suite", params),
+            **_digests(out_dir, ["report.json", "report.tsv"]),
         },
     )
     verdict = "PASS" if report.overall_pass else "FAIL"

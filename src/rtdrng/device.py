@@ -111,7 +111,7 @@ class DeviceParams:
 
 @dataclass
 class DeviceState:
-    """Branch occupancy, threshold drift (mA) and elapsed time (ms).
+    """Branch occupancy and threshold drift (mA).
 
     An instance is advanced sequentially; distinct instances are independent
     and safe to run in parallel.
@@ -119,12 +119,10 @@ class DeviceState:
 
     branch: Branch = Branch.L
     drift: float = 0.0
-    clock: float = 0.0
 
     def __post_init__(self):
-        for name in ("drift", "clock"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.drift):
+            raise ValueError("drift must be finite")
 
 
 class Streams(NamedTuple):
@@ -330,11 +328,6 @@ def _drawn(rng, params, dt, count, drift, exposure, row=1, check=None):
             raise caught[0]
 
 
-def _elapsed(clock: float, dwells: np.ndarray) -> np.ndarray:
-    # the clock after each dwell, summed left to right as a stepping loop would
-    return np.cumsum(np.concatenate(([clock], dwells)))[1:]
-
-
 def sweep_branches(
     params: DeviceParams,
     start: float,
@@ -363,8 +356,8 @@ def sweep_branches(
     each led by an entry for the start point.  That entry is forced only
     when `start` lies outside the drift-shifted window, and otherwise keeps
     the branch the previous row ended on (the state's branch for a group's
-    first row).  Before a group is yielded the state takes its end branch,
-    clock and drift.
+    first row).  Before a group is yielded the state takes its end branch
+    and drift.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -424,7 +417,6 @@ def _sweep_groups(params, start, currents, dt, repeats, rng, state):
             ]
             state.branch = Branch.H if high[-1, -1] else Branch.L
             state.drift = drift
-            state.clock = float(_elapsed(state.clock, np.full(rows * steps, dt))[-1])
             # free the group's temporaries (_drawn holds its drift path) before its lines are made
             del valleys, changes
             yield high[:, 1:], switches

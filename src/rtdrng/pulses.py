@@ -2,12 +2,12 @@
 
 A pulse period is an off phase at zero current (which resets the device to
 the L branch) followed by an on phase at the configured amplitude.  The
-branch read at the sample instant maps to one bit: L -> 0, H -> 1.  Because
-the hazard is constant during a pulse, each pulse has a random L->H
+branch read at the end of the on phase maps to one bit: L -> 0, H -> 1.
+Because the hazard is constant during a pulse, each pulse has a random L->H
 switching threshold, a function of its switch uniform and the drift only,
 and the bit is exactly `amplitude > threshold`: a Bernoulli draw with
-p = 1 - exp(-rate(amplitude) * width * sample_offset).  Acquisition
-therefore needs no sub-stepping.
+p = 1 - exp(-rate(amplitude) * width).  Acquisition therefore needs no
+sub-stepping.
 
 Pulses and sweep points both draw through device._drawn, whose docstring
 gives the draw contract: each step takes its switch uniform from one
@@ -38,16 +38,15 @@ from .device import _drawn, Branch, DeviceParams, DeviceState, ModelRangeError, 
 
 @dataclass(frozen=True)
 class PulseConfig:
-    """Amplitude (mA), width (ms), duty cycle and sampling rule of a train.
+    """Amplitude (mA), width (ms) and duty cycle of a pulse train.
 
-    sample_offset is the fraction of the pulse width at which the voltage is
-    read (1.0 = end of pulse, the SMU protocol).
+    The voltage is read at the end of each pulse (the SMU protocol), so the
+    width is the exposure of every bit.
     """
 
     amplitude: float = 1.50
     width: float = 1.0
     duty_cycle: float = 0.5
-    sample_offset: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.amplitude < math.inf:
@@ -56,8 +55,6 @@ class PulseConfig:
             raise ValueError("width must be positive and finite")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must be in (0, 1)")
-        if not 0.0 < self.sample_offset <= 1.0:
-            raise ValueError("sample_offset must be in (0, 1]")
 
     @property
     def period(self) -> float:
@@ -97,10 +94,9 @@ def acquire_bits(
     if count < 1:
         raise ValueError("count must be at least 1")
     read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
-    exposure = cfg.width * cfg.sample_offset
     out = _Packer(count)
     check = functools.partial(_require_reset, params)
-    draws = _drawn(rng, params, cfg.period, count, state.drift, exposure, check=check)
+    draws = _drawn(rng, params, cfg.period, count, state.drift, cfg.width, check=check)
     buf = None
     try:
         for _, thresholds, drift in draws:
@@ -113,7 +109,6 @@ def acquire_bits(
     finally:
         draws.close()
     state.drift = drift
-    state.clock = state.clock + count * cfg.period
     state.branch = Branch.H if bits[-1] else Branch.L
     return out.stream()
 

@@ -251,6 +251,27 @@ def longest_run_class_law(block_len: int, lo: int, hi: int) -> list[float]:
     return [c / 2**block_len for c in counts]
 
 
+def universal_log_distance_moments(block_len: int) -> tuple[float, float]:
+    """Mean and variance of log2 D, where D ~ Geometric(p = 2^-L) on 1, 2, ...
+
+    D is the distance, in L-bit blocks of fair bits, back to the previous
+    occurrence of a block: P(D = i) = p (1 - p)^(i - 1).  The sums stop where
+    (1 - p)^i falls below 2^-60, past which the tail of E[log2(D)^2] is below
+    1e-15; numpy's pairwise sums keep the rounding near 1e-14.
+    """
+    p = 2.0**-block_len
+    log_q = math.log1p(-p)
+    terms = math.ceil(60 * math.log(2.0) / -log_q)
+    mean = square = 0.0
+    for lo in range(1, terms + 1, 1 << 20):
+        i = np.arange(lo, min(lo + (1 << 20), terms + 1), dtype=np.float64)
+        weights = p * np.exp((i - 1) * log_q)
+        logs = np.log2(i)
+        mean += float(np.sum(weights * logs))
+        square += float(np.sum(weights * logs * logs))
+    return mean, square - mean * mean
+
+
 def oracle_cusum_z(bits, backward: bool) -> int:
     seq = [2 * int(b) - 1 for b in bits]
     if backward:
@@ -550,7 +571,7 @@ def drift_step(state, params, dt: float, rng):
     decay = math.exp(-dt / tau_ms)
     scatter = params.drift_sigma * math.sqrt(-math.expm1(-2.0 * dt / tau_ms))
     z = float(rng.drift.standard_normal())
-    return DeviceState(state.branch, state.drift * decay + scatter * z, state.clock)
+    return DeviceState(state.branch, state.drift * decay + scatter * z)
 
 
 def ar1_oracle(z, decay: float, scatter: float, drift: float) -> list:
@@ -584,24 +605,24 @@ def step_device(state, params, i: float, dt: float, rng):
         raise ValueError("dt must be positive")
     branch = next_branch(params, state.branch, state.drift, i, dt, rng.switch.random())
     after = drift_step(state, params, dt, rng)
-    return DeviceState(branch, after.drift, state.clock + dt)
+    return DeviceState(branch, after.drift)
 
 
 def run_pulse(state, params, cfg, rng):
     """One pulse period read as a bit: (post-pulse state, bit).
 
     The off phase resets to L, the switch uniform is read against the
-    probability at width*sample_offset, and the drift steps once per period.
+    probability at the width, and the drift steps once per period.
     """
     u = rng.switch.random()
-    p = -math.expm1(-hazard(params, cfg.amplitude, state.drift) * cfg.width * cfg.sample_offset)
+    p = -math.expm1(-hazard(params, cfg.amplitude, state.drift) * cfg.width)
     bit = int(u < p)
     after = drift_step(state, params, cfg.period, rng)
-    return DeviceState(Branch.H if bit else Branch.L, after.drift, state.clock + cfg.period), bit
+    return DeviceState(Branch.H if bit else Branch.L, after.drift), bit
 
 
 def _copy_state(dst, src) -> None:
-    dst.branch, dst.drift, dst.clock = src.branch, src.drift, src.clock
+    dst.branch, dst.drift = src.branch, src.drift
 
 
 def _branch_voltage(params, branch, i: float) -> float:
@@ -695,8 +716,8 @@ def serial_draws(state, params, cfg, count: int, rng):
     """Yield each chunk's (drifts, u), drawing every chunk in line.
 
     Chunks of up to device._CHUNK_PULSES pulses, each one _draw_steps call
-    from the drift the previous chunk ended on.  Advances state.drift and
-    state.clock once exhausted.
+    from the drift the previous chunk ended on.  Advances state.drift once
+    exhausted.
     """
     drift = state.drift
     for done in range(0, count, device._CHUNK_PULSES):
@@ -704,7 +725,6 @@ def serial_draws(state, params, cfg, count: int, rng):
         drifts, u, drift = _draw_steps(params, drift, m, cfg.period, rng)
         yield drifts, u
     state.drift = drift
-    state.clock = state.clock + count * cfg.period
 
 
 def serial_threshold_chunks(state, params, cfg, count: int, rng):
@@ -712,11 +732,10 @@ def serial_threshold_chunks(state, params, cfg, count: int, rng):
 
     The reset condition is checked on every pulse.
     """
-    exposure = cfg.width * cfg.sample_offset
     for drifts, u in serial_draws(state, params, cfg, count, rng):
         if not np.all(params.i_valley + drifts > 0.0):
             raise ModelRangeError("valley at or below zero current")
-        yield _switch_thresholds(params, drifts, u, exposure)
+        yield _switch_thresholds(params, drifts, u, cfg.width)
 
 
 def serial_acquire(state, params, cfg, count: int, rng):
@@ -760,7 +779,7 @@ def true_switch_probabilities(state, params, cfg, count: int, rng, amplitudes=No
     """
     drifts, u = map(np.concatenate, zip(*serial_draws(state, params, cfg, count, rng)))
     amplitude = cfg.amplitude if amplitudes is None else np.repeat(amplitudes, window)[:count]
-    return switch_probability(params, amplitude, drifts, cfg.width * cfg.sample_offset), u
+    return switch_probability(params, amplitude, drifts, cfg.width), u
 
 
 def block_min_entropy(p, n: int) -> np.ndarray:

@@ -37,7 +37,7 @@ def block(request, monkeypatch):
 
 
 def _start_state():
-    return DeviceState(branch=Branch.H, drift=0.01, clock=7.0)
+    return DeviceState(branch=Branch.H, drift=0.01)
 
 
 def _assert_same_next_draws(rng, ref):

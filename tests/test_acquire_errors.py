@@ -21,7 +21,7 @@ SIZES = [CHUNK, CHUNK, CHUNK, 5]
 
 
 def _start_state():
-    return DeviceState(branch=Branch.H, drift=0.01, clock=7.0)
+    return DeviceState(branch=Branch.H, drift=0.01)
 
 
 def _no_helper_alive():

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +103,6 @@ _NON_DEFAULTS = {
     ("pulse", "amplitude"): "1.53",
     ("pulse", "width"): "0.5",
     ("pulse", "duty_cycle"): "0.25",
-    ("pulse", "sample_offset"): "0.5",
     ("controller", "setpoint"): "0.45",
     ("controller", "window"): "100",
     ("controller", "gain"): "0.1",
@@ -295,6 +296,25 @@ class TestGenerateCommand:
     def test_bad_count(self, tmp_path):
         assert run_cli("generate", "--count", 0, "--out", tmp_path / "x.bits") == 2
 
+    def test_timestamps_add_only_a_created_line(self, tmp_path):
+        assert run_cli("generate", "--count", 1000, "--seed", 3, "--out", tmp_path / "a.bits") == 0
+        stamped_argv = ("--count", 1000, "--seed", 3, "--out", tmp_path / "b.bits", "--timestamps")
+        assert run_cli("generate", *stamped_argv) == 0
+        plain = (tmp_path / "a.bits.meta").read_text().splitlines()
+        stamped = (tmp_path / "b.bits.meta").read_text().splitlines()
+        created = [line for line in stamped if line.startswith("created=")]
+        assert len(created) == 1
+        datetime.strptime(created[0][len("created=") :], "%Y-%m-%dT%H:%M:%S%z")
+        assert [line for line in stamped if line not in created] == plain
+
+    def test_removed_sample_offset_key_rejected(self, tmp_path):
+        # the voltage is read at the end of the pulse: the width is the exposure
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[pulse]\nsample_offset = 0.5\n")
+        out = tmp_path / "x.bits"
+        assert run_cli("generate", "--config", cfg, "--count", 8, "--out", out) == 2
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_forward_outputs(self, tmp_path):
@@ -341,6 +361,33 @@ def test_sweep_non_finite_bound_rejected_before_sweeping(tmp_path, flag, value):
     out = tmp_path / "sweeps"
     assert run_cli("sweep", "--repeats", 2, flag, value, "--out-dir", out) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["sweep", "--repeats", 3], ["sweeps.tsv", "switch_currents.tsv", "switch_hist.tsv"]),
+        # below the valley nothing switches, so no histogram is written
+        (["sweep", "--repeats", 2, "--stop", 0.3], ["sweeps.tsv", "switch_currents.tsv"]),
+        (["test", "--sequences", 1, "--sequence-length", 400_000], ["report.json", "report.tsv"]),
+    ],
+    ids=["sweep", "sweep-no-switch", "test"],
+)
+def test_stage_sidecar_digests_each_output(tmp_path, argv, outputs):
+    if argv[0] == "test":
+        raw = tmp_path / "raw.bits"
+        rng = np.random.default_rng(18)
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 400_000).astype(np.uint8)))
+        argv = [*argv, "--in", raw]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out-dir", out) in (0, 1)
+    meta_name = f"{argv[0]}.meta"
+    meta = read_sidecar(out / meta_name)
+    digests = {k[len("sha256.") :]: v for k, v in meta.items() if k.startswith("sha256.")}
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, meta_name])
+    assert sorted(digests) == outputs
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestExtractCommand:

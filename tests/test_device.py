@@ -83,11 +83,6 @@ class TestStepDevice:
             state = step_device(state, P0, 1.0, 1.0, rng)
             assert state.branch is Branch.H
 
-    def test_clock_advances(self):
-        rng = streams(0)
-        state = step_device(DeviceState(), P, 0.0, 0.25, rng)
-        assert state.clock == pytest.approx(0.25)
-
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             step_device(DeviceState(), P, 1.0, 0.0, streams(0))
@@ -204,7 +199,7 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DeviceParams(drift_sigma=-0.1)
 
-    @pytest.mark.parametrize("name", ["drift", "clock"])
+    @pytest.mark.parametrize("name", ["drift"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_state_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -173,6 +173,14 @@ def test_read_bits_holds_one_payload(tmp_path, length):
     assert traced_peak(read_bits, path) <= length // 8 + SLACK
 
 
+def test_write_bits_copies_no_payload(tmp_path):
+    # a copy of this stream's payload would take 1 MiB
+    stream = random_stream(1 << 23, 6)
+    path = tmp_path / "x.bits"
+    assert traced_peak(write_bits, path, stream) < 64 << 10
+    assert read_bits(path) == stream
+
+
 def _fresh_peak_mb(code, *args):
     """VmHWM, in MB, of a fresh interpreter that imports rtdrng from src/ and runs `code`.
 

@@ -67,7 +67,7 @@ def test_removed_names_are_gone(name):
 
 def test_removed_members_are_gone():
     from rtdrng.bits import BitStream
-    from rtdrng.device import SweepTrace
+    from rtdrng.device import DeviceState, SweepTrace
     from rtdrng.nist.battery import SuiteReport
     from rtdrng.nist.gf2 import __all__ as gf2_all
     from rtdrng.pulses import PulseConfig
@@ -76,5 +76,7 @@ def test_removed_members_are_gone():
     assert not hasattr(SweepTrace, "points")
     assert not hasattr(PulseConfig(), "off_time")
     assert not hasattr(PulseConfig(), "substep")
+    assert not hasattr(PulseConfig(), "sample_offset")
+    assert not hasattr(DeviceState(), "clock")
     assert not hasattr(SuiteReport, "pvalue_fraction_below_alpha")
     assert "linear_complexities" not in gf2_all

@@ -9,6 +9,8 @@ from rtdrng.nist.sequence import as_sequence
 from rtdrng.nist.special import igamc, normal_cdf
 from rtdrng.nist.statistical_tests import (
     _LONGEST_RUN_TABLES,
+    _UNIVERSAL_EXPECTED,
+    _UNIVERSAL_VARIANCE,
     SequenceTooShortError,
     TEST_ORDER,
     TestId,
@@ -479,6 +481,34 @@ class TestUniversal:
     def test_periodic_data_fails(self):
         bits = np.tile(random_bits(64, 24), 387_840 // 64 + 200)[:400_000]
         assert universal_test(bits, PARAMS).pvalues[0] < 1e-10
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_printed_expected_value_matches_the_exact_law(self, length):
+        # to half a unit in the last printed digit, the seventh decimal up to
+        # L = 10 and the sixth above; L = 6 lies 1.4e-10 inside its bound
+        mean, _ = oracles.universal_log_distance_moments(length)
+        half_unit = 0.5 * 10.0 ** -(7 if length <= 10 else 6)
+        assert abs(_UNIVERSAL_EXPECTED[length] - mean) <= half_unit
+
+    @pytest.mark.parametrize(
+        "length",
+        [
+            *range(1, 8),
+            pytest.param(
+                8,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the printed L = 8 variance 3.238 is off by 6.6e-4: "
+                    "the exact value is 3.2386622",
+                ),
+            ),
+            *range(9, 17),
+        ],
+    )
+    def test_printed_variance_matches_the_exact_law(self, length):
+        # to half a unit in the table's third decimal
+        _, variance = oracles.universal_log_distance_moments(length)
+        assert abs(_UNIVERSAL_VARIANCE[length] - variance) <= 5e-4
 
 
 class TestApproximateEntropy:

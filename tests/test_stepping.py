@@ -51,7 +51,7 @@ LEGS = {
 
 
 def _assert_same_state(state, ref_state, sigma):
-    assert (state.branch, state.clock) == (ref_state.branch, ref_state.clock)
+    assert state.branch is ref_state.branch
     assert drift_close(state.drift, ref_state.drift, sigma)
 
 

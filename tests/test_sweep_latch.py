@@ -7,8 +7,8 @@ at least), and runs the latch a group at a time.  _BLOCK_PULSES is also
 acquisition's block, so one setting sizes both.  Latching a whole chunk at
 once is the reference.  At groups of one
 sweep, seven sweeps and more than a chunk, every sweep's branch rows and
-switch current, the state at each chunk's end and at the end (branch,
-drift, clock) and both streams' next draws must be exactly the
+switch current, the state at each chunk's end and at the end (branch and
+drift) and both streams' next draws must be exactly the
 reference's, and the state at a chunk's end must be that of a run of
 only the sweeps so far, read to its end.  sweep_current reads only the
 first group, so it must leave the state where a one-sweep run read to its
@@ -41,11 +41,11 @@ GROUPS = [1, 7, CHUNK_SWEEPS, 3 * CHUNK_SWEEPS]
 
 
 def _start_state(branch):
-    return DeviceState(branch=branch, drift=0.004, clock=3.0)
+    return DeviceState(branch=branch, drift=0.004)
 
 
 def _snapshot(state):
-    return (state.branch, state.drift, state.clock)
+    return (state.branch, state.drift)
 
 
 def _run(monkeypatch, group, params, start, stop, branch, seed):
@@ -88,7 +88,7 @@ def test_latch_groups_match_whole_chunks(monkeypatch, ramp, params, group):
     ]
     assert np.array_equal(rows, ref_rows)
     assert switches == ref_switches
-    # each chunk ends on the same branch, drift and clock, and so does the run
+    # each chunk ends on the same branch and drift, and so does the run
     assert {n: states[n] for n in ref_states} == ref_states
     assert state == ref_state
     for n, snapshot in ref_states.items():

@@ -60,7 +60,7 @@ def open_loop_drifting():
 def test_blocks_match_the_closed_form_without_drift(closed):
     cfg = default_config()
     params = dataclasses.replace(cfg.device, drift_sigma=0.0)
-    exposure = cfg.pulse.width * cfg.pulse.sample_offset
+    exposure = cfg.pulse.width
     # the closed loop's last window is short and makes no whole block
     _, p, _, amplitudes, window = _run(0.0, closed, count=10_250)
     if closed:
