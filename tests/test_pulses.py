@@ -109,11 +109,23 @@ class TestAcquire:
         assert a == b
 
     def test_closed_form_bias(self):
-        for amplitude, width in ((1.50, 1.0), (1.53, 1.0), (1.45, 2.0), (1.53, 0.5)):
+        for amplitude, width in ((1.50, 1.0), (1.53, 1.0), (1.45, 2.0)):
             cfg = PulseConfig(amplitude=amplitude, width=width)
             stream = acquire_bits(DeviceState(), P0, cfg, 10**5, streams(17))
             expected = switch_probability(P0, amplitude, 0.0, width)
             assert abs(stream.to_array().mean() - expected) < 0.01
+
+    def test_sample_offset_shortens_exposure(self):
+        # the voltage is read at the end of the pulse, so the exposure is the
+        # width: there is no sample offset, and a shorter pulse is the only way
+        # to shorten the exposure
+        assert not hasattr(PulseConfig(), "sample_offset")
+        short = PulseConfig(amplitude=1.53, width=0.5)
+        full = PulseConfig(amplitude=1.53, width=1.0)
+        short_mean = acquire_bits(DeviceState(), P0, short, 10**5, streams(18)).to_array().mean()
+        full_mean = acquire_bits(DeviceState(), P0, full, 10**5, streams(18)).to_array().mean()
+        assert abs(short_mean - switch_probability(P0, 1.53, 0.0, 0.5)) < 0.01
+        assert short_mean < full_mean
 
     def test_monotone_in_amplitude(self):
         amplitudes = np.linspace(1.42, 1.54, 5)
