@@ -76,9 +76,6 @@ class BitStream:
         """Unpack to a uint8 array of 0/1 values."""
         return self._unpack(0, self._length)
 
-    def to_bytes(self) -> bytes:
-        return self._packed.tobytes()
-
     def __len__(self) -> int:
         return self._length
 

@@ -7,9 +7,10 @@ window at every position, and ApEn and Serial count those values.  A
 ``_Sequence`` computes each derivation on first request and keeps it for
 the tests that follow.  Each test asks only for the window width it reads; the holder
 keeps the widest windows and counts asked for so far and serves narrower
-ones from them, so the battery runs Serial (16 bits at the standard
-parameters) before the other window tests, and builds its windows and
-counts once per sequence.
+ones from them.  The battery asks for the widest windows any of its tests
+reads before they run, so it builds windows once per sequence, and it runs
+Serial (16 bits at the standard parameters) before the other window
+tests, so at the standard parameters it counts them once too.
 
 Berlekamp-Massey is limited by per-step overhead on the 1100 blocks of a
 single 550k-bit sequence, so a ``_Group`` of sequences runs it once over
@@ -29,6 +30,7 @@ from .gf2 import column_complexities
 
 _GROUP_BYTES = 3 << 20  # byte-per-bit rows in one Berlekamp-Massey pass
 _WALK_CHUNK = 1 << 14  # steps of the walk summed at a time
+_COUNT_CHUNK = 1 << 18  # windows counted at a time, or 2^width if that is more
 _NEAR = 9  # the farthest walk state an excursion test reads
 _MAX_WIDTH = 63  # widest window an int64 holds
 
@@ -144,12 +146,18 @@ class _Sequence:
         cyclic (k - 1)-bit window is the prefix of exactly one cyclic k-bit
         window, so summing the counts of each value pair (2v, 2v + 1) gives
         the next narrower counts exactly; that chain of folds is kept too.
+        Windows are counted _COUNT_CHUNK at a time, which bounds the index
+        copy ``np.bincount`` makes.
         """
         if not self._counts or self._counts[0].size < 1 << width:
             values, wide = self.windows(width)
-            top = values.astype(np.intp)
-            top >>= wide - width
-            self._counts = [np.bincount(top, minlength=1 << width)]
+            counts = np.zeros(1 << width, dtype=np.intp)
+            step = max(_COUNT_CHUNK, 1 << width)
+            for start in range(0, values.size, step):
+                top = values[start : start + step].astype(np.intp)
+                top >>= wide - width
+                counts += np.bincount(top, minlength=1 << width)
+            self._counts = [counts]
         while self._counts[-1].size > 1 << width:
             self._counts.append(self._counts[-1].reshape(-1, 2).sum(axis=1))
         return self._counts[self._counts[0].size.bit_length() - 1 - width]

@@ -24,6 +24,13 @@ from .sequence import as_sequence
 from .special import igamc, normal_cdf
 
 _LOG_ALPHA_SPECTRAL = math.log(20.0)  # the spectral test's fixed 95 % threshold
+# A spectral bin within this relative distance of the squared threshold
+# sends its sequence back to the full-length rfft, so the half-length
+# transform's rounding (near the threshold, below 1e-14 of it) never
+# decides a count.
+_SPECTRAL_BAND = 1e-9
+_SPECTRAL_BLOCK = 1 << 15  # entries of the twiddle table, and the longest row it takes
+_FFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 # Longest-run-of-ones class boundaries and probabilities per block size M.
 _LONGEST_RUN_TABLES = {
@@ -336,17 +343,141 @@ def rank_test(bits, params: TestParams) -> TestResult:
     return TestResult(TestId.Rank, (p,), ("",))
 
 
+def _fft_in_place(a: np.ndarray, axis: int) -> None:
+    """The complex FFT of ``a`` along ``axis``, written over ``a``."""
+    if _FFT_TAKES_OUT:
+        np.fft.fft(a, axis=axis, out=a)
+    else:  # numpy before 2.0 takes no out=: the pass returns a new array
+        a[...] = np.fft.fft(a, axis=axis)
+
+
+def _four_step_split(n: int) -> tuple[int, int] | None:
+    """(p, q) with p q = n / 2 and p the largest divisor of n / 2 at most its square root.
+
+    None when n is odd or q exceeds a block (n / 2 a prime above 2^15, for
+    one), so that the twiddle table holds whole rows of q.
+    """
+    if n % 2:
+        return None
+    m = n // 2
+    p = math.isqrt(m)
+    while m % p:
+        p -= 1
+    return (p, m // p) if m // p <= _SPECTRAL_BLOCK else None
+
+
+def _pair_powers(a: np.ndarray, b: np.ndarray, row_turn: np.ndarray, col_turn: np.ndarray) -> None:
+    """Overwrite a (Z_k) and b (Z_(m-k) at the same positions) with |2 X_k|^2 and |2 X_(m-k)|^2.
+
+    With S = Z_k + conj Z_(m-k), D = Z_k - conj Z_(m-k) and T = -i W_n^k D
+    (-i W_n^k is row_turn times col_turn), 2 X_k = S + T and
+    2 X_(m-k) = conj(S - T).  The squared moduli land in the real parts.
+    """
+    np.conjugate(b, out=b)
+    a += b  # S
+    b *= -2.0
+    b += a  # D
+    b *= col_turn
+    b *= row_turn  # T
+    a += b  # S + T
+    b *= -2.0
+    b += a  # S - T
+    for x in (a, b):
+        np.square(x.real, out=x.real)
+        np.square(x.imag, out=x.imag)
+        x.real += x.imag
+
+
+def _spectrum_powers(arr: np.ndarray, p: int, q: int) -> np.ndarray:
+    """|2 X_k|^2 for k < n / 2, X the DFT of the +/-1 signal of ``arr``, as a (p, q) view.
+
+    Bailey's four-step transform, in one buffer of m = n / 2 = p q complex
+    entries.  The pairs z_j = x_2j + i x_2j+1 fill it, read as p rows of q
+    (z_j at row j // q, column j % q).  Its length-p column transforms, the
+    twiddles W_m^(k1 j2) and its length-q row transforms leave Z, the
+    transform of z, with Z_k at row k1, column k2 for k = k1 + p k2.  The
+    twiddles are a table of W_m^(d j2) for the rows d of a block (at most
+    _SPECTRAL_BLOCK entries) times W_m^(a j2) for the first row a of each
+    block, two passes over the buffer in all.
+
+    The partner Z_(m-k) of row k1 > 0, column k2 is at row p - k1, column
+    q - 1 - k2, so rows 1 to (p + 1) // 2 - 1 and their mirrored partner
+    rows are paired in place; row 0 (partner column -k2 mod q) and, at even p,
+    row p / 2 pair with a reordered copy of themselves.  The returned view
+    is the buffer's real parts, with |2 X_k|^2 at row k1, column k2.
+    """
+    m = p * q
+    z = np.empty(m, dtype=np.complex128)
+    signal = z.view(np.float64)  # x_0, x_1, ... as the parts of z
+    np.multiply(arr, 2.0, out=signal)
+    signal -= 1.0
+    grid = z.reshape(p, q)
+    _fft_in_place(grid, 0)
+    rows = min(p, _SPECTRAL_BLOCK // q)
+    cols = np.arange(q)
+    table = np.exp((-2j * math.pi / m) * np.outer(np.arange(rows), cols))
+    starts = np.exp((-2j * math.pi / m) * np.outer(np.arange(0, p, rows), cols))
+    whole = p - p % rows
+    blocks = grid[:whole].reshape(-1, rows, q)
+    blocks *= table
+    blocks *= starts[: len(blocks), None]
+    if whole < p:
+        grid[whole:] *= table[: p - whole]
+        grid[whole:] *= starts[-1]
+    del table, starts
+    _fft_in_place(grid, 1)
+    # -i W_n^k for k = k1 + p k2, as W_n^k1 times -i W_n^(p k2)
+    row_turn = np.exp((-1j * math.pi / m) * np.arange(p))[:, None]
+    col_turn = np.exp((-1j * math.pi / q) * cols) * -1j
+    for k1 in (0, p // 2) if p % 2 == 0 else (0,):
+        row = grid[k1 : k1 + 1]
+        partner = row[:, ::-1].copy()
+        if k1 == 0:
+            partner = np.roll(partner, 1, axis=1)
+        _pair_powers(row, partner, row_turn[k1], col_turn)
+    top = (p + 1) // 2
+    _pair_powers(grid[1:top], grid[p - top + 1 :][::-1, ::-1], row_turn[1:top], col_turn)
+    return grid.real
+
+
+def _peak_count(arr: np.ndarray) -> int | None:
+    """How many of the moduli |X_k|, k < n / 2, lie below sqrt(n log 20), by the four-step transform.
+
+    None when n has no four-step split or a bin lies within _SPECTRAL_BAND
+    of the threshold: the caller then counts by the full-length rfft.
+    """
+    split = _four_step_split(arr.size)
+    if split is None:
+        return None
+    power = _spectrum_powers(arr, *split)
+    limit = 4.0 * _LOG_ALPHA_SPECTRAL * arr.size  # |2 X_k|^2 at the threshold
+    low, high = limit * (1.0 - _SPECTRAL_BAND), limit * (1.0 + _SPECTRAL_BAND)
+    if np.count_nonzero(power <= high) != np.count_nonzero(power < low):
+        return None
+    return int(np.count_nonzero(power < limit))
+
+
 def fft_test(bits, params: TestParams) -> TestResult:
-    """Spectral peak count against the 95 % threshold sqrt(n*log(1/0.05))."""
+    """Spectral peak count against the 95 % threshold sqrt(n*log(1/0.05)).
+
+    The moduli are counted from the half-length transform in place
+    (``_peak_count``), which holds 8 bytes a bit, a byte a pair of bits
+    for each comparison and a twiddle table of ``_SPECTRAL_BLOCK`` entries.
+    At odd n, at a length without a four-step split, and whenever a bin
+    lies within ``_SPECTRAL_BAND`` of the threshold, the full-length rfft
+    counts them instead, so the count is the rfft's at every length.
+    """
     seq = as_sequence(bits)
     arr = seq.bits
     n = arr.size
     _require(n, 1000, "spectral test")
-    # the +/-1 signal is a temporary, freed before the moduli are taken
-    moduli = np.abs(np.fft.rfft(2.0 * arr - 1.0)[: n // 2])
     threshold = math.sqrt(_LOG_ALPHA_SPECTRAL * n)
+    n1 = _peak_count(arr)
+    if n1 is None:
+        # the +/-1 signal is a temporary, freed before the moduli are taken
+        moduli = np.abs(np.fft.rfft(2.0 * arr - 1.0)[: n // 2])
+        n1 = int(np.count_nonzero(moduli < threshold))
     n0 = 0.95 * n / 2.0
-    n1 = int(np.count_nonzero(moduli < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p = erfc(abs(d) / math.sqrt(2.0))
     return TestResult(TestId.FFT, (p,), ("",))

@@ -11,14 +11,21 @@ from rtdrng.bits import (
 )
 
 
-class TestBitStream:
-    def test_msb_first_packing(self):
-        stream = BitStream.from_array(np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
-        assert stream.to_bytes() == b"\x80"
+def payload(stream, tmp_path):
+    """The packed bytes that write_bits writes after the 16-byte header."""
+    path = tmp_path / "payload.bits"
+    write_bits(path, stream)
+    return path.read_bytes()[16:]
 
-    def test_partial_byte_zero_padded(self):
+
+class TestBitStream:
+    def test_msb_first_packing(self, tmp_path):
+        stream = BitStream.from_array(np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8))
+        assert payload(stream, tmp_path) == b"\x80"
+
+    def test_partial_byte_zero_padded(self, tmp_path):
         stream = BitStream.from_array(np.array([1, 1, 1], dtype=np.uint8))
-        assert stream.to_bytes() == b"\xe0"
+        assert payload(stream, tmp_path) == b"\xe0"
         assert len(stream) == 3
 
     def test_roundtrip(self):
@@ -37,9 +44,9 @@ class TestBitStream:
         with pytest.raises(ValueError, match="0 or 1"):
             BitStream.from_array(bad)
 
-    def test_accepts_bool_int_and_float_zero_one(self):
+    def test_accepts_bool_int_and_float_zero_one(self, tmp_path):
         for values in ([True, False, True], [1, 0, 1], np.array([1.0, 0.0, 1.0])):
-            assert BitStream.from_array(values).to_bytes() == b"\xa0"
+            assert payload(BitStream.from_array(values), tmp_path) == b"\xa0"
 
     def test_rejects_dirty_padding(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,7 @@ def test_removed_members_are_gone():
     from rtdrng.pulses import PulseConfig
 
     assert not hasattr(BitStream, "from_bytes")
+    assert not hasattr(BitStream, "to_bytes")
     assert not hasattr(SweepTrace, "points")
     assert not hasattr(PulseConfig(), "off_time")
     assert not hasattr(PulseConfig(), "substep")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import rtdrng.nist.statistical_tests as statistical_tests
 from rtdrng.nist.sequence import as_sequence
 from rtdrng.nist.special import igamc, normal_cdf
 from rtdrng.nist.statistical_tests import (
@@ -328,6 +329,111 @@ class TestFFT:
             d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
             want = erfc(abs(d) / math.sqrt(2.0))
             assert fft_test(bits, PARAMS).pvalues[0] == want
+
+
+def rfft_pvalue(bits):
+    """fft_test's P-value with every modulus counted from the full-length rfft."""
+    n = bits.size
+    moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0)[: n // 2])
+    n1 = int(np.count_nonzero(moduli < math.sqrt(math.log(20.0) * n)))
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return erfc(abs(d) / math.sqrt(2.0))
+
+
+def four_step_powers(bits):
+    """|X_k|^2 for k < n / 2 from the half-length transform, in k order."""
+    power = statistical_tests._spectrum_powers(bits, *statistical_tests._four_step_split(bits.size))
+    return power.T.ravel() / 4.0  # row k1, column k2 holds k = k1 + p k2
+
+
+def periodic(pattern, n):
+    return np.resize(np.asarray(pattern, dtype=np.uint8), n)
+
+
+# random sequences at both suite lengths, then structured inputs at lengths
+# with and without a four-step split: odd n; n / 2 = 499,979, a prime above
+# the block; p = 2 at 1004 (n / 2 = 2 x 251), p = 1 at 65,498 (n / 2 =
+# 32,749, a prime), p = 21 at 100,002 (21 x 2381) and p = 500, even, at 550k
+SPECTRAL_CASES = [(f"random-{n}-{seed}", n, seed) for n in (550_000, 1_000_000) for seed in range(20)]
+SPECTRAL_CASES += [
+    (f"{kind}-{n}", n, kind)
+    for n in (1000, 1001, 1004, 65_498, 100_002, 550_000, 999_958, 1_000_000)
+    for kind in ("zeros", "ones", "period-2", "period-4", "60%-ones")
+]
+
+
+def spectral_bits(n, kind):
+    if isinstance(kind, int):
+        return random_bits(n, 200 + kind)
+    return {
+        "zeros": lambda: np.zeros(n, dtype=np.uint8),
+        "ones": lambda: np.ones(n, dtype=np.uint8),
+        "period-2": lambda: periodic([1, 0], n),
+        "period-4": lambda: periodic([1, 1, 0, 0], n),
+        "60%-ones": lambda: random_bits(n, 300, p=0.6),
+    }[kind]()
+
+
+class TestFourStepSpectrum:
+    """The half-length transform counts exactly the moduli the full-length rfft counts."""
+
+    @pytest.mark.parametrize("n, kind", [case[1:] for case in SPECTRAL_CASES],
+                             ids=[case[0] for case in SPECTRAL_CASES])
+    def test_count_and_pvalue_equal_the_rfft(self, n, kind):
+        bits = spectral_bits(n, kind)
+        n1 = statistical_tests._peak_count(bits)
+        if statistical_tests._four_step_split(n) is None:
+            assert n1 is None
+        else:
+            # no sequence here comes near enough the threshold to be recounted
+            moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0)[: n // 2])
+            assert n1 == int(np.count_nonzero(moduli < math.sqrt(math.log(20.0) * n)))
+        assert repr(fft_test(bits, PARAMS).pvalues[0]) == repr(rfft_pvalue(bits))
+
+    @pytest.mark.parametrize("n, kind", [case[1:] for case in SPECTRAL_CASES
+                                         if statistical_tests._four_step_split(case[1])],
+                             ids=[case[0] for case in SPECTRAL_CASES
+                                  if statistical_tests._four_step_split(case[1])])
+    def test_rounding_is_a_thousandth_of_the_band(self, n, kind):
+        # On random bits every bin lies within a few times the threshold T^2
+        # and the paths differ by under 1e-14 of it.  Rounding scales with a
+        # bin's own power, so at the n^2/2 peak of a period-4 input it reaches
+        # 2e-11 of T^2 (1e-16 of the peak): there the difference is taken
+        # against the larger of the bin and T^2.
+        bits = spectral_bits(n, kind)
+        full = np.fft.rfft(2.0 * bits - 1.0)[: n // 2]
+        power = full.real**2 + full.imag**2
+        threshold = math.log(20.0) * n
+        scale = threshold if isinstance(kind, int) else np.maximum(power, threshold)
+        delta = np.max(np.abs(four_step_powers(bits) - power) / scale)
+        assert delta <= 1e-3 * statistical_tests._SPECTRAL_BAND
+
+    def test_splits(self):
+        split = statistical_tests._four_step_split
+        assert split(1_000_000) == (625, 800)
+        assert split(550_000) == (500, 550)
+        assert split(100_002) == (21, 2381)
+        assert split(65_498) == (1, 32_749)
+        assert split(1004) == (2, 251)
+        assert split(1001) is None  # odd
+        assert split(999_958) is None  # n / 2 prime: p = 1, a row longer than a block
+
+    @pytest.mark.parametrize("n", [1000, 100_002, 550_000, 1_000_000])
+    def test_full_band_sends_every_sequence_to_the_rfft(self, monkeypatch, n):
+        cases = [random_bits(n, 400), periodic([1, 1, 0, 0], n), np.zeros(n, dtype=np.uint8)]
+        want = [repr(rfft_pvalue(bits)) for bits in cases]
+        monkeypatch.setattr(statistical_tests, "_SPECTRAL_BAND", 1.0)
+        assert [statistical_tests._peak_count(bits) for bits in cases] == [None] * 3
+        assert [repr(fft_test(bits, PARAMS).pvalues[0]) for bits in cases] == want
+
+    @pytest.mark.parametrize("n", [1000, 550_000])
+    def test_passes_without_fft_out(self, monkeypatch, n):
+        # numpy before 2.0 takes no out=: each pass returns a new array
+        bits = random_bits(n, 500)
+        want = four_step_powers(bits)
+        monkeypatch.setattr(statistical_tests, "_FFT_TAKES_OUT", False)
+        assert np.array_equal(four_step_powers(bits), want)
+        assert repr(fft_test(bits, PARAMS).pvalues[0]) == repr(rfft_pvalue(bits))
 
 
 class TestNonOverlappingTemplate:
