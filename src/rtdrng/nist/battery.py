@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequence import as_sequence
-from .statistical_tests import (
-    TEST_ORDER,
-    SequenceTooShortError,
-    TestId,
-    TestParams,
-    TestResult,
-    chi_square_p,
-    run_test,
-)
+from .statistical_tests import TEST_ORDER, TestId, TestParams, TestResult, chi_square_p, run_test
 
 TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASSING SEQUENCES"
 
@@ -32,13 +24,13 @@ TABLE_TITLE = "RESULTS FOR THE UNIFORMITY OF P-VALUES AND THE PROPORTION OF PASS
 # The spectral test runs on a helper thread, beside the tests whose working
 # sets are small (the walk's summary, built in chunks, is all they keep in
 # the sequence's holder); the others wait for it.  So the transform's
-# buffer meets at most one of their temporaries, never the holder's windows
-# or LinearComplexity's group rows.  Before the window tests run, the
-# holder builds the widest windows any of them reads, so it builds windows
-# once a sequence at any parameters.  Serial counts the widest windows at
-# the standard parameters, so it runs before the other window tests: the
-# holder builds their counts once, and a sequence too short for Serial
-# fails before anything is counted.
+# buffer, one of the battery's largest working sets, meets at most one of
+# their temporaries, never the holder's windows or LinearComplexity's group
+# rows.
+# Serial reads the widest windows at the standard parameters, so it runs
+# before the other window tests: the holder builds those windows and their
+# counts once, and a sequence too short for Serial fails before anything is
+# counted.
 _BESIDE_SPECTRAL = (
     TestId.Frequency,
     TestId.BlockFrequency,
@@ -54,25 +46,6 @@ _AFTER_SPECTRAL = tuple(
     for test in dict.fromkeys((TestId.Serial,) + TEST_ORDER)
     if test not in _BESIDE_SPECTRAL + (TestId.FFT,)
 )
-
-
-def _widest_window(params: TestParams, n: int) -> int:
-    """The widest window read by a window test that n bits are long enough for; 0 if none.
-
-    The widths and minimum lengths restate the tests' own.  A test that n
-    is too short for raises when it runs, so its width is left out.
-    """
-    reads = [
-        (params.serial_m, 2 ** (params.serial_m + 2)),
-        (params.nonoverlapping_m, params.nonoverlapping_blocks * 2**params.nonoverlapping_m),
-        (params.overlapping_m, 5 * params.overlapping_block_len),
-        (params.approx_entropy_m + 1, 2 ** (params.approx_entropy_m + 5)),
-    ]
-    try:
-        reads.append((params.resolved_universal(n)[0], 0))
-    except SequenceTooShortError:
-        pass
-    return max((width for width, least in reads if n >= least), default=0)
 
 
 def run_battery(bits, params: TestParams) -> list[TestResult]:
@@ -104,9 +77,6 @@ def run_battery(bits, params: TestParams) -> list[TestResult]:
         helper.join()
         if caught:
             raise caught[0]
-    width = _widest_window(params, len(seq))
-    if width:
-        seq.windows(width)
     for test in _AFTER_SPECTRAL:
         results[test] = run_test(test, params, seq)
     return [results[test] for test in TEST_ORDER]

@@ -7,10 +7,9 @@ window at every position, and ApEn and Serial count those values.  A
 ``_Sequence`` computes each derivation on first request and keeps it for
 the tests that follow.  Each test asks only for the window width it reads; the holder
 keeps the widest windows and counts asked for so far and serves narrower
-ones from them.  The battery asks for the widest windows any of its tests
-reads before they run, so it builds windows once per sequence, and it runs
-Serial (16 bits at the standard parameters) before the other window
-tests, so at the standard parameters it counts them once too.
+ones from them, so the battery runs Serial (16 bits at the standard
+parameters) before the other window tests, and builds its windows and
+counts once per sequence.
 
 Berlekamp-Massey is limited by per-step overhead on the 1100 blocks of a
 single 550k-bit sequence, so a ``_Group`` of sequences runs it once over

@@ -168,15 +168,17 @@ def test_short_sequence_rejected_before_serial_counts():
     assert approximate_entropy_test(bits, params) == approximate_entropy_test(bits, standard)
 
 
-def test_spectral_test_holds_one_half_length_buffer():
+@pytest.mark.parametrize("takes_out", sorted({statistical_tests._FFT_TAKES_OUT, False}))
+def test_spectral_test_holds_one_half_length_buffer(monkeypatch, takes_out):
     # the half-length transform in place: 16 bytes a pair of bits, a byte a
     # pair for each comparison of the count and the twiddle table, 8.6 MiB
-    # traced at 1M bits.  The full-length rfft traced 15.3 MiB beside
-    # pocketfft's own untraced 2n-float64 scratch.  numpy before 2.0 takes
-    # no out=, so each pass there holds a copy of the buffer too.
+    # traced at 1M bits.  Without out= (numpy before 2.0, and the copy-back
+    # path run here on any numpy) each pass also holds a new copy of the
+    # buffer.
+    monkeypatch.setattr(statistical_tests, "_FFT_TAKES_OUT", takes_out)
     n = 1_000_000
     bits = random_stream(n, 8).to_array()
-    buffers = 1 if statistical_tests._FFT_TAKES_OUT else 2
+    buffers = 1 if takes_out else 2
     peak = traced_peak(fft_test, bits, TestParams())
     assert peak <= (buffers * 16 + 1) * (n // 2) + 48 * statistical_tests._SPECTRAL_BLOCK, peak
 
@@ -292,13 +294,9 @@ def test_test_stage_peak_rss(tmp_path):
     # 8 MB buffer at 1M bits) on its helper thread, beside tests whose
     # working sets are small, in the one heap arena cli.main keeps, and
     # Serial counts its windows 2^18 at a time.  The stage reads 14.2-15.0
-    # MB above the import alone; the bound is 15.0 MB + 5 %.  The
-    # full-length rfft (about 24 MB at 1M bits with pocketfft's scratch)
-    # read 36.1 MB, and 35.2 MB on the calling thread.  With the
-    # half-length transform but one 8 MB index copy for Serial's count it
-    # read 15.3-15.9 MB, and 20.3 MB in about one run in 35, when the
-    # helper's buffer was placed first in the heap.  numpy before 2.0 takes
-    # no out=, so each pass there holds a copy of the 8 MB buffer too.
+    # MB above the import alone; the bound is 15.0 MB + 5 %.  numpy before
+    # 2.0 takes no out=, so each pass there holds a copy of the 8 MB buffer
+    # too; that allowance is reasoned, not measured.
     write_bits(tmp_path / "in.bits", random_stream(6_000_000, 7))
     imported = _fresh_peak_mb("import rtdrng.cli")
     stage = _fresh_peak_mb(

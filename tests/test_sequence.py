@@ -14,19 +14,14 @@ import oracles
 import rtdrng.nist.sequence as sequence_module
 from rtdrng.bits import BitStream, write_bits
 from rtdrng.cli import main
-from rtdrng.nist.battery import _widest_window, run_battery
+from rtdrng.nist.battery import run_battery
 from rtdrng.nist.sequence import as_sequence, battery_sequences, window_values
 from rtdrng.nist.special import igamc
 from rtdrng.nist.statistical_tests import (
     _MAX_WINDOW_BITS,
-    SequenceTooShortError,
     TestParams,
     _overlapping_law,
-    approximate_entropy_test,
-    non_overlapping_template_test,
     overlapping_template_test,
-    serial_test,
-    universal_test,
 )
 
 # every test applies at 120k bits: no default needs more than Serial's 2^18
@@ -183,56 +178,6 @@ class TestGroups:
                 hex_pvalues(run_battery(seq, params)) for seq in battery_sequences(stream, count, n)
             ]
             assert grouped == alone, size
-
-    @pytest.mark.parametrize(
-        "params, width",
-        [(SMALL, 11), (WIDE, 40), (TestParams(n=550_000), 16)],
-        ids=["small", "wide", "standard"],
-    )
-    def test_battery_builds_windows_once_a_sequence(self, monkeypatch, params, width):
-        # one build at the widest width a window test reads (ApEn's m + 1 at
-        # SMALL, where Serial reads 8, the templates 9 and Universal 4;
-        # OverlappingTemplate's 40 at WIDE; Serial's 16 at the standard)
-        built = []
-
-        def counted(bits, w):
-            built.append(w)
-            return window_values(bits, w)
-
-        monkeypatch.setattr(sequence_module, "window_values", counted)
-        stream = BitStream.from_array(random_bits(2 * params.n, 61))
-        for seq in battery_sequences(stream, 2, params.n):
-            run_battery(seq, params)
-        assert built == [width, width]
-
-    def test_widest_window_is_the_widest_a_running_test_reads(self, monkeypatch):
-        # at every length across the tests' minimums (Universal 10 bits,
-        # NonOverlapping 32, Overlapping 100, Serial and ApEn 128), the width
-        # the battery builds is the widest that a test which runs asks for
-        params = TestParams(
-            n=1000, serial_m=5, nonoverlapping_m=4, nonoverlapping_blocks=2, overlapping_m=3,
-            overlapping_block_len=20, approx_entropy_m=2, universal_l=2, universal_q=4,
-        )
-        window_tests = (
-            serial_test, non_overlapping_template_test, overlapping_template_test,
-            approximate_entropy_test, universal_test,
-        )
-        asked = []
-        windows = sequence_module._Sequence.windows
-
-        def spy(seq, width):
-            asked.append(width)
-            return windows(seq, width)
-
-        monkeypatch.setattr(sequence_module._Sequence, "windows", spy)
-        for n in range(8, 140):
-            asked.clear()
-            for test in window_tests:
-                try:
-                    test(random_bits(n, n), params)
-                except SequenceTooShortError:
-                    pass
-            assert _widest_window(params, n) == max(asked, default=0), n
 
     def test_cli_outputs_do_not_depend_on_the_group_size(self, tmp_path, monkeypatch):
         n, count = SMALL.n, 3

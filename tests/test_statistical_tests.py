@@ -379,29 +379,22 @@ class TestFourStepSpectrum:
 
     @pytest.mark.parametrize("n, kind", [case[1:] for case in SPECTRAL_CASES],
                              ids=[case[0] for case in SPECTRAL_CASES])
-    def test_count_and_pvalue_equal_the_rfft(self, n, kind):
+    def test_count_pvalue_and_rounding_equal_the_rfft(self, n, kind):
         bits = spectral_bits(n, kind)
-        n1 = statistical_tests._peak_count(bits)
+        full = np.fft.rfft(2.0 * bits - 1.0)[: n // 2]
+        n1 = int(np.count_nonzero(np.abs(full) < math.sqrt(math.log(20.0) * n)))
+        d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+        assert repr(fft_test(bits, PARAMS).pvalues[0]) == repr(erfc(abs(d) / math.sqrt(2.0)))
         if statistical_tests._four_step_split(n) is None:
-            assert n1 is None
-        else:
-            # no sequence here comes near enough the threshold to be recounted
-            moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0)[: n // 2])
-            assert n1 == int(np.count_nonzero(moduli < math.sqrt(math.log(20.0) * n)))
-        assert repr(fft_test(bits, PARAMS).pvalues[0]) == repr(rfft_pvalue(bits))
-
-    @pytest.mark.parametrize("n, kind", [case[1:] for case in SPECTRAL_CASES
-                                         if statistical_tests._four_step_split(case[1])],
-                             ids=[case[0] for case in SPECTRAL_CASES
-                                  if statistical_tests._four_step_split(case[1])])
-    def test_rounding_is_a_thousandth_of_the_band(self, n, kind):
+            assert statistical_tests._peak_count(bits) is None
+            return
+        # no sequence here comes near enough the threshold to be recounted
+        assert statistical_tests._peak_count(bits) == n1
         # On random bits every bin lies within a few times the threshold T^2
         # and the paths differ by under 1e-14 of it.  Rounding scales with a
         # bin's own power, so at the n^2/2 peak of a period-4 input it reaches
         # 2e-11 of T^2 (1e-16 of the peak): there the difference is taken
         # against the larger of the bin and T^2.
-        bits = spectral_bits(n, kind)
-        full = np.fft.rfft(2.0 * bits - 1.0)[: n // 2]
         power = full.real**2 + full.imag**2
         threshold = math.log(20.0) * n
         scale = threshold if isinstance(kind, int) else np.maximum(power, threshold)
