@@ -30,16 +30,17 @@ _LOG_ALPHA_SPECTRAL = math.log(20.0)  # the spectral test's fixed 95 % threshold
 # decides a count.
 _SPECTRAL_BAND = 1e-9
 _SPECTRAL_BLOCK = 1 << 15  # entries of the twiddle table, and the longest row it takes
-_FFT_TAKES_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
-# Longest-run-of-ones class boundaries and probabilities per block size M.
+# Longest-run-of-ones per block size M: the least n it serves (SP 800-22
+# section 2.4.2), the class boundaries and the class probabilities.
 _LONGEST_RUN_TABLES = {
-    8: ((1, 4), (0.21484375, 0.3671875, 0.23046875, 0.1875)),
+    8: (128, (1, 4), (0.21484375, 0.3671875, 0.23046875, 0.1875)),
     128: (
+        6272,
         (4, 9),
         (0.1174035788, 0.242955959, 0.249363483, 0.17517706, 0.102701071, 0.112398847),
     ),
-    10000: ((10, 16), (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
+    10000: (750_000, (10, 16), (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
 }
 
 # Maurer's universal test: expected value and variance of a single-block
@@ -159,10 +160,9 @@ class TestParams:
     def resolved_longest_run(self, n: int) -> tuple[int, int]:
         """(M, N) for the longest-run test at sequence length n."""
         m = self.longest_run_m
-        if m is None:
-            if n < 128:
-                raise SequenceTooShortError("longest-run test needs at least 128 bits")
-            m = 8 if n < 6272 else 128 if n < 750_000 else 10_000
+        if m is None:  # the largest M that n serves; below them all, M = 8 raises
+            m = max((k for k, (least, *_) in _LONGEST_RUN_TABLES.items() if n >= least), default=8)
+        _require(n, _LONGEST_RUN_TABLES[m][0], f"longest-run test at M = {m}")
         return m, n // m
 
     def resolved_universal(self, n: int) -> tuple[int, int, int]:
@@ -309,9 +309,8 @@ def longest_run_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     arr = seq.bits
     n = arr.size
-    _require(n, 128, "longest-run test")
     m, n_blocks = params.resolved_longest_run(n)
-    (lo, hi), pi = _LONGEST_RUN_TABLES[m]
+    _, (lo, hi), pi = _LONGEST_RUN_TABLES[m]
     runs = _longest_runs(arr[: n_blocks * m].reshape(n_blocks, m))
     counts = np.bincount(np.clip(runs, lo, hi) - lo, minlength=len(pi))
     p = chi_square_p(counts, n_blocks * np.asarray(pi))
@@ -341,14 +340,6 @@ def rank_test(bits, params: TestParams) -> TestResult:
     p_minus = _rank_probability(size, size - 1)
     p = chi_square_p(counts, n_matrices * np.array([p_full, p_minus, 1.0 - p_full - p_minus]))
     return TestResult(TestId.Rank, (p,), ("",))
-
-
-def _fft_in_place(a: np.ndarray, axis: int) -> None:
-    """The complex FFT of ``a`` along ``axis``, written over ``a``."""
-    if _FFT_TAKES_OUT:
-        np.fft.fft(a, axis=axis, out=a)
-    else:  # numpy before 2.0 takes no out=: the pass returns a new array
-        a[...] = np.fft.fft(a, axis=axis)
 
 
 def _four_step_split(n: int) -> tuple[int, int] | None:
@@ -412,7 +403,7 @@ def _spectrum_powers(arr: np.ndarray, p: int, q: int) -> np.ndarray:
     np.multiply(arr, 2.0, out=signal)
     signal -= 1.0
     grid = z.reshape(p, q)
-    _fft_in_place(grid, 0)
+    np.fft.fft(grid, axis=0, out=grid)
     rows = min(p, _SPECTRAL_BLOCK // q)
     cols = np.arange(q)
     table = np.exp((-2j * math.pi / m) * np.outer(np.arange(rows), cols))
@@ -425,7 +416,7 @@ def _spectrum_powers(arr: np.ndarray, p: int, q: int) -> np.ndarray:
         grid[whole:] *= table[: p - whole]
         grid[whole:] *= starts[-1]
     del table, starts
-    _fft_in_place(grid, 1)
+    np.fft.fft(grid, axis=1, out=grid)
     # -i W_n^k for k = k1 + p k2, as W_n^k1 times -i W_n^(p k2)
     row_turn = np.exp((-1j * math.pi / m) * np.arange(p))[:, None]
     col_turn = np.exp((-1j * math.pi / q) * cols) * -1j

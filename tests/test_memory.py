@@ -168,19 +168,14 @@ def test_short_sequence_rejected_before_serial_counts():
     assert approximate_entropy_test(bits, params) == approximate_entropy_test(bits, standard)
 
 
-@pytest.mark.parametrize("takes_out", sorted({statistical_tests._FFT_TAKES_OUT, False}))
-def test_spectral_test_holds_one_half_length_buffer(monkeypatch, takes_out):
+def test_spectral_test_holds_one_half_length_buffer():
     # the half-length transform in place: 16 bytes a pair of bits, a byte a
     # pair for each comparison of the count and the twiddle table, 8.6 MiB
-    # traced at 1M bits.  Without out= (numpy before 2.0, and the copy-back
-    # path run here on any numpy) each pass also holds a new copy of the
-    # buffer.
-    monkeypatch.setattr(statistical_tests, "_FFT_TAKES_OUT", takes_out)
+    # traced at 1M bits
     n = 1_000_000
     bits = random_stream(n, 8).to_array()
-    buffers = 1 if takes_out else 2
     peak = traced_peak(fft_test, bits, TestParams())
-    assert peak <= (buffers * 16 + 1) * (n // 2) + 48 * statistical_tests._SPECTRAL_BLOCK, peak
+    assert peak <= 17 * (n // 2) + 48 * statistical_tests._SPECTRAL_BLOCK, peak
 
 
 @pytest.mark.parametrize("length", [800_000, 3_200_000])
@@ -294,9 +289,7 @@ def test_test_stage_peak_rss(tmp_path):
     # 8 MB buffer at 1M bits) on its helper thread, beside tests whose
     # working sets are small, in the one heap arena cli.main keeps, and
     # Serial counts its windows 2^18 at a time.  The stage reads 14.2-15.0
-    # MB above the import alone; the bound is 15.0 MB + 5 %.  numpy before
-    # 2.0 takes no out=, so each pass there holds a copy of the 8 MB buffer
-    # too; that allowance is reasoned, not measured.
+    # MB above the import alone; the bound is 15.0 MB + 5 %.
     write_bits(tmp_path / "in.bits", random_stream(6_000_000, 7))
     imported = _fresh_peak_mb("import rtdrng.cli")
     stage = _fresh_peak_mb(
@@ -306,6 +299,5 @@ def test_test_stage_peak_rss(tmp_path):
         "assert main(argv) in (0, 1)",
         tmp_path,
     )
-    copy = 0 if statistical_tests._FFT_TAKES_OUT else 8
-    assert stage - imported <= 15.0 * 1.05 + copy, (stage, imported)
+    assert stage - imported <= 15.0 * 1.05, (stage, imported)
     assert (tmp_path / "report.json").is_file()

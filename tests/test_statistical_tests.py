@@ -220,7 +220,7 @@ class TestLongestRun:
     @pytest.mark.parametrize("m, tol", [(8, 0.0), (128, 5e-10)])
     def test_printed_table_matches_the_exact_law(self, m, tol):
         # measured: M = 8 is exact, and M = 128 is off by at most 3.47e-10
-        (lo, hi), pi = _LONGEST_RUN_TABLES[m]
+        _, (lo, hi), pi = _LONGEST_RUN_TABLES[m]
         law = oracles.longest_run_class_law(m, lo, hi)
         assert np.max(np.abs(np.subtract(pi, law))) <= tol
 
@@ -231,9 +231,22 @@ class TestLongestRun:
     )
     def test_printed_table_at_ten_thousand_matches_the_exact_law(self):
         # to the table's printed precision, half a unit in its fourth decimal
-        (lo, hi), pi = _LONGEST_RUN_TABLES[10_000]
+        _, (lo, hi), pi = _LONGEST_RUN_TABLES[10_000]
         law = oracles.longest_run_class_law(10_000, lo, hi)
         assert np.max(np.abs(np.subtract(pi, law))) <= 5e-5
+
+    @pytest.mark.parametrize("m, least", [(8, 128), (128, 6272), (10_000, 750_000)])
+    def test_each_block_size_needs_its_least_length(self, m, least):
+        # SP 800-22 section 2.4.2, read by the automatic choice and an explicit M alike
+        assert TestParams().resolved_longest_run(least) == (m, least // m)
+        params = TestParams(longest_run_m=m)
+        assert params.resolved_longest_run(least) == (m, least // m)
+        with pytest.raises(SequenceTooShortError, match=f"M = {m} needs at least {least} bits"):
+            params.resolved_longest_run(least - 1)
+        # M = 10^4 on 6000 bits leaves no block: it used to give P = nan
+        n = min(least - 1, 6000)
+        with pytest.raises(SequenceTooShortError):
+            run_test(TestId.LongestRun, params, random_bits(n, 14))
 
     def test_long_runs_fail(self):
         bits = np.zeros(12_800, dtype=np.uint8)
@@ -418,15 +431,6 @@ class TestFourStepSpectrum:
         monkeypatch.setattr(statistical_tests, "_SPECTRAL_BAND", 1.0)
         assert [statistical_tests._peak_count(bits) for bits in cases] == [None] * 3
         assert [repr(fft_test(bits, PARAMS).pvalues[0]) for bits in cases] == want
-
-    @pytest.mark.parametrize("n", [1000, 550_000])
-    def test_passes_without_fft_out(self, monkeypatch, n):
-        # numpy before 2.0 takes no out=: each pass returns a new array
-        bits = random_bits(n, 500)
-        want = four_step_powers(bits)
-        monkeypatch.setattr(statistical_tests, "_FFT_TAKES_OUT", False)
-        assert np.array_equal(four_step_powers(bits), want)
-        assert repr(fft_test(bits, PARAMS).pvalues[0]) == repr(rfft_pvalue(bits))
 
 
 class TestNonOverlappingTemplate:
