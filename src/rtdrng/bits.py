@@ -1,12 +1,23 @@
-"""Packed bit sequences and their on-disk format.
+"""Packed bit sequences and their on-disk format, streamed both ways.
 
 File layout: 8-byte magic b"RTDBITS1", 8-byte little-endian unsigned bit
 count, then the payload packed 8 bits per byte with the first bit in the
 most significant position; the final byte is zero-padded.
+
+A ``BitStream`` holds its payload in memory or leaves it in its file, and
+either way it is read one byte range at a time (``BitStream._bytes``).
+``read_bits`` checks a file's header, size and pad bits and leaves the
+payload on disk.  ``BitWriter`` packs a stream of known length chunk by
+chunk, into memory or straight into an open file, keeping only the
+partial last byte.  ``bit_file`` and ``write_bits`` write a file to a
+temporary sibling, which replaces it only once the whole stream is
+written, so a bit file never holds a partial stream.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -39,22 +50,56 @@ class BitFileError(ValueError):
     """Malformed bitstream file."""
 
 
+class _FilePayload:
+    """The payload of an open bit file, read one byte range at a time.
+
+    A slice reads its bytes into a new array.  A file cut shorter after it
+    was opened raises BitFileError, never returns fewer bytes.
+    """
+
+    __slots__ = ("_file", "size")
+
+    def __init__(self, file, size: int):
+        self._file = file  # unbuffered, so each range is read straight into its array
+        self.size = size
+
+    def __del__(self):
+        self._file.close()
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, _ = key.indices(self.size)
+        out = np.empty(max(0, hi - lo), dtype=np.uint8)
+        self._file.seek(_HEADER.size + lo)
+        got = 0
+        while got < out.size and (read := self._file.readinto(out[got:])):
+            got += read
+        if got < out.size:
+            raise BitFileError(f"{self._file.name}: cut short of its {self.size} payload bytes")
+        return out
+
+
 class BitStream:
-    """Immutable ordered bit sequence with exact length, stored packed."""
+    """Immutable ordered bit sequence with exact length, stored packed.
 
-    __slots__ = ("_packed", "_length")
+    The packed payload is an in-memory array or, for a stream read_bits
+    opened or a BitWriter wrote to a file, the file's own payload; either
+    is read a byte range at a time through _bytes.
+    """
 
-    def __init__(self, packed: np.ndarray, length: int):
-        packed = np.asarray(packed, dtype=np.uint8)
+    __slots__ = ("_payload", "_length")
+
+    def __init__(self, packed, length: int):
+        if not isinstance(packed, _FilePayload):
+            packed = np.asarray(packed, dtype=np.uint8)
         if length < 0:
             raise ValueError("length must be nonnegative")
         if packed.size != (length + 7) // 8:
             raise ValueError("packed size inconsistent with bit length")
         if length % 8 and packed.size:
-            tail = int(packed[-1]) & ((1 << (8 - length % 8)) - 1)
+            tail = int(packed[-1:][0]) & ((1 << (8 - length % 8)) - 1)
             if tail:
                 raise ValueError("trailing pad bits must be zero")
-        self._packed = packed
+        self._payload = packed
         self._length = length
 
     @classmethod
@@ -65,12 +110,16 @@ class BitStream:
             raise ValueError("bits must be one-dimensional")
         return cls(np.packbits(arr), arr.size)
 
+    def _bytes(self, lo: int, hi: int) -> np.ndarray:
+        """Packed bytes [lo, hi), clipped to the payload: a view in memory, a read from a file."""
+        return self._payload[lo:hi]
+
     def _unpack(self, start: int, stop: int) -> np.ndarray:
         """Bits [start, stop) as uint8 0/1, unpacked from only the bytes they span."""
         if not 0 <= start <= stop <= self._length:
             raise ValueError(f"bit range [{start}, {stop}) outside a stream of {self._length}")
         lo = start // 8
-        return np.unpackbits(self._packed[lo : (stop + 7) // 8])[start - 8 * lo : stop - 8 * lo]
+        return np.unpackbits(self._bytes(lo, (stop + 7) // 8))[start - 8 * lo : stop - 8 * lo]
 
     def to_array(self) -> np.ndarray:
         """Unpack to a uint8 array of 0/1 values."""
@@ -82,7 +131,11 @@ class BitStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitStream):
             return NotImplemented
-        return self._length == other._length and np.array_equal(self._packed, other._packed)
+        step = _CHUNK_BITS // 8
+        return self._length == other._length and all(
+            np.array_equal(self._bytes(lo, lo + step), other._bytes(lo, lo + step))
+            for lo in range(0, self._payload.size, step)
+        )
 
     def __repr__(self) -> str:
         return f"BitStream(len={self._length})"
@@ -97,48 +150,123 @@ class BitStream:
         return ones / self._length
 
 
-class _Packer:
+class BitWriter:
     """Packs 0/1 chunks of any length, in order, into a stream of known length.
 
     The last <8 bits of a chunk stay in a partial byte that the next chunk
-    completes, so chunk boundaries need not fall on bytes.
+    completes, so chunk boundaries need not fall on bytes.  Without a file
+    the bytes fill one in-memory payload.  Given an open binary file, the
+    writer writes the header at once, then each chunk's whole bytes as
+    they are packed, and hashes what it writes (``sha256``); it holds only
+    the partial byte.  ``bit_file`` opens such a writer on a path.
     """
 
-    def __init__(self, length: int):
-        self._packed = np.zeros((length + 7) // 8, dtype=np.uint8)
+    def __init__(self, length: int, file=None):
         self._length = length
         self._done = 0
+        self._tail = 0  # the partial byte, first bits most significant
+        self._file = file
+        if file is None:
+            self._packed = np.zeros((length + 7) // 8, dtype=np.uint8)
+            self._pos = 0
+        else:
+            header = _HEADER.pack(MAGIC, length)
+            file.write(header)
+            self._digest = hashlib.sha256(header)
+
+    def _emit(self, packed: np.ndarray) -> None:
+        if self._file is None:
+            self._packed[self._pos : self._pos + packed.size] = packed
+            self._pos += packed.size
+        else:
+            self._file.write(packed)
+            self._digest.update(packed)
 
     def append(self, bits: np.ndarray) -> None:
         if self._done + bits.size > self._length:
             raise ValueError("packer overflow")
-        pos, used = divmod(self._done, 8)
+        if not bits.size:
+            return
+        used = self._done % 8
         self._done += bits.size
+        end = self._done == self._length
         if used:
-            head = bits[: 8 - used]
-            self._packed[pos] |= int(np.packbits(head)[0]) >> used
-            bits = bits[8 - used :]
-            pos += 1
-        if bits.size:
-            self._packed[pos : pos + (bits.size + 7) // 8] = np.packbits(bits)
+            head, bits = bits[: 8 - used], bits[8 - used :]
+            self._tail |= int(np.packbits(head)[0]) >> used
+            if used + head.size < 8 and not end:
+                return
+            self._emit(np.array([self._tail], dtype=np.uint8))
+            self._tail = 0
+        packed = np.packbits(bits)
+        if self._done % 8 and not end:
+            self._tail = int(packed[-1])
+            packed = packed[:-1]
+        self._emit(packed)
 
-    def stream(self) -> BitStream:
+    def _check_full(self) -> None:
         if self._done != self._length:
             raise ValueError(f"packed {self._done} of {self._length} bits")
-        return BitStream(self._packed, self._length)
+
+    @property
+    def sha256(self) -> str:
+        """Hex digest of the file bytes written so far, the header included."""
+        return self._digest.hexdigest()
+
+    def stream(self) -> BitStream:
+        """The packed stream; a file writer's is read back from its file as it is used."""
+        self._check_full()
+        if self._file is None:
+            return BitStream(self._packed, self._length)
+        self._file.flush()
+        reader = open(self._file.name, "rb", buffering=0)
+        return BitStream(_FilePayload(reader, (self._length + 7) // 8), self._length)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """An open binary file on a temporary sibling of `path`.
+
+    The sibling replaces `path` when the block succeeds and is removed when
+    it raises, so `path` is never left holding part of a file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextlib.contextmanager
+def bit_file(path, length: int):
+    """A BitWriter of `length` bits into a bit file that appears at `path` only when complete.
+
+    The writer writes to a temporary sibling, which replaces `path` once
+    the block succeeds with every bit appended; otherwise it is removed.
+    """
+    with _replacing(path) as fh:
+        writer = BitWriter(length, fh)
+        yield writer
+        writer._check_full()
 
 
 def write_bits(path, stream: BitStream) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    """Write `stream` to `path` a byte range at a time, through a temporary sibling."""
+    step = _CHUNK_BITS // 8
+    with _replacing(path) as fh:
         fh.write(_HEADER.pack(MAGIC, len(stream)))
-        fh.write(stream._packed)  # the payload itself, not a copy
+        for lo in range(0, stream._payload.size, step):
+            fh.write(stream._bytes(lo, lo + step))
 
 
 def read_bits(path) -> BitStream:
-    """Read a bit file, holding its payload once, in the returned stream."""
+    """Open a bit file, checking its header, size and pad bits; the payload stays on disk."""
     path = Path(path)
-    with open(path, "rb") as fh:
+    fh = open(path, "rb", buffering=0)
+    try:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise BitFileError(f"{path}: truncated header")
@@ -148,13 +276,15 @@ def read_bits(path) -> BitStream:
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != (length + 7) // 8:
             raise BitFileError(f"{path}: payload holds {size} bytes, expected {(length + 7) // 8}")
-        payload = np.empty(size, dtype=np.uint8)
-        if fh.readinto(payload) != size:
-            raise BitFileError(f"{path}: payload changed while being read")
+    except BaseException:
+        fh.close()
+        raise
     try:
-        return BitStream(payload, length)
+        return BitStream(_FilePayload(fh, size), length)
+    except BitFileError:
+        raise
     except ValueError as exc:
         raise BitFileError(f"{path}: {exc}") from exc
 
 
-__all__ = ["MAGIC", "BitFileError", "BitStream", "read_bits", "write_bits"]
+__all__ = ["MAGIC", "BitFileError", "BitStream", "BitWriter", "bit_file", "read_bits", "write_bits"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitStream
+from .bits import BitStream, BitWriter
 from .device import DeviceParams, DeviceState, Streams
 from .pulses import PulseConfig, acquire_bits
 
@@ -79,6 +79,7 @@ def run_closed_loop(
     ctrl: ControllerState,
     count: int,
     rng: Streams,
+    sink: BitWriter | None = None,
 ) -> tuple[BitStream, np.ndarray, np.ndarray]:
     """Acquire `count` bits, updating the command after each window.
 
@@ -124,7 +125,7 @@ def run_closed_loop(
                 w += 1
                 filled = ones = 0
 
-    stream = acquire_bits(state, params, cfg, count, rng, read)
+    stream = acquire_bits(state, params, cfg, count, rng, read, sink)
     if filled:
         ratios[w] = ones / filled  # the short last window
     return stream, ratios, amplitudes

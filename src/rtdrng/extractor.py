@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitStream, _bit_array, _Packer
+from .bits import BitStream, BitWriter, _bit_array
 
 # bytes of one chunk's working set, at least one block: a block's packed
 # bytes, its output bytes and their gathered term, and its output unpacked
@@ -120,7 +120,7 @@ def _shift_table(seed: np.ndarray, n: int, l: int) -> np.ndarray:
     return table
 
 
-def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
+def extract(bits: BitStream, cfg: ExtractorConfig, sink: BitWriter | None = None) -> BitStream:
     """Hash every full n-bit block with the shared seed and concatenate.
 
     Output length is floor(len/n) * l; a trailing partial block is dropped.
@@ -129,13 +129,15 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     table read from byte c on, v being the byte's value, so the block's
     ceil(l/8) output bytes are the XOR of ceil(n/8) byte-aligned table
     slices, one per block byte.  A chunk of blocks is hashed at a time: its
-    packed bytes (a view of the stream when n is a multiple of 8, else the
+    packed bytes (the stream's own when n is a multiple of 8, else the
     chunk repacked a block to a row with a zero tail) index each slice in
     turn with one gather into a reused buffer, which is XORed into a reused
     accumulator; the accumulated bytes are unpacked to l bits a block and
     packed onto the output before the next chunk is read.  The arithmetic
     is exact XOR, and the working set, about _CHUNK_BYTES plus the
-    32 (n + l)-byte table, does not grow with the input.
+    32 (n + l)-byte table, does not grow with the input.  The output goes
+    to `sink`, a BitWriter of floor(len/n) * l bits, or else to one in
+    memory.
     """
     if cfg.l is None:
         raise ValueError("extraction requires a fixed l; see choose_block_params")
@@ -152,11 +154,11 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
     rows = min(n_blocks, max(1, _CHUNK_BYTES // per_block))
     acc = np.empty((rows, out_bytes), dtype=np.uint8)
     term = np.empty((rows, out_bytes), dtype=np.uint8)
-    out = _Packer(n_blocks * l)
+    out = BitWriter(n_blocks * l) if sink is None else sink
     for lo in range(0, n_blocks, rows):
         m = min(rows, n_blocks - lo)
         if aligned:
-            block_bytes = bits._packed[lo * in_bytes : (lo + m) * in_bytes].reshape(m, in_bytes)
+            block_bytes = bits._bytes(lo * in_bytes, (lo + m) * in_bytes).reshape(m, in_bytes)
         else:
             block_bytes = np.packbits(bits._unpack(lo * n, (lo + m) * n).reshape(m, n), axis=1)
         # uint8 indices are always in range; mode="clip" gathers straight
@@ -166,6 +168,7 @@ def extract(bits: BitStream, cfg: ExtractorConfig) -> BitStream:
         for c in range(1, in_bytes):
             np.take(table[:, c : c + out_bytes], block_bytes[:, c], axis=0, out=part, mode="clip")
             hashed ^= part
+        del block_bytes  # freed before the next chunk's bytes are read
         out.append(np.unpackbits(hashed, axis=1, count=l).reshape(-1))
     return out.stream()
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bits as _bits
-from .bits import BitStream, _Packer
+from .bits import BitStream, BitWriter
 from .device import _drawn, Branch, DeviceParams, DeviceState, ModelRangeError, Streams
 
 
@@ -79,6 +79,7 @@ def acquire_bits(
     count: int,
     rng: Streams,
     read=None,
+    sink: BitWriter | None = None,
 ) -> BitStream:
     """Collect `count` bits from successive pulses; `state` threads through.
 
@@ -87,14 +88,16 @@ def acquire_bits(
     reader).  The thresholds come from device._drawn (see there) a block
     at a time, each chunk reset-checked whole; each block is read into one
     reused bool buffer and packed, so the working set is bounded by the
-    chunk, not by `count`.  The draws are closed, and their thread joined,
-    before the call returns or raises; the state advances in place only
-    once every block has been read.
+    chunk, not by `count`.  The bits go to `sink`, a BitWriter of `count`
+    bits (a file writer holds no stream), or else to one in memory.  The
+    draws are closed, and their thread joined, before the call returns or
+    raises; the state advances in place only once every block has been
+    read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     read = read or (lambda thresholds, bits: np.greater(cfg.amplitude, thresholds, out=bits))
-    out = _Packer(count)
+    out = BitWriter(count) if sink is None else sink
     check = functools.partial(_require_reset, params)
     draws = _drawn(rng, params, cfg.period, count, state.drift, cfg.width, check=check)
     buf = None

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from rtdrng.bits import (
     MAGIC,
     BitFileError,
     BitStream,
-    _Packer,
+    BitWriter,
+    bit_file,
     read_bits,
     write_bits,
 )
@@ -85,13 +89,13 @@ class TestUnpackAndPack:
     @pytest.mark.parametrize("length", [0, 1, 8, 1000, 1001])
     def test_packer_is_chunk_invariant(self, chunk, length):
         bits = (np.random.default_rng(length).random(length) < 0.5).astype(np.uint8)
-        packer = _Packer(length)
+        packer = BitWriter(length)
         for lo in range(0, length, chunk):
             packer.append(bits[lo : lo + chunk].astype(bool))
         assert packer.stream() == BitStream.from_array(bits)
 
     def test_packer_requires_exact_length(self):
-        packer = _Packer(9)
+        packer = BitWriter(9)
         packer.append(np.ones(8, dtype=np.uint8))
         with pytest.raises(ValueError):
             packer.stream()
@@ -146,3 +150,63 @@ class TestFileFormat:
         path.write_bytes(MAGIC + (3).to_bytes(8, "little") + b"\xff")
         with pytest.raises(BitFileError):
             read_bits(path)
+
+    def test_range_read_past_a_cut_raises(self, tmp_path):
+        # the file passes every check at open and is cut afterwards: a range
+        # read that reaches past the cut refuses, never returns fewer bytes
+        path = tmp_path / "x.bits"
+        write_bits(path, BitStream.from_array(np.ones(800, dtype=np.uint8)))
+        stream = read_bits(path)
+        os.truncate(path, 16 + 50)
+        assert np.array_equal(stream._unpack(0, 400), np.ones(400, dtype=np.uint8))
+        with pytest.raises(BitFileError, match="cut short of its 100 payload bytes"):
+            stream._unpack(392, 408)
+        with pytest.raises(BitFileError):
+            stream.ones_fraction()
+
+    def test_stream_outlives_a_replaced_file(self, tmp_path):
+        # the payload is read from the file as opened, so a new file written
+        # over the path, or the stream written back to it, reads the old bits
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, 5000, dtype=np.uint8)
+        path = tmp_path / "x.bits"
+        write_bits(path, BitStream.from_array(bits))
+        stream = read_bits(path)
+        write_bits(path, stream)
+        assert np.array_equal(read_bits(path).to_array(), bits)
+        write_bits(path, BitStream.from_array(1 - bits))
+        assert np.array_equal(stream.to_array(), bits)
+
+
+class TestBitFile:
+    @pytest.mark.parametrize("chunk", [1, 7, 257])
+    @pytest.mark.parametrize("length", [0, 1, 8, 1000, 1001])
+    def test_writes_what_write_bits_writes(self, tmp_path, chunk, length):
+        bits = (np.random.default_rng(length).random(length) < 0.5).astype(np.uint8)
+        write_bits(tmp_path / "whole.bits", BitStream.from_array(bits))
+        with bit_file(tmp_path / "x.bits", length) as writer:
+            for lo in range(0, length, chunk):
+                writer.append(bits[lo : lo + chunk].astype(bool))
+            stream = writer.stream()
+        data = (tmp_path / "x.bits").read_bytes()
+        assert data == (tmp_path / "whole.bits").read_bytes()
+        assert writer.sha256 == hashlib.sha256(data).hexdigest()
+        assert stream == BitStream.from_array(bits)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["whole.bits", "x.bits"]
+
+    def test_failed_block_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "x.bits"
+        write_bits(path, BitStream.from_array(np.ones(9, dtype=np.uint8)))
+        old = path.read_bytes()
+        with pytest.raises(RuntimeError, match="stage failed"):
+            with bit_file(path, 100) as writer:
+                writer.append(np.zeros(60, dtype=np.uint8))
+                raise RuntimeError("stage failed")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bits"]
+
+    def test_short_stream_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="packed 8 of 9 bits"):
+            with bit_file(tmp_path / "x.bits", 9) as writer:
+                writer.append(np.ones(8, dtype=np.uint8))
+        assert list(tmp_path.iterdir()) == []

@@ -296,6 +296,30 @@ class TestGenerateCommand:
     def test_bad_count(self, tmp_path):
         assert run_cli("generate", "--count", 0, "--out", tmp_path / "x.bits") == 2
 
+    def test_failed_reset_check_leaves_no_output(self, tmp_path, monkeypatch):
+        # a fast, wide drift whose valley reaches 0 mA a few thousand pulses
+        # in at seed 70: the reset check passes on the first chunks of 257
+        # pulses and fails on a later one, after bits were written
+        import rtdrng.device as device
+        import rtdrng.pulses as pulses
+
+        monkeypatch.setattr(device, "_CHUNK_PULSES", 257)
+        checked = []
+        require_reset = pulses._require_reset
+
+        def counting(params, drift):
+            checked.append(drift.size)
+            require_reset(params, drift)
+
+        monkeypatch.setattr(pulses, "_require_reset", counting)
+        cfg = tmp_path / "pipeline.ini"
+        cfg.write_text("[device]\ndrift_sigma = 0.25\ndrift_tau = 1.0\n[run]\nseed = 70\n")
+        out = tmp_path / "out"
+        argv = ["generate", "--config", cfg, "--count", 20_000, "--out", out / "raw.bits"]
+        assert run_cli(*argv) == 2
+        assert 1 < len(checked) < -(-20_000 // 257)
+        assert list(out.iterdir()) == []
+
     def test_timestamps_add_only_a_created_line(self, tmp_path):
         assert run_cli("generate", "--count", 1000, "--seed", 3, "--out", tmp_path / "a.bits") == 0
         stamped_argv = ("--count", 1000, "--seed", 3, "--out", tmp_path / "b.bits", "--timestamps")
@@ -363,28 +387,49 @@ def test_sweep_non_finite_bound_rejected_before_sweeping(tmp_path, flag, value):
     assert not out.exists()
 
 
+CLOSED_LOOP = "[device]\ndrift_sigma = 0.03\n[controller]\nwindow = 500\n"
+WINDOW_TABLES = ["raw.bits.amplitude.tsv", "raw.bits.ratio.tsv"]
+
+
 @pytest.mark.parametrize(
-    "argv, outputs",
+    "argv, ini, outputs, undigested",
     [
-        (["sweep", "--repeats", 3], ["sweeps.tsv", "switch_currents.tsv", "switch_hist.tsv"]),
+        (["sweep", "--repeats", 3], "", ["sweeps.tsv", "switch_currents.tsv", "switch_hist.tsv"], []),
         # below the valley nothing switches, so no histogram is written
-        (["sweep", "--repeats", 2, "--stop", 0.3], ["sweeps.tsv", "switch_currents.tsv"]),
-        (["test", "--sequences", 1, "--sequence-length", 400_000], ["report.json", "report.tsv"]),
+        (["sweep", "--repeats", 2, "--stop", 0.3], "", ["sweeps.tsv", "switch_currents.tsv"], []),
+        (["test", "--sequences", 1, "--sequence-length", 400_000], "", ["report.json", "report.tsv"], []),
+        # generate and extract digest the one bit file their sidecar is named for
+        (["generate", "--count", 30_001], "", ["raw.bits"], []),
+        (["generate", "--count", 30_001], CLOSED_LOOP, ["raw.bits"], WINDOW_TABLES),
+        (["extract"], "", ["ext.bits"], []),
+        (["extract"], "[extractor]\nmode = auto\n", ["ext.bits"], []),
     ],
-    ids=["sweep", "sweep-no-switch", "test"],
+    ids=[
+        "sweep", "sweep-no-switch", "test",
+        "generate-open-loop", "generate-closed-loop", "extract-fixed", "extract-auto",
+    ],
 )
-def test_stage_sidecar_digests_each_output(tmp_path, argv, outputs):
-    if argv[0] == "test":
+def test_stage_sidecar_digests_each_output(tmp_path, argv, ini, outputs, undigested):
+    if argv[0] in ("test", "extract"):
         raw = tmp_path / "raw.bits"
         rng = np.random.default_rng(18)
         write_bits(raw, BitStream.from_array(rng.integers(0, 2, 400_000).astype(np.uint8)))
         argv = [*argv, "--in", raw]
+    if ini:
+        (tmp_path / "x.ini").write_text(ini)
+        argv = [*argv, "--config", tmp_path / "x.ini"]
     out = tmp_path / "out"
-    assert run_cli(*argv, "--out-dir", out) in (0, 1)
-    meta_name = f"{argv[0]}.meta"
+    if argv[0] in ("generate", "extract"):
+        meta_name = f"{outputs[0]}.meta"
+        assert run_cli(*argv, "--out", out / outputs[0]) == 0
+    else:
+        meta_name = f"{argv[0]}.meta"
+        assert run_cli(*argv, "--out-dir", out) in (0, 1)
     meta = read_sidecar(out / meta_name)
     digests = {k[len("sha256.") :]: v for k, v in meta.items() if k.startswith("sha256.")}
-    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, meta_name])
+    if "sha256" in meta:
+        digests[meta_name[: -len(".meta")]] = meta["sha256"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, *undigested, meta_name])
     assert sorted(digests) == outputs
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -441,6 +486,27 @@ class TestExtractCommand:
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("extract", "--in", tmp_path / "nope.bits", "--out", tmp_path / "e.bits") == 3
+
+    def test_output_over_its_input_matches_a_separate_output(self, tmp_path):
+        rng = np.random.default_rng(14)
+        raw = tmp_path / "raw.bits"
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 25_000).astype(np.uint8)))
+        assert run_cli("extract", "--in", raw, "--out", tmp_path / "ext.bits") == 0
+        assert run_cli("extract", "--in", raw, "--out", raw) == 0
+        assert raw.read_bytes() == (tmp_path / "ext.bits").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ext.bits", "ext.bits.meta", "raw.bits", "raw.bits.meta"
+        ]
+
+    def test_output_over_its_input_records_the_input_digest(self, tmp_path):
+        rng = np.random.default_rng(15)
+        raw = tmp_path / "raw.bits"
+        write_bits(raw, BitStream.from_array(rng.integers(0, 2, 25_000).astype(np.uint8)))
+        input_sha256 = hashlib.sha256(raw.read_bytes()).hexdigest()
+        assert run_cli("extract", "--in", raw, "--out", raw) == 0
+        meta = read_sidecar(tmp_path / "raw.bits.meta")
+        assert meta["input_sha256"] == input_sha256
+        assert meta["sha256"] == hashlib.sha256(raw.read_bytes()).hexdigest()
 
 
 class TestTestCommand:

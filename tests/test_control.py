@@ -172,9 +172,9 @@ class TestClosedLoop:
         # the windows are one pulse train, read through control.acquire_bits
         counts = []
 
-        def counting(state, params, cfg, count, rng, read=None):
+        def counting(state, params, cfg, count, rng, read=None, sink=None):
             counts.append(count)
-            return acquire_bits(state, params, cfg, count, rng, read)
+            return acquire_bits(state, params, cfg, count, rng, read, sink)
 
         monkeypatch.setattr(control, "acquire_bits", counting)
         run_closed_loop(DeviceState(), P_DRIFT, CFG, make_ctrl(window=120), 7 * 120, streams(8))

@@ -157,12 +157,12 @@ class TestExtract:
         monkeypatch.setattr(extractor, "_CHUNK_BYTES", chunk_bytes(n, l, rows))
         chunks = []
 
-        class CountingPacker(extractor._Packer):
+        class CountingPacker(extractor.BitWriter):
             def append(self, bits):
                 chunks.append(bits.size)
                 super().append(bits)
 
-        monkeypatch.setattr(extractor, "_Packer", CountingPacker)
+        monkeypatch.setattr(extractor, "BitWriter", CountingPacker)
         cfg = self.make_cfg(n, l, seed_seed=n + rows)
         data = random_bits(17 * n + n // 2, n)
         out = extract(stream_of(data), cfg).to_array()
