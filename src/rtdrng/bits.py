@@ -8,21 +8,21 @@ A ``BitStream`` holds its payload in memory or leaves it in its file, and
 either way it is read one byte range at a time (``BitStream._bytes``).
 ``read_bits`` checks a file's header, size and pad bits and leaves the
 payload on disk.  ``BitWriter`` packs a stream of known length chunk by
-chunk, into memory or straight into an open file, keeping only the
-partial last byte.  ``bit_file`` and ``write_bits`` write a file to a
-temporary sibling, which replaces it only once the whole stream is
-written, so a bit file never holds a partial stream.
+chunk, into memory or straight into a file from ``sidecar.output_file``,
+keeping only the partial last byte; its ``stream`` refuses a stream short
+of its length, and the file replaces its path only once its block succeeds,
+so a bit file never holds a partial stream.  ``write_bits`` does the same.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .sidecar import output_file
 
 MAGIC = b"RTDBITS1"
 _HEADER = struct.Struct("<8sQ")
@@ -155,10 +155,10 @@ class BitWriter:
 
     The last <8 bits of a chunk stay in a partial byte that the next chunk
     completes, so chunk boundaries need not fall on bytes.  Without a file
-    the bytes fill one in-memory payload.  Given an open binary file, the
-    writer writes the header at once, then each chunk's whole bytes as
-    they are packed, and hashes what it writes (``sha256``); it holds only
-    the partial byte.  ``bit_file`` opens such a writer on a path.
+    the bytes fill one in-memory payload.  Given a file from
+    ``sidecar.output_file``, which hashes what it is given, the writer
+    writes the header at once, then each chunk's whole bytes as they are
+    packed; it holds only the partial byte.
     """
 
     def __init__(self, length: int, file=None):
@@ -170,9 +170,7 @@ class BitWriter:
             self._packed = np.zeros((length + 7) // 8, dtype=np.uint8)
             self._pos = 0
         else:
-            header = _HEADER.pack(MAGIC, length)
-            file.write(header)
-            self._digest = hashlib.sha256(header)
+            file.write(_HEADER.pack(MAGIC, length))
 
     def _emit(self, packed: np.ndarray) -> None:
         if self._file is None:
@@ -180,7 +178,6 @@ class BitWriter:
             self._pos += packed.size
         else:
             self._file.write(packed)
-            self._digest.update(packed)
 
     def append(self, bits: np.ndarray) -> None:
         if self._done + bits.size > self._length:
@@ -203,18 +200,10 @@ class BitWriter:
             packed = packed[:-1]
         self._emit(packed)
 
-    def _check_full(self) -> None:
+    def stream(self) -> BitStream:
+        """The packed stream, refused short of its length; a file writer's is read from its file."""
         if self._done != self._length:
             raise ValueError(f"packed {self._done} of {self._length} bits")
-
-    @property
-    def sha256(self) -> str:
-        """Hex digest of the file bytes written so far, the header included."""
-        return self._digest.hexdigest()
-
-    def stream(self) -> BitStream:
-        """The packed stream; a file writer's is read back from its file as it is used."""
-        self._check_full()
         if self._file is None:
             return BitStream(self._packed, self._length)
         self._file.flush()
@@ -222,41 +211,10 @@ class BitWriter:
         return BitStream(_FilePayload(reader, (self._length + 7) // 8), self._length)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """An open binary file on a temporary sibling of `path`.
-
-    The sibling replaces `path` when the block succeeds and is removed when
-    it raises, so `path` is never left holding part of a file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-@contextlib.contextmanager
-def bit_file(path, length: int):
-    """A BitWriter of `length` bits into a bit file that appears at `path` only when complete.
-
-    The writer writes to a temporary sibling, which replaces `path` once
-    the block succeeds with every bit appended; otherwise it is removed.
-    """
-    with _replacing(path) as fh:
-        writer = BitWriter(length, fh)
-        yield writer
-        writer._check_full()
-
-
 def write_bits(path, stream: BitStream) -> None:
     """Write `stream` to `path` a byte range at a time, through a temporary sibling."""
     step = _CHUNK_BITS // 8
-    with _replacing(path) as fh:
+    with output_file(path) as fh:
         fh.write(_HEADER.pack(MAGIC, len(stream)))
         for lo in range(0, stream._payload.size, step):
             fh.write(stream._bytes(lo, lo + step))
@@ -287,4 +245,4 @@ def read_bits(path) -> BitStream:
         raise BitFileError(f"{path}: {exc}") from exc
 
 
-__all__ = ["MAGIC", "BitFileError", "BitStream", "BitWriter", "bit_file", "read_bits", "write_bits"]
+__all__ = ["MAGIC", "BitFileError", "BitStream", "BitWriter", "read_bits", "write_bits"]

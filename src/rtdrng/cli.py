@@ -1,13 +1,14 @@
 """Command-line pipeline: generate, sweep, extract, test, report.
 
-Every output file gets a key=value metadata sidecar that records what re-runs
-its producing stage (an INI seed_hex only by fingerprint).  No stage holds a
-whole bit stream: ``generate`` and ``extract`` pack their bits straight into
-their output file, which appears only once the stage has succeeded, and take
-its sidecar's sha256 from the bytes as they were written; ``extract``,
-``test`` and ``report`` read their input a byte range at a time.  Exit codes: 0
-success/pass, 1 statistical failure (suite below threshold, insufficient
-extractable entropy), 2 usage or configuration error, 3 I/O or
+Every file a stage writes goes through ``sidecar.output_file``, so it appears
+only once whole and is hashed as it is written.  Each stage but ``report``
+then writes a key=value sidecar: what re-runs the stage (an INI seed_hex only
+by fingerprint) and the sha256 of every file it wrote; an output of an earlier
+run that it did not write again is removed.  No stage holds a whole bit
+stream: ``generate`` and ``extract`` pack their bits straight into their file;
+``extract``, ``test`` and ``report`` read their input a byte range at a time.
+Exit codes: 0 success/pass, 1 statistical failure (suite below threshold,
+insufficient extractable entropy), 2 usage or configuration error, 3 I/O or
 malformed-file error.
 """
 
@@ -24,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import BitFileError, bit_file, read_bits
+from .bits import BitFileError, BitWriter, read_bits
 
 # kept only so that perfbench/worker.py's patch list resolves: generate and
-# extract write through bit_file, so the bits.write layer reads 0 until that
-# list changes
+# extract write through output_file, so the bits.write layer reads 0 until
+# that list changes
 from .bits import write_bits  # noqa: F401
 from .config import ConfigError, PipelineConfig, default_config, load_config, seed_bits
 from .control import run_closed_loop
@@ -47,10 +48,11 @@ from .extractor import (
 from .nist.battery import analyze_suite, render_table, report_records, run_battery
 from .nist.sequence import battery_sequences
 from .pulses import acquire_bits, window_fractions
-from .sidecar import SidecarError, read_sidecar, write_sidecar
+from .sidecar import SidecarError, output_file, read_sidecar, write_sidecar
 
 
 def _sha256(path) -> str:
+    # of an input: every output is hashed as it is written
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(1 << 20):
@@ -58,9 +60,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _digests(out_dir: Path, names) -> dict:
-    # one sha256.<file> entry for each output the stage wrote into out_dir
-    return {f"sha256.{name}": _sha256(out_dir / name) for name in names}
+def _digest_entries(out_dir: Path, digests: dict, optional=()) -> dict:
+    # a sha256.<file> entry per file written into out_dir; an optional output
+    # not written this run is removed, so no earlier run's file stays unlisted
+    for name in optional:
+        if name not in digests:
+            (out_dir / name).unlink(missing_ok=True)
+    return {f"sha256.{name}": digest for name, digest in digests.items()}
 
 
 def _flatten(prefix: str, obj) -> dict:
@@ -77,13 +83,16 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _input_name(args) -> str:
-    # checked before any output is written: a sidecar value is one line of UTF-8
-    name = Path(args.input).name
+def _file_name(path, what: str, in_key: bool = False) -> str:
+    # checked before any output is written: a sidecar line is UTF-8, a value
+    # holds no newline and a key no "=" either
+    name = Path(path).name
     if "\n" in name:
-        raise ConfigError(f"input file name {name!r} holds a newline")
+        raise ConfigError(f"{what} file name {name!r} holds a newline")
+    if in_key and "=" in name:
+        raise ConfigError(f"{what} file name {name!r} holds '=', which a sidecar key cannot")
     if name.encode("utf-8", "replace").decode("utf-8") != name:
-        raise ConfigError(f"input file name {name!r} is not valid UTF-8")
+        raise ConfigError(f"{what} file name {name!r} is not valid UTF-8")
     return name
 
 
@@ -93,49 +102,50 @@ def _out_path(args, cfg: PipelineConfig, default_name: str) -> Path:
     return path
 
 
-def _write_tsv(path, header: list[str], rows) -> None:
-    # one line template and one join for the table; "{}" formats a cell as str() does
-    line = "\t".join(["{}"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(line.format(*header) + "".join([line.format(*row) for row in rows]))
-
-
-# rows of a per-window table formatted and written together
+# rows of a table formatted and written together
 _TABLE_ROWS = 1 << 12
 
 
-def _write_window_tables(out: Path, ratios: np.ndarray, amplitudes: np.ndarray) -> None:
-    """Write the closed loop's per-window ratio and amplitude tables beside `out`.
+def _write_table(path, header: list[str], line: str, *columns) -> str:
+    """Write a TSV table of `columns` through output_file and return its sha256.
 
-    Each value is formatted once, one pass a row, into _write_tsv's bytes
-    for "{:.6f}" cells, and the rows are written _TABLE_ROWS at a time, so
-    the text held at once does not grow with the window count.
+    `line` formats one row's cells.  The rows are formatted and written
+    _TABLE_ROWS at a time, an array's block converted by tolist, so the
+    text held at once does not grow with the row count.
     """
-    for suffix, column, values in (
-        ("ratio", "ratio", ratios),
-        ("amplitude", "amplitude_ma", amplitudes),
-    ):
-        with open(out.with_name(f"{out.name}.{suffix}.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(f"window\t{column}\n")
-            for lo in range(0, len(values), _TABLE_ROWS):
-                block = values[lo : lo + _TABLE_ROWS].tolist()
-                fh.write("".join(map("{}\t{:.6f}\n".format, range(lo, lo + len(block)), block)))
+    with output_file(path) as fh:
+        fh.write("\t".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _TABLE_ROWS):
+            block = [column[lo : lo + _TABLE_ROWS] for column in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.write("".join(map(line.format, *block)))
+    return fh.sha256
 
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
+    control_on = cfg.controller is not None
+    if control_on:
+        # the window tables' digests are keyed by the output's name
+        _file_name(args.out or "raw.bits", "output", in_key=True)
     out = _out_path(args, cfg, "raw.bits")
+    tables = [f"{out.name}.ratio.tsv", f"{out.name}.amplitude.tsv"]
     rng = streams(cfg.seed)
     state = DeviceState()
-    control_on = cfg.controller is not None
-    with bit_file(out, args.count) as sink:
+    digests = {}
+    with output_file(out) as fh:
+        sink = BitWriter(args.count, fh)
         if control_on:
-            stream, ratios, amplitudes = run_closed_loop(
+            stream, *traces = run_closed_loop(
                 state, cfg.device, cfg.pulse, cfg.controller, args.count, rng, sink
             )
-            _write_window_tables(out, ratios, amplitudes)
+            for name, column, values in zip(tables, ("ratio", "amplitude_ma"), traces):
+                digests[name] = _write_table(
+                    out.with_name(name), ["window", column], "{}\t{:.6f}\n",
+                    range(len(values)), values,
+                )
         else:
             stream = acquire_bits(state, cfg.device, cfg.pulse, args.count, rng, sink=sink)
     meta = {"stage": "generate", "count": args.count, "seed": cfg.seed}
@@ -146,7 +156,8 @@ def cmd_generate(args) -> int:
     meta.update(_flatten("pulse", cfg.pulse))
     if control_on:
         meta.update(_flatten("controller", cfg.controller))
-    meta["sha256"] = sink.sha256
+    meta["sha256"] = fh.sha256
+    meta.update(_digest_entries(out.parent, digests, tables))
     write_sidecar(out.with_name(out.name + ".meta"), meta)
     print(f"wrote {len(stream)} bits to {out}")
     return 0
@@ -179,32 +190,28 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     switches = []
-    with open(out_dir / "sweeps.tsv", "w", encoding="utf-8") as fh:
+    with output_file(out_dir / "sweeps.tsv") as fh:
         fh.write("sweep\tcurrent_ma\tvoltage_v\n")
         for branches, group_switches in groups:
             # written as each group is made, so the stage holds one group's lines
             rows = np.where(branches, texts[Branch.H], texts[Branch.L]).tolist()
             idx = map(str, range(len(switches), len(switches) + len(rows)))
-            fh.writelines(k + k.join(row) for k, row in zip(idx, rows))
+            for k, row in zip(idx, rows):
+                fh.write(k + k.join(row))
             switches.extend(group_switches)
-    _write_tsv(
+    digests = {"sweeps.tsv": fh.sha256}
+    cells = ["" if s is None else f"{s:.6f}" for s in switches]
+    digests["switch_currents.tsv"] = _write_table(
         out_dir / "switch_currents.tsv",
-        ["sweep", "switch_current_ma"],
-        (
-            (idx, "" if s is None else f"{s:.6f}")
-            for idx, s in enumerate(switches)
-        ),
+        ["sweep", "switch_current_ma"], "{}\t{}\n", range(len(cells)), cells,
     )
     observed = np.array([s for s in switches if s is not None])
     if observed.size:
         counts, edges = np.histogram(observed, bins=args.bins)
-        _write_tsv(
+        digests["switch_hist.tsv"] = _write_table(
             out_dir / "switch_hist.tsv",
-            ["bin_lo_ma", "bin_hi_ma", "count"],
-            (
-                (f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(counts[i]))
-                for i in range(counts.size)
-            ),
+            ["bin_lo_ma", "bin_hi_ma", "count"], "{:.6f}\t{:.6f}\t{}\n",
+            edges[:-1], edges[1:], counts,
         )
     meta = {
         "stage": "sweep",
@@ -222,8 +229,7 @@ def cmd_sweep(args) -> int:
         meta["switch_mean_ma"] = float(observed.mean())
         meta["switch_std_ma"] = float(observed.std())
     meta.update(_flatten("device", cfg.device))
-    hist = ["switch_hist.tsv"] if observed.size else []
-    meta.update(_digests(out_dir, ["sweeps.tsv", "switch_currents.tsv", *hist]))
+    meta.update(_digest_entries(out_dir, digests, ["switch_hist.tsv"]))
     write_sidecar(out_dir / "sweep.meta", meta)
     print(f"recorded {observed.size} switches over {args.repeats} sweeps in {out_dir}")
     return 0
@@ -231,7 +237,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
-    input_name = _input_name(args)
+    input_name = _file_name(args.input, "input")
     stream = read_bits(args.input)
     n, l, k = cfg.extractor.n, cfg.extractor.l, cfg.extractor.epsilon_exponent
     h_min = None
@@ -252,8 +258,8 @@ def cmd_extract(args) -> int:
     # hashed before the output can replace it: --out may name the input
     input_sha256 = _sha256(args.input)
     out = _out_path(args, cfg, "extracted.bits")
-    with bit_file(out, len(stream) // n * l) as sink:
-        out_stream = extract(stream, ext_cfg, sink)
+    with output_file(out) as fh:
+        out_stream = extract(stream, ext_cfg, BitWriter(len(stream) // n * l, fh))
     meta = {
         "stage": "extract",
         "mode": "fixed" if h_min is None else "auto",
@@ -271,7 +277,7 @@ def cmd_extract(args) -> int:
             "input_sha256": input_sha256,
             "input_bits": len(stream),
             "output_bits": len(out_stream),
-            "sha256": sink.sha256,
+            "sha256": fh.sha256,
         }
     )
     write_sidecar(out.with_name(out.name + ".meta"), meta)
@@ -281,7 +287,7 @@ def cmd_extract(args) -> int:
 
 def cmd_test(args) -> int:
     cfg = _load_config(args)
-    input_name = _input_name(args)
+    input_name = _file_name(args.input, "input")
     sequences = args.sequences if args.sequences is not None else cfg.suite.sequences
     seq_len = args.sequence_length if args.sequence_length is not None else cfg.suite.n
     params = dataclasses.replace(cfg.suite, n=seq_len, sequences=sequences)
@@ -293,10 +299,14 @@ def cmd_test(args) -> int:
     report = analyze_suite(results, params.alpha)
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.tsv").write_text(render_table(report), encoding="utf-8")
-    (out_dir / "report.json").write_text(
-        json.dumps(report_records(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    digests = {}
+    for name, text in (
+        ("report.json", json.dumps(report_records(report), indent=2, sort_keys=True) + "\n"),
+        ("report.tsv", render_table(report)),
+    ):
+        with output_file(out_dir / name) as fh:
+            fh.write(text)
+        digests[name] = fh.sha256
     failing = sum(1 for row in report.rows if not row.meets_threshold)
     write_sidecar(
         out_dir / "test.meta",
@@ -311,7 +321,7 @@ def cmd_test(args) -> int:
             "rows_failing": failing,
             "overall_pass": report.overall_pass,
             **_flatten("suite", params),
-            **_digests(out_dir, ["report.json", "report.tsv"]),
+            **_digest_entries(out_dir, digests),
         },
     )
     verdict = "PASS" if report.overall_pass else "FAIL"
@@ -392,7 +402,8 @@ def cmd_report(args) -> int:
     if missing:
         lines.append(f"stages not present: {', '.join(missing)}")
     text = "\n".join(lines) + "\n"
-    (run_dir / "summary.txt").write_text(text, encoding="utf-8")
+    with output_file(run_dir / "summary.txt") as fh:
+        fh.write(text)
     sys.stdout.write(text)
     return 0
 

@@ -56,12 +56,6 @@ _UNIVERSAL_VARIANCE = {
     7: 3.125, 8: 3.238, 9: 3.311, 10: 3.356, 11: 3.384, 12: 3.401,
     13: 3.410, 14: 3.416, 15: 3.419, 16: 3.421,
 }
-# (minimum n, L) selection thresholds for the universal test.
-_UNIVERSAL_N_THRESHOLDS = (
-    (1059061760, 16), (496435200, 15), (231669760, 14), (107560960, 13),
-    (49643520, 12), (22753280, 11), (10342400, 10), (4654080, 9),
-    (2068480, 8), (904960, 7), (387840, 6),
-)
 
 # SP 800-22's printed overlapping-template table at the standard geometry
 # (m=9, M=1032): the exact law to six digits (within 4.5e-7), kept as data
@@ -168,12 +162,9 @@ class TestParams:
     def resolved_universal(self, n: int) -> tuple[int, int, int]:
         """(L, Q, K) for the universal test at sequence length n."""
         length = self.universal_l
-        if length is None:
-            for threshold, candidate in _UNIVERSAL_N_THRESHOLDS:
-                if n >= threshold:
-                    length = candidate
-                    break
-            else:
+        if length is None:  # SP 800-22 2.9.7: the largest L in 6..16 with n >= 1010 L 2^L
+            length = max((k for k in range(6, 17) if n >= 1010 * k * 2**k), default=None)
+            if length is None:
                 raise SequenceTooShortError("universal test needs at least 387840 bits")
         q = self.universal_q if self.universal_q is not None else 10 * 2**length
         k = n // length - q

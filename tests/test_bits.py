@@ -9,10 +9,10 @@ from rtdrng.bits import (
     BitFileError,
     BitStream,
     BitWriter,
-    bit_file,
     read_bits,
     write_bits,
 )
+from rtdrng.sidecar import output_file
 
 
 def payload(stream, tmp_path):
@@ -179,18 +179,21 @@ class TestFileFormat:
 
 
 class TestBitFile:
+    """A BitWriter packing into a file from output_file, as generate and extract use it."""
+
     @pytest.mark.parametrize("chunk", [1, 7, 257])
     @pytest.mark.parametrize("length", [0, 1, 8, 1000, 1001])
     def test_writes_what_write_bits_writes(self, tmp_path, chunk, length):
         bits = (np.random.default_rng(length).random(length) < 0.5).astype(np.uint8)
         write_bits(tmp_path / "whole.bits", BitStream.from_array(bits))
-        with bit_file(tmp_path / "x.bits", length) as writer:
+        with output_file(tmp_path / "x.bits") as fh:
+            writer = BitWriter(length, fh)
             for lo in range(0, length, chunk):
                 writer.append(bits[lo : lo + chunk].astype(bool))
             stream = writer.stream()
         data = (tmp_path / "x.bits").read_bytes()
         assert data == (tmp_path / "whole.bits").read_bytes()
-        assert writer.sha256 == hashlib.sha256(data).hexdigest()
+        assert fh.sha256 == hashlib.sha256(data).hexdigest()
         assert stream == BitStream.from_array(bits)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["whole.bits", "x.bits"]
 
@@ -199,14 +202,16 @@ class TestBitFile:
         write_bits(path, BitStream.from_array(np.ones(9, dtype=np.uint8)))
         old = path.read_bytes()
         with pytest.raises(RuntimeError, match="stage failed"):
-            with bit_file(path, 100) as writer:
-                writer.append(np.zeros(60, dtype=np.uint8))
+            with output_file(path) as fh:
+                BitWriter(100, fh).append(np.zeros(60, dtype=np.uint8))
                 raise RuntimeError("stage failed")
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["x.bits"]
 
     def test_short_stream_is_not_written(self, tmp_path):
         with pytest.raises(ValueError, match="packed 8 of 9 bits"):
-            with bit_file(tmp_path / "x.bits", 9) as writer:
+            with output_file(tmp_path / "x.bits") as fh:
+                writer = BitWriter(9, fh)
                 writer.append(np.ones(8, dtype=np.uint8))
+                writer.stream()
         assert list(tmp_path.iterdir()) == []

@@ -19,7 +19,7 @@ from rtdrng.cli import build_parser, main
 from rtdrng.config import _SCHEMA, ConfigError, _stage_keys, default_config, load_config
 from rtdrng.nist import TestParams
 from rtdrng.pulses import window_fractions
-from rtdrng.sidecar import read_sidecar, write_sidecar
+from rtdrng.sidecar import output_file, read_sidecar, write_sidecar
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -172,20 +172,47 @@ def test_field_without_parser_rejected():
         _stage_keys(Stage)
 
 
-def test_tsv_cells_written_as_str(tmp_path):
-    from rtdrng.cli import _write_tsv
+def test_tsv_cells_written_as_str(tmp_path, monkeypatch):
+    import rtdrng.cli as cli
 
+    # two rows a block: the last block is a short one
+    monkeypatch.setattr(cli, "_TABLE_ROWS", 2)
     path = tmp_path / "table.tsv"
-    rows = [(0, 0.1, "x"), (12, 1e-17, ""), (-3, 1.515, "1.500000")]
-    _write_tsv(path, ["window", "value", "text"], iter(rows))
+    columns = ([0, 12, -3], np.array([0.1, 1e-17, 1.515]), ["x", "", "1.500000"])
+    digest = cli._write_table(path, ["window", "value", "text"], "{}\t{}\t{}\n", *columns)
     assert path.read_bytes() == (
         b"window\tvalue\ttext\n0\t0.1\tx\n12\t1e-17\t\n-3\t1.515\t1.500000\n"
     )
-    _write_tsv(path, ["window", "value", "text"], [])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    cli._write_table(path, ["window", "value", "text"], "{}\t{}\t{}\n", [], [], [])
     assert path.read_bytes() == b"window\tvalue\ttext\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.tsv"]
 
 
 class TestSidecar:
+    @pytest.mark.parametrize(
+        "entries",
+        [{"stage": "sweep", "a=b": 1}, {"stage": "sweep", "a\nb": 1}, {"stage": "a\nb"}],
+    )
+    def test_unserializable_entry_refused_and_old_sidecar_kept(self, tmp_path, entries):
+        # a key holds no "=" or newline and a value no newline, or the file
+        # would not read back as the entries written
+        path = tmp_path / "x.meta"
+        write_sidecar(path, {"stage": "generate"})
+        with pytest.raises(ValueError, match="unserializable sidecar entry"):
+            write_sidecar(path, entries)
+        assert read_sidecar(path) == {"stage": "generate"}
+        assert [p.name for p in tmp_path.iterdir()] == ["x.meta"]
+
+    def test_output_file_hashes_bytes_and_text_as_written(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        with output_file(path) as fh:
+            fh.write("caf\u00e9\n")
+            fh.write(np.arange(3, dtype=np.uint8))
+            assert not path.exists()
+        assert path.read_bytes() == b"caf\xc3\xa9\n\x00\x01\x02"
+        assert fh.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "x.meta"
         write_sidecar(path, {"stage": "generate", "count": 8, "ratio": 0.5, "flag": True})
@@ -239,8 +266,8 @@ class TestGenerateCommand:
         assert read_sidecar(tmp_path / "c.bits.meta")["controller"] == "on"
 
     def test_trace_tables_match_the_cell_writer(self, tmp_path, monkeypatch):
-        # generate formats each value once per row; the bytes are those of the
-        # table writer the sweep stage uses, given "{:.6f}" cells
+        # generate formats each value in the table writer's line template; the
+        # bytes are those of the same writer given cells formatted "{:.6f}"
         import rtdrng.cli as cli
 
         loops = []
@@ -261,8 +288,8 @@ class TestGenerateCommand:
             ("amplitude", "amplitude_ma", amplitudes),
         ):
             want = tmp_path / f"want.{suffix}.tsv"
-            cells = ((w, f"{v:.6f}") for w, v in enumerate(values.tolist()))
-            cli._write_tsv(want, ["window", column], cells)
+            cells = [f"{v:.6f}" for v in values.tolist()]
+            cli._write_table(want, ["window", column], "{}\t{}\n", range(len(cells)), cells)
             assert (tmp_path / f"raw.bits.{suffix}.tsv").read_bytes() == want.read_bytes()
         assert len(ratios) == 401
 
@@ -392,24 +419,25 @@ WINDOW_TABLES = ["raw.bits.amplitude.tsv", "raw.bits.ratio.tsv"]
 
 
 @pytest.mark.parametrize(
-    "argv, ini, outputs, undigested",
+    "argv, ini, outputs",
     [
-        (["sweep", "--repeats", 3], "", ["sweeps.tsv", "switch_currents.tsv", "switch_hist.tsv"], []),
+        (["sweep", "--repeats", 3], "", ["sweeps.tsv", "switch_currents.tsv", "switch_hist.tsv"]),
         # below the valley nothing switches, so no histogram is written
-        (["sweep", "--repeats", 2, "--stop", 0.3], "", ["sweeps.tsv", "switch_currents.tsv"], []),
-        (["test", "--sequences", 1, "--sequence-length", 400_000], "", ["report.json", "report.tsv"], []),
-        # generate and extract digest the one bit file their sidecar is named for
-        (["generate", "--count", 30_001], "", ["raw.bits"], []),
-        (["generate", "--count", 30_001], CLOSED_LOOP, ["raw.bits"], WINDOW_TABLES),
-        (["extract"], "", ["ext.bits"], []),
-        (["extract"], "[extractor]\nmode = auto\n", ["ext.bits"], []),
+        (["sweep", "--repeats", 2, "--stop", 0.3], "", ["sweeps.tsv", "switch_currents.tsv"]),
+        (["test", "--sequences", 1, "--sequence-length", 400_000], "", ["report.json", "report.tsv"]),
+        # generate and extract digest the bit file their sidecar is named for
+        # under "sha256", and the closed loop's window tables by name
+        (["generate", "--count", 30_001], "", ["raw.bits"]),
+        (["generate", "--count", 30_001], CLOSED_LOOP, ["raw.bits", *WINDOW_TABLES]),
+        (["extract"], "", ["ext.bits"]),
+        (["extract"], "[extractor]\nmode = auto\n", ["ext.bits"]),
     ],
     ids=[
         "sweep", "sweep-no-switch", "test",
         "generate-open-loop", "generate-closed-loop", "extract-fixed", "extract-auto",
     ],
 )
-def test_stage_sidecar_digests_each_output(tmp_path, argv, ini, outputs, undigested):
+def test_stage_sidecar_digests_each_output(tmp_path, argv, ini, outputs):
     if argv[0] in ("test", "extract"):
         raw = tmp_path / "raw.bits"
         rng = np.random.default_rng(18)
@@ -429,10 +457,72 @@ def test_stage_sidecar_digests_each_output(tmp_path, argv, ini, outputs, undiges
     digests = {k[len("sha256.") :]: v for k, v in meta.items() if k.startswith("sha256.")}
     if "sha256" in meta:
         digests[meta_name[: -len(".meta")]] = meta["sha256"]
-    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, *undigested, meta_name])
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, meta_name])
     assert sorted(digests) == outputs
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_sweep_rerun_without_switches_removes_the_old_histogram(tmp_path):
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--repeats", 3, "--out-dir", out) == 0
+    assert (out / "switch_hist.tsv").exists()
+    assert run_cli("sweep", "--repeats", 2, "--stop", 0.3, "--out-dir", out) == 0
+    assert read_sidecar(out / "sweep.meta")["switches_recorded"] == "0"
+    listed = ["sweep.meta", "sweeps.tsv", "switch_currents.tsv"]
+    assert sorted(p.name for p in out.iterdir()) == listed
+
+
+def test_open_loop_rerun_removes_the_closed_loop_window_tables(tmp_path):
+    (tmp_path / "closed.ini").write_text(CLOSED_LOOP)
+    out = tmp_path / "g" / "raw.bits"
+    closed = ["--config", tmp_path / "closed.ini"]
+    assert run_cli("generate", "--count", 5000, *closed, "--out", out) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "raw.bits", "raw.bits.amplitude.tsv", "raw.bits.meta", "raw.bits.ratio.tsv"
+    ]
+    assert run_cli("generate", "--count", 5000, "--out", out) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["raw.bits", "raw.bits.meta"]
+
+
+def test_closed_loop_out_name_holding_equals_refused_before_output(tmp_path, capsys):
+    # the window tables' digests are keyed by the output's name, and a
+    # sidecar key holds no "=": such a name would fail only once the bits and
+    # tables were written
+    (tmp_path / "closed.ini").write_text(CLOSED_LOOP)
+    out = tmp_path / "g" / "a=b.bits"
+    closed = ["--config", tmp_path / "closed.ini"]
+    assert run_cli("generate", "--count", 5000, *closed, "--out", out) == 2
+    assert "holds '='" in capsys.readouterr().err
+    assert not out.parent.exists()
+    # in open loop the name is only ever a file name, never a key
+    assert run_cli("generate", "--count", 5000, "--out", out) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["a=b.bits", "a=b.bits.meta"]
+
+
+def test_sweep_failing_after_its_first_group_leaves_no_table(tmp_path, monkeypatch):
+    import rtdrng.cli as cli
+
+    sweep_branches = cli.sweep_branches
+    rows = []
+
+    def failing(*args):
+        currents, groups = sweep_branches(*args)
+
+        def first_group_then_fail():
+            branches, switches = next(groups)
+            rows.append(len(switches))
+            yield branches, switches
+            groups.close()
+            raise OSError("No space left on device")
+
+        return currents, first_group_then_fail()
+
+    monkeypatch.setattr(cli, "sweep_branches", failing)
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--repeats", 300, "--out-dir", out) == 3
+    assert 0 < rows[0] < 300
+    assert list(out.iterdir()) == []
 
 
 class TestExtractCommand:

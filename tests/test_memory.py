@@ -118,7 +118,11 @@ def test_window_tables(tmp_path):
         rng = np.random.default_rng(windows)
         ratios, amplitudes = rng.random(windows), rng.random(windows)
         amplitudes += 1.5
-        cli._write_window_tables(tmp_path / "raw.bits", ratios, amplitudes)
+        for name, values in (("ratio", ratios), ("amplitude", amplitudes)):
+            cli._write_table(
+                tmp_path / f"raw.bits.{name}.tsv", ["window", name], "{}\t{:.6f}\n",
+                range(windows), values,
+            )
 
     counts = (3 * cli._TABLE_ROWS, 12 * cli._TABLE_ROWS)
     peaks = [traced_peak(tables, windows) for windows in counts]

@@ -35,6 +35,7 @@ REMOVED = {
         "PulseTrace",
         "trace_pulses",
     ],
+    "rtdrng.bits": ["bit_file"],
     "rtdrng.device": [
         "iv_current",
         "branch_voltage",

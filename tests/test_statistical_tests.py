@@ -73,6 +73,24 @@ class TestParamResolution:
         with pytest.raises(SequenceTooShortError):
             TestParams().resolved_universal(100_000)
 
+    # SP 800-22 2.9.7's printed table: the least n for each L
+    @pytest.mark.parametrize(
+        "least, length",
+        [
+            (387_840, 6), (904_960, 7), (2_068_480, 8), (4_654_080, 9),
+            (10_342_400, 10), (22_753_280, 11), (49_643_520, 12), (107_560_960, 13),
+            (231_669_760, 14), (496_435_200, 15), (1_059_061_760, 16),
+        ],
+    )
+    def test_universal_length_at_each_printed_threshold(self, least, length):
+        p = TestParams()
+        assert p.resolved_universal(least)[0] == length
+        if length == 6:
+            with pytest.raises(SequenceTooShortError, match="at least 387840 bits"):
+                p.resolved_universal(least - 1)
+        else:
+            assert p.resolved_universal(least - 1)[0] == length - 1
+
 
 class TestFrequency:
     def test_spec_example_eight_bits(self):
