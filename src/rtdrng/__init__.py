@@ -13,9 +13,8 @@ from .device import (
     DeviceParams,
     DeviceState,
     Streams,
-    SweepTrace,
     streams,
-    sweep_current,
+    sweep_branches,
 )
 from .extractor import (
     ExtractorConfig,
@@ -44,9 +43,8 @@ __all__ = [
     "DeviceParams",
     "DeviceState",
     "Streams",
-    "SweepTrace",
     "streams",
-    "sweep_current",
+    "sweep_branches",
     "ExtractorConfig",
     "InsufficientEntropyError",
     "choose_block_params",

@@ -201,14 +201,13 @@ class BitWriter:
         self._emit(packed)
 
     def stream(self) -> BitStream:
-        """The packed stream, refused short of its length; a file writer's is read from its file."""
+        """The packed stream, refused short of its length; a file writer's is its file's read_bits."""
         if self._done != self._length:
             raise ValueError(f"packed {self._done} of {self._length} bits")
         if self._file is None:
             return BitStream(self._packed, self._length)
         self._file.flush()
-        reader = open(self._file.name, "rb", buffering=0)
-        return BitStream(_FilePayload(reader, (self._length + 7) // 8), self._length)
+        return read_bits(self._file.name)
 
 
 def write_bits(path, stream: BitStream) -> None:

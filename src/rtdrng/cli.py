@@ -34,10 +34,6 @@ from .bits import write_bits  # noqa: F401
 from .config import ConfigError, PipelineConfig, default_config, load_config, seed_bits
 from .control import run_closed_loop
 from .device import Branch, DeviceState, _branch_voltage_unchecked, streams, sweep_branches
-
-# kept only so that perfbench/worker.py's patch list resolves: cmd_sweep calls
-# sweep_branches, so the device.sweep_* layers read 0 until that list changes
-from .device import sweep_current  # noqa: F401
 from .extractor import (
     InsufficientEntropyError,
     choose_block_params,
@@ -49,6 +45,10 @@ from .nist.battery import analyze_suite, render_table, report_records, run_batte
 from .nist.sequence import battery_sequences
 from .pulses import acquire_bits, window_fractions
 from .sidecar import SidecarError, output_file, read_sidecar, write_sidecar
+
+# sweep_current is gone and nothing calls this name: it is bound only so that
+# perfbench/worker.py's patch list resolves, and goes with the write_bits re-import
+sweep_current = None
 
 
 def _sha256(path) -> str:

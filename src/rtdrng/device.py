@@ -143,15 +143,6 @@ def streams(seed: int | None) -> Streams:
     return Streams(np.random.default_rng(switch), np.random.default_rng(drift))
 
 
-@dataclass(frozen=True)
-class SweepTrace:
-    """Recorded (current, voltage) points from one current ramp."""
-
-    currents: np.ndarray
-    voltages: np.ndarray
-    switch_current: float | None
-
-
 def _branch_voltage_unchecked(params: DeviceParams, branch: Branch, i: float) -> float:
     # The branch's line at current i, with no range check: under drift the L
     # branch extends slightly past i_peak (the effective peak is shifted).
@@ -340,12 +331,15 @@ def sweep_branches(
 ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, list[float | None]]]]:
     """Run `repeats` successive sweeps of one current ramp in lockstep.
 
-    Returns the grid currents and an iterator over groups of sweeps.  A group
-    is (high, switches): high[r, j] is True where sweep r reads the H branch
-    at grid point j, and switches[r] is sweep r's switch current or None.
-    The sweeps are `repeats` chained sweep_current calls on one state, which
-    is advanced in place as each group is made (a fresh state if None): they
-    take the same draws, and the drift agrees within the drift scan's bound.
+    A sweep dwells dt_per_step at each of `steps` grid currents, an SMU
+    staircase.  Returns the grid currents and an iterator over groups of
+    sweeps.  A group is (high, switches): high[r, j] is True where sweep r
+    reads the H branch at grid point j, and switches[r] is sweep r's first
+    switch current or None: the grid current for a stochastic L->H jump,
+    the crossed peak or valley (plus drift) for a deterministic one.  The
+    sweeps run one after another on one state, advanced in place as each
+    group is made (a fresh state if None), so they take the draws of chained
+    one-repeat calls, with the drift equal within the scan's bound.
     The arguments are checked here, before anything is drawn.
 
     The sweeps are drawn end to end by _drawn, which gives the draw
@@ -424,47 +418,12 @@ def _sweep_groups(params, start, currents, dt, repeats, rng, state):
         draws.close()
 
 
-def sweep_current(
-    params: DeviceParams,
-    start: float,
-    stop: float,
-    steps: int,
-    dt_per_step: float,
-    rng: Streams,
-    state: DeviceState | None = None,
-) -> SweepTrace:
-    """Ramp the bias current across `steps` points and record the response.
-
-    Each point dwells dt_per_step at its current before the voltage is read,
-    mimicking an SMU staircase sweep.  Points walk the drift like pulses
-    (_drawn) and draw their switch uniforms in order; the branch is a
-    set/reset latch: a point sets H when its current exceeds the point's
-    switching threshold, resets to L below the drift-shifted valley and
-    otherwise keeps the branch.  The recorded
-    switch current is the grid current for a stochastic L->H jump and the
-    crossed threshold itself (peak or valley plus drift) for deterministic
-    jumps.  If `state` is given it seeds the sweep and is advanced in place;
-    otherwise the sweep starts fresh on the branch consistent with the start
-    current.  This is sweep_branches with one repeat.
-    """
-    currents, groups = sweep_branches(params, start, stop, steps, dt_per_step, 1, rng, state)
-    (high,), (switch_current,) = next(groups)
-    voltages = np.where(
-        high,
-        _branch_voltage_unchecked(params, Branch.H, currents),
-        _branch_voltage_unchecked(params, Branch.L, currents),
-    )
-    return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
-
-
 __all__ = [
     "Branch",
     "ModelRangeError",
     "DeviceParams",
     "DeviceState",
     "Streams",
-    "SweepTrace",
     "streams",
     "sweep_branches",
-    "sweep_current",
 ]

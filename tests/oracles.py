@@ -22,10 +22,14 @@ bit.  The truth replay (true_switch_probabilities,
 block_min_entropy) is built on the same in-line draws: it gives each
 pulse's true switch probability from a run's own draws, the ground truth
 for entropy and extraction claims.
+
+sweep_current (returning a SweepTrace) is no reference at all: it is the
+package's sweep_branches at one repeat, for the tests that chain single
+sweeps on one state and set them against sweep_current_oracle.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -662,6 +666,33 @@ def sweep_current_oracle(params, start, stop, steps, dt_per_step, rng, state=Non
     if state is not None:
         _copy_state(state, work)
     return currents, voltages, switch_current
+
+
+@dataclass(frozen=True)
+class SweepTrace:
+    """Recorded (current, voltage) points from one current ramp."""
+
+    currents: np.ndarray
+    voltages: np.ndarray
+    switch_current: float | None
+
+
+def sweep_current(params, start, stop, steps, dt_per_step, rng, state=None) -> SweepTrace:
+    """One sweep through device.sweep_branches, the voltage read off each point's branch.
+
+    Not an independent reference: it is the package's sweep at one repeat,
+    reading only the first group, so tests can chain single sweeps on one
+    state and set them against sweep_current_oracle.  If `state` is given it
+    seeds the sweep and is advanced in place.
+    """
+    currents, groups = device.sweep_branches(params, start, stop, steps, dt_per_step, 1, rng, state)
+    (high,), (switch_current,) = next(groups)
+    voltages = np.where(
+        high,
+        device._branch_voltage_unchecked(params, Branch.H, currents),
+        device._branch_voltage_unchecked(params, Branch.L, currents),
+    )
+    return SweepTrace(currents=currents, voltages=voltages, switch_current=switch_current)
 
 
 # ---------------------------------------------------------------- bias control

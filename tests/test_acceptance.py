@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import sweep_current
 from rtdrng.bits import BitStream, read_bits, write_bits
 from rtdrng.cli import main as cli_main
 from rtdrng.control import ControllerState, run_closed_loop
-from rtdrng.device import DeviceParams, DeviceState, streams, sweep_current
+from rtdrng.device import DeviceParams, DeviceState, streams
 from rtdrng.nist.battery import analyze_suite, pass_threshold, run_battery
 from rtdrng.nist.gf2 import column_complexities, gf2_ranks
 from rtdrng.nist.special import igamc

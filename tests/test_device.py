@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import drift_step, step_device, switching_hazard
+from oracles import drift_step, step_device, sweep_current, switching_hazard
 from rtdrng.device import (
     Branch,
     DeviceParams,
     DeviceState,
     _branch_voltage_unchecked,
     streams,
-    sweep_current,
 )
 
 P = DeviceParams()

@@ -5,9 +5,9 @@ time (or chunk k of lockstep sweeps is latched), a short-lived thread draws
 chunk k + 1's drift normals, so the bits, the final device state and the
 streams' positions must equal those of the loop that draws every chunk in
 line (oracles.serial_threshold_chunks; test_stepping checks lockstep
-sweeps against chained sweep_current calls), a one-chunk call must start
-no thread, and no thread may outlive a call, whether it returns, raises or
-is abandoned.
+sweeps against chained one-repeat calls, oracles.sweep_current), a
+one-chunk call must start no thread, and no thread may outlive a call,
+whether it returns, raises or is abandoned.
 """
 
 import sys
@@ -19,7 +19,7 @@ import pytest
 
 import rtdrng.control as control
 import rtdrng.device as device
-from oracles import serial_acquire, serial_closed_loop
+from oracles import serial_acquire, serial_closed_loop, sweep_current
 from rtdrng.control import default_controller, run_closed_loop
 from rtdrng.device import (
     DeviceParams,
@@ -28,7 +28,6 @@ from rtdrng.device import (
     Streams,
     streams,
     sweep_branches,
-    sweep_current,
 )
 from rtdrng.pulses import PulseConfig, acquire_bits
 

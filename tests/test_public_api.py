@@ -34,6 +34,8 @@ REMOVED = {
         "_switch_probability",
         "PulseTrace",
         "trace_pulses",
+        "SweepTrace",
+        "sweep_current",
     ],
     "rtdrng.bits": ["bit_file"],
     "rtdrng.device": [
@@ -42,6 +44,8 @@ REMOVED = {
         "BranchRangeError",
         "sweep_switch_probabilities",
         "_switch_probability",
+        "SweepTrace",
+        "sweep_current",
     ],
     "rtdrng.nist": ["erfc", "berlekamp_massey", "gf2_rank", "aperiodic_templates"],
     "rtdrng.nist.gf2": ["berlekamp_massey", "gf2_rank"],
@@ -68,14 +72,13 @@ def test_removed_names_are_gone(name):
 
 def test_removed_members_are_gone():
     from rtdrng.bits import BitStream
-    from rtdrng.device import DeviceState, SweepTrace
+    from rtdrng.device import DeviceState
     from rtdrng.nist.battery import SuiteReport
     from rtdrng.nist.gf2 import __all__ as gf2_all
     from rtdrng.pulses import PulseConfig
 
     assert not hasattr(BitStream, "from_bytes")
     assert not hasattr(BitStream, "to_bytes")
-    assert not hasattr(SweepTrace, "points")
     assert not hasattr(PulseConfig(), "off_time")
     assert not hasattr(PulseConfig(), "substep")
     assert not hasattr(PulseConfig(), "sample_offset")

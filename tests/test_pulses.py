@@ -5,7 +5,7 @@ import pytest
 
 import rtdrng.device as device
 import rtdrng.pulses as pulses
-from oracles import drift_close, run_pulse, switch_probability
+from oracles import drift_close, run_pulse, sweep_current, switch_probability
 from rtdrng.bits import BitStream
 from rtdrng.device import (
     Branch,
@@ -13,7 +13,6 @@ from rtdrng.device import (
     DeviceState,
     ModelRangeError,
     streams,
-    sweep_current,
 )
 from rtdrng.pulses import (
     PulseConfig,

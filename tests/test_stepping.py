@@ -1,10 +1,12 @@
 """The sweep latch and the array kernel against references.
 
-sweep_current draws every step in bulk and decides branches from
+sweep_branches draws every step in bulk and decides branches from
 switching thresholds; the oracles step the same model one DeviceState
-and one scalar uniform at a time, so every voltage, time, branch and grid
-switch current must agree bit for bit.  The drift, and a switch current on
-the drift-shifted peak or valley, agree within the drift scan's bound.
+and one scalar uniform at a time, so at one repeat (oracles.sweep_current,
+sweep_branches' one group with each point's branch voltage) every
+voltage, time, branch and grid switch current must agree bit for bit.
+The drift, and a switch current on the drift-shifted peak or valley,
+agree within the drift scan's bound.
 sweep_branches runs many repeats of one ramp in lockstep, and must equal
 chained oracle sweeps and chained one-repeat calls the same way: the group
 walks its drift in one scan, the calls one sweep at a time.  A sweep and a
@@ -22,6 +24,7 @@ from oracles import (
     drift_close,
     switch_probability,
     switching_hazard,
+    sweep_current,
     sweep_current_oracle,
 )
 import rtdrng.device as device
@@ -32,7 +35,6 @@ from rtdrng.device import (
     _branch_voltage_unchecked,
     streams,
     sweep_branches,
-    sweep_current,
 )
 from rtdrng.pulses import PulseConfig, acquire_bits
 

@@ -10,16 +10,17 @@ sweep, seven sweeps and more than a chunk, every sweep's branch rows and
 switch current, the state at each chunk's end and at the end (branch and
 drift) and both streams' next draws must be exactly the
 reference's, and the state at a chunk's end must be that of a run of
-only the sweeps so far, read to its end.  sweep_current reads only the
-first group, so it must leave the state where a one-sweep run read to its
-end does.
+only the sweeps so far, read to its end.  A one-repeat call read only to
+its first group (oracles.sweep_current) must leave the state where a
+one-sweep run read to its end does.
 """
 
 import numpy as np
 import pytest
 
 import rtdrng.device as device
-from rtdrng.device import Branch, DeviceParams, DeviceState, streams, sweep_branches, sweep_current
+from oracles import sweep_current
+from rtdrng.device import Branch, DeviceParams, DeviceState, streams, sweep_branches
 from rtdrng.pulses import PulseConfig, acquire_bits
 
 STEPS, CHUNK_SWEEPS, REPEATS = 60, 23, 50
