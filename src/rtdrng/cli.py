@@ -165,8 +165,6 @@ def cmd_generate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if args.repeats < 1:
-        raise ConfigError("--repeats must be at least 1")
     if args.bins < 1:
         raise ConfigError("--bins must be at least 1")
     top = 1.2 * cfg.device.i_peak
@@ -175,8 +173,8 @@ def cmd_sweep(args) -> int:
         start = args.start
     if args.stop is not None:
         stop = args.stop
-    # sweep_branches checks --steps, --dt, --start and --stop before it draws
-    # anything: nothing is written on a bad flag
+    # sweep_branches checks --repeats, --steps, --dt, --start and --stop
+    # before it draws anything: nothing is written on a bad flag
     currents, groups = sweep_branches(
         cfg.device, start, stop, args.steps, args.dt, args.repeats, streams(cfg.seed)
     )
@@ -314,9 +312,6 @@ def cmd_test(args) -> int:
             "stage": "test",
             "input": input_name,
             "input_sha256": _sha256(args.input),
-            "sequences": sequences,
-            "sequence_length": seq_len,
-            "alpha": params.alpha,
             "rows": len(report.rows),
             "rows_failing": failing,
             "overall_pass": report.overall_pass,
@@ -393,7 +388,7 @@ def cmd_report(args) -> int:
             lines.append(
                 f"  {verdict}: {int(entries['rows']) - int(entries['rows_failing'])}"
                 f"/{entries['rows']} rows meet threshold "
-                f"({entries['sequences']} sequences of {entries['sequence_length']} bits)"
+                f"({entries['suite.sequences']} sequences of {entries['suite.n']} bits)"
             )
     except KeyError as exc:
         raise SidecarError(f"{meta_path}: sidecar lacks {exc}") from None

@@ -1,6 +1,6 @@
 """Pipeline configuration: a strict INI document with one section per stage.
 
-Unknown sections or keys are rejected so typos in the 38 keys fail fast.
+Unknown sections or keys are rejected so typos in the 34 keys fail fast.
 Each stage section's keys are the fields of its dataclass (DeviceParams,
 PulseConfig, ControllerState, ExtractorConfig, TestParams), parsed by their
 annotations; a few extra keys configure the run around them.  Every key is
@@ -47,7 +47,7 @@ def _to_mode(text: str) -> str:
     return mode
 
 
-_PARSERS = {float: _to_float, float | None: _to_float, int: _to_int, int | None: _to_int}
+_PARSERS = {float: _to_float, int: _to_int, int | None: _to_int}
 
 
 def _stage_keys(cls, skip=()) -> dict:

@@ -67,6 +67,9 @@ _LINEAR_COMPLEXITY_BOUNDS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
 
 _EXCURSION_MIN_CYCLES = 500
 
+_NONOVERLAPPING_BLOCKS = 8  # N of the non-overlapping template test (SP 800-22 2.7)
+_OVERLAPPING_BLOCK_BITS = 1032  # M of the overlapping template test (SP 800-22 2.8)
+
 _MAX_WINDOW_BITS = 62  # widest overlapping-template window accepted
 
 _RUN_CHUNK_BITS = 1 << 14  # block bits a longest-run scan reads at a time
@@ -106,13 +109,9 @@ class TestParams:
     sequences: int = 30
     alpha: float = 0.05
     block_frequency_m: int = 128
-    longest_run_m: int | None = None
     nonoverlapping_m: int = 9
-    nonoverlapping_blocks: int = 8
     overlapping_m: int = 9
-    overlapping_block_len: int = 1032
     universal_l: int | None = None
-    universal_q: int | None = None
     approx_entropy_m: int = 10
     serial_m: int = 16
     linear_complexity_block: int = 500
@@ -126,36 +125,22 @@ class TestParams:
             ("sequences", 1),
             ("block_frequency_m", 1),
             ("nonoverlapping_m", 1),
-            ("nonoverlapping_blocks", 1),
             ("overlapping_m", 1),
-            ("overlapping_block_len", 1),
             ("approx_entropy_m", 1),
             ("serial_m", 3),
             ("linear_complexity_block", 1),
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if self.overlapping_m > min(self.overlapping_block_len, _MAX_WINDOW_BITS):
-            raise ValueError(
-                f"overlapping_m must be at most overlapping_block_len and {_MAX_WINDOW_BITS}"
-            )
-        if min(_overlapping_law(self.overlapping_m, self.overlapping_block_len)) <= 0.0:
-            raise ValueError(
-                f"overlapping_m = {self.overlapping_m} in blocks of {self.overlapping_block_len}"
-                " bits leaves an occurrence class of probability 0"
-            )
-        if self.longest_run_m not in (None, *_LONGEST_RUN_TABLES):
-            raise ValueError(f"unsupported longest-run block size {self.longest_run_m}")
+        if self.overlapping_m > _MAX_WINDOW_BITS:
+            raise ValueError(f"overlapping_m must be at most {_MAX_WINDOW_BITS}")
         if self.universal_l is not None and not 1 <= self.universal_l <= 16:
             raise ValueError("universal block length must be in [1, 16]")
-        if self.universal_q is not None and self.universal_q < 1:
-            raise ValueError("universal_q must be at least 1")
 
     def resolved_longest_run(self, n: int) -> tuple[int, int]:
         """(M, N) for the longest-run test at sequence length n."""
-        m = self.longest_run_m
-        if m is None:  # the largest M that n serves; below them all, M = 8 raises
-            m = max((k for k, (least, *_) in _LONGEST_RUN_TABLES.items() if n >= least), default=8)
+        # the largest M that n serves; below them all, M = 8 raises
+        m = max((k for k, (least, *_) in _LONGEST_RUN_TABLES.items() if n >= least), default=8)
         _require(n, _LONGEST_RUN_TABLES[m][0], f"longest-run test at M = {m}")
         return m, n // m
 
@@ -166,7 +151,7 @@ class TestParams:
             length = max((k for k in range(6, 17) if n >= 1010 * k * 2**k), default=None)
             if length is None:
                 raise SequenceTooShortError("universal test needs at least 387840 bits")
-        q = self.universal_q if self.universal_q is not None else 10 * 2**length
+        q = 10 * 2**length
         k = n // length - q
         if k < 1:
             raise SequenceTooShortError("universal test has no bits left after initialisation")
@@ -492,7 +477,7 @@ def non_overlapping_template_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     m = params.nonoverlapping_m
-    n_blocks = params.nonoverlapping_blocks
+    n_blocks = _NONOVERLAPPING_BLOCKS
     _require(n, n_blocks * 2**m, "non-overlapping template test")
     block_len = n // n_blocks
     values, width = seq.windows(m)
@@ -527,11 +512,11 @@ def _exact_overlapping_law(m: int, block_len: int) -> tuple[float, ...]:
     return tuple(power[0].reshape(m + 1, 6).sum(axis=0).tolist())
 
 
-def _overlapping_law(m: int, block_len: int) -> tuple[float, ...]:
-    """The printed table at the standard's geometry, else the exact law."""
-    if m == 9 and block_len == 1032:
+def _overlapping_law(m: int) -> tuple[float, ...]:
+    """The printed table at the standard's m = 9, else the exact law, in 1032-bit blocks."""
+    if m == 9:
         return _OVERLAPPING_PI_STANDARD
-    return _exact_overlapping_law(m, block_len)
+    return _exact_overlapping_law(m, _OVERLAPPING_BLOCK_BITS)
 
 
 def overlapping_template_test(bits, params: TestParams) -> TestResult:
@@ -539,10 +524,10 @@ def overlapping_template_test(bits, params: TestParams) -> TestResult:
     seq = as_sequence(bits)
     n = len(seq)
     m = params.overlapping_m
-    block_len = params.overlapping_block_len
+    block_len = _OVERLAPPING_BLOCK_BITS
     _require(n, 5 * block_len, "overlapping template test")
     n_blocks = n // block_len
-    pi = np.asarray(_overlapping_law(m, block_len))
+    pi = np.asarray(_overlapping_law(m))
     values, width = seq.windows(m)
     ones = values[: n_blocks * block_len] >= (2**m - 1) << (width - m)  # top m bits all ones
     hits = ones.reshape(n_blocks, block_len)[:, : block_len - m + 1].sum(axis=1)

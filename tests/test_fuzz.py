@@ -64,7 +64,7 @@ _SIDECAR_KEYS = [
     "count", "pulse.amplitude", "controller", "device.drift_sigma", "direction", "repeats",
     "switch_mean_ma", "switch_std_ma", "input_bits", "output_bits", "n", "l",
     "epsilon_exponent", "seed_fingerprint", "seed_derived", "overall_pass", "rows",
-    "rows_failing", "sequences", "sequence_length",
+    "rows_failing", "suite.sequences", "suite.n",
 ]
 
 

@@ -27,9 +27,7 @@ from rtdrng.nist.statistical_tests import (
 # every test applies at 120k bits: no default needs more than Serial's 2^18
 SMALL = TestParams(n=120_000, universal_l=4, serial_m=8)
 # windows wider than 32 bits, held as int64
-WIDE = dataclasses.replace(
-    SMALL, nonoverlapping_m=10, overlapping_m=40, overlapping_block_len=1000
-)
+WIDE = dataclasses.replace(SMALL, nonoverlapping_m=10, overlapping_m=40)
 
 LENGTHS = (1, 2, 3, 7, 8, 9, 15, 17, 23, 24, 64, 100, 1001)
 
@@ -139,17 +137,18 @@ class TestWalk:
 
 
 class TestOverlappingBlocks:
-    @pytest.mark.parametrize("m, block_len", [(9, 1032), (3, 50), (4, 12)])
-    def test_pvalue_from_per_block_oracle_counts(self, m, block_len):
+    @pytest.mark.parametrize("m", [9, 3, 4])
+    def test_pvalue_from_per_block_oracle_counts(self, m):
+        block_len = 1032
         bits = random_bits(block_len * 60 + block_len // 2, m)
         bits[: block_len * 3] = 1  # some blocks past the top class
-        params = dataclasses.replace(SMALL, overlapping_m=m, overlapping_block_len=block_len)
+        params = dataclasses.replace(SMALL, overlapping_m=m)
         n_blocks = bits.size // block_len
         freq = [0] * 6
         for j in range(n_blocks):
             block = bits[j * block_len : (j + 1) * block_len]
             freq[min(oracles.oracle_overlapping_count(block, [1] * m), 5)] += 1
-        pi = _overlapping_law(m, block_len)
+        pi = _overlapping_law(m)
         chi2 = sum((freq[i] - n_blocks * pi[i]) ** 2 / (n_blocks * pi[i]) for i in range(6))
         got = overlapping_template_test(bits, params).pvalues[0]
         assert got == pytest.approx(igamc(2.5, chi2 / 2.0), rel=1e-12, abs=1e-300)

@@ -55,8 +55,8 @@ class TestParamResolution:
         p = TestParams()
         assert p.resolved_longest_run(1_000_000) == (10_000, 100)
         assert p.resolved_universal(1_000_000) == (7, 1280, 141_577)
-        assert 1_000_000 // p.nonoverlapping_blocks == 125_000
-        assert 1_000_000 // p.overlapping_block_len == 968
+        assert 1_000_000 // statistical_tests._NONOVERLAPPING_BLOCKS == 125_000
+        assert 1_000_000 // statistical_tests._OVERLAPPING_BLOCK_BITS == 968
         assert 1_000_000 // p.linear_complexity_block == 2000
         assert p.serial_m == 16
         assert p.approx_entropy_m == 10
@@ -253,18 +253,19 @@ class TestLongestRun:
         law = oracles.longest_run_class_law(10_000, lo, hi)
         assert np.max(np.abs(np.subtract(pi, law))) <= 5e-5
 
-    @pytest.mark.parametrize("m, least", [(8, 128), (128, 6272), (10_000, 750_000)])
-    def test_each_block_size_needs_its_least_length(self, m, least):
-        # SP 800-22 section 2.4.2, read by the automatic choice and an explicit M alike
-        assert TestParams().resolved_longest_run(least) == (m, least // m)
-        params = TestParams(longest_run_m=m)
-        assert params.resolved_longest_run(least) == (m, least // m)
+    @pytest.mark.parametrize(
+        "m, least, below", [(8, 128, None), (128, 6272, 8), (10_000, 750_000, 128)]
+    )
+    def test_each_block_size_needs_its_least_length(self, m, least, below):
+        # SP 800-22 section 2.4.2: M is the largest block size that n serves
+        assert PARAMS.resolved_longest_run(least) == (m, least // m)
+        if below is not None:
+            assert PARAMS.resolved_longest_run(least - 1) == (below, (least - 1) // below)
+            return
         with pytest.raises(SequenceTooShortError, match=f"M = {m} needs at least {least} bits"):
-            params.resolved_longest_run(least - 1)
-        # M = 10^4 on 6000 bits leaves no block: it used to give P = nan
-        n = min(least - 1, 6000)
+            PARAMS.resolved_longest_run(least - 1)
         with pytest.raises(SequenceTooShortError):
-            run_test(TestId.LongestRun, params, random_bits(n, 14))
+            run_test(TestId.LongestRun, PARAMS, random_bits(least - 1, 14))
 
     def test_long_runs_fail(self):
         bits = np.zeros(12_800, dtype=np.uint8)
@@ -519,7 +520,7 @@ class TestOverlappingTemplate:
             _overlapping_law,
         )
 
-        assert _overlapping_law(9, 1032) is _OVERLAPPING_PI_STANDARD
+        assert _overlapping_law(9) is _OVERLAPPING_PI_STANDARD
         exact = np.asarray(_exact_overlapping_law(9, 1032))
         assert np.all(np.abs(np.asarray(_OVERLAPPING_PI_STANDARD) - exact) < 5e-7)
 
@@ -531,33 +532,33 @@ class TestOverlappingTemplate:
         bits = random_bits(1032 * 200, 22)
         assert overlapping_template_test(bits, PARAMS).pvalues[0] > 1e-4
 
-    @pytest.mark.parametrize("m, block_len", [(1, 1074), (57, 1032), (62, 1032)])
-    def test_edge_geometries_that_load_give_a_pvalue(self, m, block_len):
-        # (1, 1074) sits beside (1, 1075), rejected at load: 2^-M underflows
-        # class 0 there
-        params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
+    @pytest.mark.parametrize("m", [57, 62])
+    def test_edge_geometries_that_load_give_a_pvalue(self, m):
+        params = TestParams(n=20_000, overlapping_m=m)
         bits = random_bits(20_000, 23)
         p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
         assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("m, block_len", [(58, 1032)])
-    def test_tail_class_geometries_load(self, m, block_len):
+    @pytest.mark.parametrize("m", [58])
+    def test_tail_class_geometries_load(self, m):
         # rejected at load while the top class was 1 - sum(pi), which cancels
         # to 0 here; as its own mass it is small but positive
         from rtdrng.nist.statistical_tests import _overlapping_law
 
-        params = TestParams(n=20_000, overlapping_m=m, overlapping_block_len=block_len)
-        assert _overlapping_law(m, block_len)[-1] > 0.0
+        params = TestParams(n=20_000, overlapping_m=m)
+        assert _overlapping_law(m)[-1] > 0.0
         bits = random_bits(20_000, 23)
         p = run_test(TestId.OverlappingTemplate, params, bits).pvalues[0]
         assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("m, block_len", [(49, 49), (49, 50), (1, 1075), (1, 2980)])
-    def test_empty_class_rejected(self, m, block_len):
-        # one or two windows a block leave no room for five occurrences; at
-        # m = 1, class 0 is 2^-M, below the smallest double past 1074 bits
-        with pytest.raises(ValueError, match="probability 0"):
-            TestParams(overlapping_m=m, overlapping_block_len=block_len)
+    def test_every_window_leaves_each_class_positive(self):
+        # a class of probability 0 would divide 0 by 0 in the chi-square; in
+        # the standard's 1032-bit blocks no window that TestParams accepts has one
+        from rtdrng.nist.statistical_tests import _MAX_WINDOW_BITS, _overlapping_law
+
+        for m in range(1, _MAX_WINDOW_BITS + 1):
+            law = _overlapping_law(m)
+            assert len(law) == 6 and min(law) > 0.0, m
 
     @pytest.mark.parametrize("block_len", range(1, 15))
     def test_law_equals_enumeration(self, block_len):
@@ -787,10 +788,6 @@ class TestDispatch:
     def test_widest_overlapping_window_allowed(self):
         # one bit wider is rejected at load (test_config_cli)
         TestParams(overlapping_m=62)
-        TestParams(overlapping_m=20, overlapping_block_len=24)
-        # a block shorter than m + 4 bits cannot hold five occurrences
-        with pytest.raises(ValueError, match="probability 0"):
-            TestParams(overlapping_m=20, overlapping_block_len=23)
 
     def test_too_short_raises(self):
         bits = random_bits(64, 34)
