@@ -91,6 +91,17 @@ class TestParamResolution:
         else:
             assert p.resolved_universal(least - 1)[0] == length - 1
 
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_universal_q_is_ten_times_two_to_the_l(self, length):
+        # SP 800-22 2.9: Q = 10 * 2^L initialisation blocks at every L, and K,
+        # the blocks left after them, must be at least one
+        params = TestParams(universal_l=length)
+        q = 10 * 2**length
+        least = (q + 1) * length
+        assert params.resolved_universal(least) == (length, q, 1)
+        with pytest.raises(SequenceTooShortError, match="no bits left"):
+            params.resolved_universal(least - 1)
+
 
 class TestFrequency:
     def test_spec_example_eight_bits(self):
